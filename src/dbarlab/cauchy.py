@@ -90,15 +90,7 @@ def rect_cauchy_integral(w: complex, a: float, b: float) -> complex:
     ]
     total = 0.0 + 0.0j
     for idx in range(4):
-        p = corners[idx]
-        q = corners[(idx + 1) % 4]
-        e = q - p
-        c = p - w
-        coef = np.conj(c) - (np.conj(e) / e) * c
-        if abs(coef) < 1e-13 * (abs(c) + abs(e)):
-            total += np.conj(e)
-        else:
-            total += np.conj(e) + coef * np.log((c + e) / c)
+        total += _edge_segment(w, corners[idx], corners[(idx + 1) % 4])
     # integral of dA/(zeta - w) = (1/2i) * contour integral of
     # (zeta_bar - w_bar)/(zeta - w) dzeta; flip sign for 1/(w - zeta)
     return -total / 2.0j

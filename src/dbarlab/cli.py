@@ -114,8 +114,6 @@ def _cmd_study(name):
         except CheckFailure as exc:
             print(f"CHECK FAILED {exc}", file=sys.stderr)
             return 1
-        if hasattr(result, "__dataclass_fields__"):
-            result = {"records": len(result)}
         if isinstance(result, list):
             result = {"records": len(result)}
         print(json.dumps(result, sort_keys=True, default=str, indent=1))
@@ -152,11 +150,11 @@ def build_parser() -> argparse.ArgumentParser:
     hol.add_argument("--out", default=None)
     hol.set_defaults(func=_cmd_holonomy)
 
-    for name in ("cgo-decay", "stationary-phase", "boundary-defect", "stability-sweep", "gauge-check"):
-        sp = sub.add_parser(name, parents=[common], help=f"run the {name} study")
+    for name in _STUDIES:
+        sp = sub.add_parser(
+            name, parents=[common], help=f"run the {name.removesuffix('-study')} study"
+        )
         sp.set_defaults(func=_cmd_study(name))
-    sp = sub.add_parser("holonomy-study", parents=[common], help="run the holonomy study")
-    sp.set_defaults(func=_cmd_study("holonomy-study"))
     return p
 
 

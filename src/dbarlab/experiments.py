@@ -325,6 +325,13 @@ def run_gauge_check(cfg: ExperimentConfig, out="out") -> dict:
     return results
 
 
+def _scalar_and_system_dtn(pot, F, order):
+    """DtN and diagonalized-system matrices from one operator, which is
+    freed on return."""
+    op = fw.assemble(pot)
+    return fw.dtn(pot, order, operator=op), fw.diagonalized_system_dtn(pot, F, order, operator=op)
+
+
 def run_stability_sweep(cfg: ExperimentConfig, out="out") -> list[StabilityRecord]:
     """Perturbation sweep: boundary-data distances against the interior
     differences they control, plus the pointwise and identity checks."""
@@ -332,7 +339,7 @@ def run_stability_sweep(cfg: ExperimentConfig, out="out") -> list[StabilityRecor
     g = cfg.grid()
     fam = default_potentials(cfg, g)
     pot1, red1 = fam.reduction(0.0)
-    d1 = fw.dtn(pot1, cfg.order)
+    d1, dsys1 = _scalar_and_system_dtn(pot1, red1.F, cfg.order)
     base = ph.base_phase(0.0 + 0.0j)
     delta = cfg.delta_list[-1]
     excl = ph.exclusion_set(base, delta)
@@ -340,10 +347,13 @@ def run_stability_sweep(cfg: ExperimentConfig, out="out") -> list[StabilityRecor
         [[excl.contains(z) for z in row] for row in g.nodes], dtype=bool
     )
 
+    # diagonalized-system distances vs the log-augmented scalar distance:
+    # the fitted envelope constant is recorded, not asserted
     records = []
+    syst_ratios = []
     for t in cfg.t_list:
         pot2, red2 = fam.reduction(t)
-        d2 = fw.dtn(pot2, cfg.order)
+        d2, dsys2 = _scalar_and_system_dtn(pot2, red2.F, cfg.order)
         d_sur = me.ensemble_distance(d1, d2)
         d_si = me.ensemble_distance(d1, d2, mode="sup_inf")
         qd = geo.norm_l2(pot1.q - pot2.q)
@@ -379,16 +389,8 @@ def run_stability_sweep(cfg: ExperimentConfig, out="out") -> list[StabilityRecor
                 delta_schedule=del_sched,
             )
         )
-
-    # diagonalized-system distances vs the log-augmented scalar distance:
-    # the fitted envelope constant is recorded, not asserted
-    dsys1 = fw.diagonalized_system_dtn(pot1, red1.F, cfg.order)
-    syst_ratios = []
-    for t, rec in zip(cfg.t_list, records):
-        pot2, red2 = fam.reduction(t)
-        dsys2 = fw.diagonalized_system_dtn(pot2, red2.F, cfg.order)
         dprime = me.ensemble_distance(dsys1, dsys2, mode="sup_inf")
-        d = max(rec.d_surrogate, 1e-300)
+        d = max(d_sur, 1e-300)
         envelope = d + 1.0 / max(abs(math.log(d)), 1.0) ** 0.5
         syst_ratios.append(dprime / envelope)
     fitted_c = max(syst_ratios)

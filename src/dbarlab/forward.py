@@ -14,11 +14,14 @@ Discretization: spectral collocation in the angle, second-order finite
 differences in the radius, direct block-tridiagonal elimination with
 dense angular blocks and diagonal radial couplings.  On a disk the
 center value is one extra unknown, closed by the mean-value relation and
-eliminated by a rank-one Schur complement.
+eliminated by a rank-one Schur complement whose center column is solved
+once, at factorization.  A solve is one sweep over K boundary data and
+leaves no state behind; each DtN builder post-maps one such sweep.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -30,6 +33,7 @@ from .geometry import (
     OneForm,
     PolarGrid,
     ScalarField,
+    _fornberg_weights,
     codiff,
     dbar_star,
     exterior_d,
@@ -236,8 +240,6 @@ class MagneticOperator:
                 -(4.0 / dr**2) * mean_w
                 - (4j / dr) * (x1 * np.conj(eit) + x0 * eit) * mean_w
             )
-            # ring-0 unknowns couple to the center through the `lo` slot
-            self.center_col = self.lo[0].copy()
 
         self._factor(condition_limit)
 
@@ -250,16 +252,22 @@ class MagneticOperator:
                 S = lu_solve(self.lus[a - 1], np.diag(self.hi[a - 1]).astype(complex))
                 D = self.B[a] - self.lo[a][:, None] * S
             self.lus.append(lu_factor(D))
+        if self.kind == "disk":
+            # ring-0 unknowns couple to the center through the `lo` slot; the
+            # interior response to that column is the same for every solve
+            col = np.zeros((J, n_t, 1), dtype=complex)
+            col[0, :, 0] = self.lo[0]
+            self._center_response = self._solve_tridiag(col)
+            self._schur = self.center_diag - self.center_row @ self._center_response[0, :, 0]
         # inverse-norm probe: a resonance amplifies the solve of random
         # boundary data (run through the full bordered system)
         rng = np.random.default_rng(0)
-        boundary = {
-            r: rng.standard_normal(n_t) + 1j * rng.standard_normal(n_t)
-            for r in self.grid.boundary_rings
-        }
-        u = self.solve(boundary)
-        scale = max(np.max(np.abs(v)) for v in boundary.values())
-        amp = float(np.max(np.abs(u.values)) / scale)
+        boundary = np.stack([
+            rng.standard_normal(n_t) + 1j * rng.standard_normal(n_t)
+            for _ in self.grid.boundary_rings
+        ])[:, :, None]
+        u = self._solve_batched(boundary)
+        amp = float(np.max(np.abs(u)) / np.max(np.abs(boundary)))
         op_scale = 4.0 / self.grid.dr**2
         self.condition_estimate = amp * op_scale
         if not np.isfinite(self.condition_estimate) or self.condition_estimate > condition_limit:
@@ -269,61 +277,56 @@ class MagneticOperator:
                 "is likely -- perturb q"
             )
 
-    def _solve_tridiag(self, rhs: np.ndarray) -> np.ndarray:
-        """rhs shape (J, n_theta, K) -> interior solution, same shape."""
+    def _solve_tridiag(self, x: np.ndarray) -> np.ndarray:
+        """Interior solve in place: x of shape (J, n_theta, K) holds the
+        right-hand sides on entry and the solution on return."""
         J = len(self.int_rings)
-        e = np.empty_like(rhs)
-        e[0] = rhs[0]
         for a in range(1, J):
-            e[a] = rhs[a] - self.lo[a][:, None] * lu_solve(self.lus[a - 1], e[a - 1])
-        x = np.empty_like(rhs)
-        x[J - 1] = lu_solve(self.lus[J - 1], e[J - 1])
+            x[a] -= self.lo[a][:, None] * lu_solve(self.lus[a - 1], x[a - 1])
+        x[J - 1] = lu_solve(self.lus[J - 1], x[J - 1])
         for a in range(J - 2, -1, -1):
-            x[a] = lu_solve(self.lus[a], e[a] - self.hi[a][:, None] * x[a + 1])
+            x[a] = lu_solve(self.lus[a], x[a] - self.hi[a][:, None] * x[a + 1])
         return x
+
+    def _solve_batched(self, boundary: np.ndarray) -> np.ndarray:
+        """K Dirichlet solves in one sweep: boundary samples of shape
+        (n_boundary_rings, n_theta, K), ordered as `grid.boundary_rings`,
+        to values of shape (n_r, n_theta, K)."""
+        f = np.asarray(boundary, dtype=complex)
+        u = np.zeros((self.grid.n_r,) + f.shape[1:], dtype=complex)
+        u[-1] = f[-1]
+        x = u[self.int_rings[0] : self.int_rings[-1] + 1]  # a view: solved in place
+        x[-1] -= self.hi[-1][:, None] * f[-1]
+        if self.kind == "annulus":
+            u[0] = f[0]
+            x[0] -= self.lo[0][:, None] * f[0]
+        self._solve_tridiag(x)
+        if self.kind == "disk":
+            # bordered system with the center unknowns, corrected ring by
+            # ring so that no second array of the size of u is held
+            u_c = -(self.center_row @ x[0]) / self._schur
+            for xa, ca in zip(x, self._center_response):
+                xa -= ca * u_c
+        return u
 
     def solve(self, boundary: dict[int, np.ndarray]) -> ScalarField:
         """Dirichlet solve; `boundary` maps boundary ring index to samples."""
         g = self.grid
-        n_r, n_t = g.shape
-        J = len(self.int_rings)
-        rhs = np.zeros((J, n_t, 1), dtype=complex)
-        f_out = np.asarray(boundary[n_r - 1], dtype=complex)
-        rhs[J - 1, :, 0] -= self.hi[J - 1] * f_out
-        if self.kind == "annulus":
-            f_in = np.asarray(boundary[0], dtype=complex)
-            rhs[0, :, 0] -= self.lo[0] * f_in
-            x = self._solve_tridiag(rhs)[:, :, 0]
-            values = np.vstack([f_in[None, :], x, f_out[None, :]])
-            return ScalarField(g, values)
+        f = np.stack([np.asarray(boundary[r], dtype=complex) for r in g.boundary_rings])
+        return ScalarField(g, self._solve_batched(f[:, :, None])[:, :, 0])
 
-        # disk: bordered system with the center unknown
-        col = np.zeros((J, n_t, 1), dtype=complex)
-        col[0, :, 0] = self.center_col
-        xb = self._solve_tridiag(rhs)[:, :, 0]
-        xc = self._solve_tridiag(col)[:, :, 0]
-        row_dot_b = self.center_row @ xb[0]
-        row_dot_c = self.center_row @ xc[0]
-        u_c = -row_dot_b / (self.center_diag - row_dot_c)
-        x = xb - u_c * xc
-        values = np.vstack([x, f_out[None, :]])
-        self.last_center_value = complex(u_c)
-        return ScalarField(g, values)
-
-    def residual(self, u: ScalarField, boundary: dict[int, np.ndarray]) -> float:
-        """Relative residual of the discrete interior equations."""
-        g = self.grid
-        J = len(self.int_rings)
-        n_t = self.n_theta
+    def residual(self, u: ScalarField) -> float:
+        """Relative residual of the discrete interior equations.  On a disk
+        the center value comes from the center equation
+        center_diag * u_c + center_row . u[0] = 0, which every solve meets."""
         vals = u.values
+        if self.kind == "disk":
+            u_c = -(self.center_row @ vals[0]) / self.center_diag
         res = 0.0
         norm = 0.0
         for a, j in enumerate(self.int_rings):
             row = self.B[a] @ vals[j]
-            if j - 1 >= 0:
-                row += self.lo[a] * vals[j - 1]
-            elif self.kind == "disk":
-                row += self.lo[a] * self.last_center_value
+            row += self.lo[a] * (vals[j - 1] if j > 0 else u_c)
             row += self.hi[a] * vals[j + 1]
             res += np.sum(np.abs(row) ** 2)
             norm += np.sum(np.abs(vals[j]) ** 2)
@@ -351,9 +354,10 @@ def solve_dirichlet(
     boundary = _boundary_dict(g, f)
     try:
         op = operator if operator is not None else assemble(pot)
-    except EigenvalueCollision:
+    except EigenvalueCollision as exc:
         if not allow_perturbation:
             raise
+        logging.getLogger("dbarlab").warning("%s; retrying once with q + 1e-6i", exc)
         shifted = PotentialPair(pot.X, pot.q + 1e-6j)
         op = assemble(shifted)
     return op.solve(boundary)
@@ -378,31 +382,50 @@ def _boundary_dict(g: PolarGrid, f) -> dict[int, np.ndarray]:
 _DERIV_STENCIL_WIDTH = 6
 
 
-def _radial_edge_derivative(g: PolarGrid, values: np.ndarray, ring: int) -> np.ndarray:
-    """One-sided high-order radial derivative at a boundary ring."""
-    from .geometry import _fornberg_weights
-
+def _boundary_jet(g: PolarGrid, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Trace and one-sided high-order radial derivative of values (n_r,
+    n_theta, K) on the boundary circles, each of shape (n_circles, n_theta, K)."""
     n_r = g.n_r
     w = min(_DERIV_STENCIL_WIDTH, n_r)
-    if ring == n_r - 1:
-        sel = np.arange(n_r - w, n_r)
-    else:
-        sel = np.arange(0, w)
-    wts = _fornberg_weights(g.r[ring], g.r[sel], 1)
-    return wts @ values[sel]
+    d_r = []
+    for ring in g.boundary_rings:
+        sel = np.arange(n_r - w, n_r) if ring == n_r - 1 else np.arange(0, w)
+        wts = _fornberg_weights(g.r[ring], g.r[sel], 1)
+        d_r.append(np.tensordot(wts, values[sel], axes=1))
+    return values[list(g.boundary_rings)], np.stack(d_r)
+
+
+def _magnetic_normal(pot: PotentialPair, trace: np.ndarray, d_r: np.ndarray) -> np.ndarray:
+    """d_nu u + i X(nu) u on the boundary circles from the jet of u."""
+    g = pot.grid
+    rings = list(g.boundary_rings)
+    eit = np.exp(1j * g.theta)
+    x_nu = pot.X.c10[rings] * eit + pot.X.c01[rings] * np.conj(eit)
+    sign = np.array(g.boundary_signs())[:, None, None]
+    return sign * (d_r + 1j * x_nu[:, :, None] * trace)
+
+
+def _omega01_pullback(pot: PotentialPair, trace: np.ndarray, d_r: np.ndarray) -> np.ndarray:
+    """Arclength-normalized pullback of star omega on the boundary circles,
+    omega_01 e^{-i theta} with omega_01 = d_zbar u + i A_01 u, from the jet
+    of u.  On grids of six or more rings this is `PolarGrid.d_zbar`: its
+    radial stencil at a boundary circle is the jet's one-sided stencil."""
+    g = pot.grid
+    rings = list(g.boundary_rings)
+    A01 = project(pot.X, "p01").c01[rings][:, :, None]
+    eit = np.exp(1j * g.theta)[:, None]
+    r = g.r[rings][:, None, None]
+    d_t = np.stack([g.diff_theta(t.T).T for t in trace])
+    om01 = 0.5 * eit * (d_r + 1j * d_t / r) + 1j * A01 * trace
+    return om01 * np.conj(eit)
 
 
 def neumann_data(pot: PotentialPair, u: ScalarField) -> dict[int, np.ndarray]:
     """Magnetic normal derivative d_nu u + i X(nu) u on each boundary circle,
     with the outward normal (inner circle of an annulus points inward)."""
     g = pot.grid
-    out = {}
-    eit = np.exp(1j * g.theta)
-    for ring, sign in zip(g.boundary_rings, g.boundary_signs()):
-        du = _radial_edge_derivative(g, u.values, ring)
-        x_nu = pot.X.c10[ring] * eit + pot.X.c01[ring] * np.conj(eit)
-        out[ring] = sign * (du + 1j * x_nu * u.values[ring])
-    return out
+    rows = _magnetic_normal(pot, *_boundary_jet(g, u.values[:, :, None]))
+    return dict(zip(g.boundary_rings, rows[:, :, 0]))
 
 
 def _trace_from_samples(g: PolarGrid, samples_by_ring: dict[int, np.ndarray], order: int) -> BoundaryTrace:
@@ -430,54 +453,46 @@ def cauchy_pair(
     )
 
 
-def dtn(pot: PotentialPair, order: int, operator: MagneticOperator | None = None) -> DtnMatrix:
-    """Assemble the truncated DtN matrix column by column (shared
-    factorization across the Fourier data)."""
+def _unit_fourier_response(
+    pot: PotentialPair, order: int, operator: MagneticOperator | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Boundary jet (`_boundary_jet`) of the solutions for the unit Fourier
+    data, all from one batched solve: column cj * (2 order + 1) + k holds
+    datum e^{i n theta}, n = k - order, on circle cj (zero on the others)."""
     g = pot.grid
     op = operator if operator is not None else assemble(pot)
-    rings = g.boundary_rings
-    n_modes = 2 * order + 1
-    n_c = len(rings)
-    mat = np.zeros((n_c * n_modes, n_c * n_modes), dtype=complex)
-    for cj, ring_j in enumerate(rings):
-        for k, n in enumerate(range(-order, order + 1)):
-            boundary = {r: np.zeros(g.n_theta, dtype=complex) for r in rings}
-            boundary[ring_j] = np.exp(1j * n * g.theta)
-            u = op.solve(boundary)
-            gdata = neumann_data(pot, u)
-            for ci, ring_i in enumerate(rings):
-                coeffs = np.fft.fft(gdata[ring_i]) / g.n_theta
-                col = np.array([coeffs[m % g.n_theta] for m in range(-order, order + 1)])
-                mat[ci * n_modes : (ci + 1) * n_modes, cj * n_modes + k] = col
-    radii = tuple(float(g.r[r]) for r in rings)
-    return DtnMatrix(order=order, circles=radii, matrix=mat)
+    n_c = len(g.boundary_rings)
+    waves = np.exp(1j * np.outer(g.theta, np.arange(-order, order + 1)))
+    data = np.kron(np.eye(n_c), waves).reshape(n_c, g.n_theta, -1)
+    return _boundary_jet(g, op._solve_batched(data))
+
+
+def _fourier_rows(samples: np.ndarray, order: int) -> np.ndarray:
+    """Coefficients m = -order..order of boundary samples (n_circles,
+    n_theta, K), stacked by circle into rows: shape (n_circles (2 order + 1), K)."""
+    n_t = samples.shape[1]
+    coeffs = np.fft.fft(samples, axis=1) / n_t
+    return coeffs[:, np.arange(-order, order + 1) % n_t].reshape(-1, samples.shape[2])
+
+
+def _dtn_matrix(g: PolarGrid, order: int, matrix: np.ndarray) -> DtnMatrix:
+    radii = tuple(float(g.r[r]) for r in g.boundary_rings)
+    return DtnMatrix(order=order, circles=radii, matrix=matrix)
+
+
+def dtn(pot: PotentialPair, order: int, operator: MagneticOperator | None = None) -> DtnMatrix:
+    """Truncated DtN matrix: the magnetic Neumann data of the unit Fourier
+    response."""
+    rows = _magnetic_normal(pot, *_unit_fourier_response(pot, order, operator))
+    return _dtn_matrix(pot.grid, order, _fourier_rows(rows, order))
 
 
 def system_dtn(pot: PotentialPair, order: int, operator: MagneticOperator | None = None) -> DtnMatrix:
     """Trace matrix of the first-order-system boundary data: for Dirichlet
     datum e^{i n theta} the row data is the arclength-normalized pullback
     of star omega, with omega = (dbar + iA) u the system's second component."""
-    g = pot.grid
-    op = operator if operator is not None else assemble(pot)
-    A = project(pot.X, "p01")
-    rings = g.boundary_rings
-    n_modes = 2 * order + 1
-    n_c = len(rings)
-    eit = np.exp(1j * g.theta)
-    mat = np.zeros((n_c * n_modes, n_c * n_modes), dtype=complex)
-    for cj, ring_j in enumerate(rings):
-        for k, n in enumerate(range(-order, order + 1)):
-            boundary = {r: np.zeros(g.n_theta, dtype=complex) for r in rings}
-            boundary[ring_j] = np.exp(1j * n * g.theta)
-            u = op.solve(boundary)
-            om01 = g.d_zbar(u.values) + 1j * A.c01 * u.values
-            for ci, ring_i in enumerate(rings):
-                lam = om01[ring_i] * np.conj(eit)
-                coeffs = np.fft.fft(lam) / g.n_theta
-                col = np.array([coeffs[m % g.n_theta] for m in range(-order, order + 1)])
-                mat[ci * n_modes : (ci + 1) * n_modes, cj * n_modes + k] = col
-    radii = tuple(float(g.r[r]) for r in rings)
-    return DtnMatrix(order=order, circles=radii, matrix=mat)
+    rows = _omega01_pullback(pot, *_unit_fourier_response(pot, order, operator))
+    return _dtn_matrix(pot.grid, order, _fourier_rows(rows, order))
 
 
 def diagonalized_system_dtn(
@@ -493,32 +508,11 @@ def diagonalized_system_dtn(
     the boundary multiplication by F and G the transformed Neumann-side
     columns."""
     g = pot.grid
-    op = operator if operator is not None else assemble(pot)
-    A = project(pot.X, "p01")
-    rings = g.boundary_rings
-    n_modes = 2 * order + 1
-    n_c = len(rings)
-    eit = np.exp(1j * g.theta)
-
-    def coeff_col(samples):
-        c = np.fft.fft(samples) / g.n_theta
-        return np.array([c[m % g.n_theta] for m in range(-order, order + 1)])
-
-    Fmat = np.zeros((n_c * n_modes, n_c * n_modes), dtype=complex)
-    Gmat = np.zeros((n_c * n_modes, n_c * n_modes), dtype=complex)
-    for cj, ring_j in enumerate(rings):
-        for k, n in enumerate(range(-order, order + 1)):
-            boundary = {r: np.zeros(g.n_theta, dtype=complex) for r in rings}
-            boundary[ring_j] = np.exp(1j * n * g.theta)
-            u = op.solve(boundary)
-            om01 = g.d_zbar(u.values) + 1j * A.c01 * u.values
-            for ci, ring_i in enumerate(rings):
-                ftil = F.values[ring_i] * u.values[ring_i]
-                lam = om01[ring_i] * np.conj(eit) / np.conj(F.values[ring_i])
-                Fmat[ci * n_modes : (ci + 1) * n_modes, cj * n_modes + k] = coeff_col(ftil)
-                Gmat[ci * n_modes : (ci + 1) * n_modes, cj * n_modes + k] = coeff_col(lam)
-    radii = tuple(float(g.r[r]) for r in rings)
-    return DtnMatrix(order=order, circles=radii, matrix=Gmat @ np.linalg.inv(Fmat))
+    trace, d_r = _unit_fourier_response(pot, order, operator)
+    F_b = F.values[list(g.boundary_rings)][:, :, None]
+    Fm = _fourier_rows(F_b * trace, order)
+    G = _fourier_rows(_omega01_pullback(pot, trace, d_r) / np.conj(F_b), order)
+    return _dtn_matrix(g, order, G @ np.linalg.inv(Fm))
 
 
 def gauge_transform(
@@ -576,7 +570,16 @@ def load_dtn_csv(path) -> DtnMatrix:
             raise ValueError("bad circle count")
         n = n_c * (2 * order + 1)
         mat = np.zeros((n, n), dtype=complex)
+        seen = np.zeros((n, n), dtype=bool)
         for line in fh:
             i, j, re, im = line.split(",")
-            mat[int(i), int(j)] = float(re) + 1j * float(im)
+            i, j = int(i), int(j)
+            if not (0 <= i < n and 0 <= j < n):
+                raise ValueError(f"DtN entry ({i}, {j}) outside a {n}x{n} matrix")
+            if seen[i, j]:
+                raise ValueError(f"duplicate DtN entry ({i}, {j})")
+            seen[i, j] = True
+            mat[i, j] = float(re) + 1j * float(im)
+    if not seen.all():
+        raise ValueError(f"missing DtN entries, first {np.argwhere(~seen)[0].tolist()}")
     return DtnMatrix(order=order, circles=circles, matrix=mat)

@@ -570,10 +570,6 @@ def norm_l2(a) -> float:
     return math.sqrt(max(inner_l2(a, a).real, 0.0))
 
 
-def integrate(f: ScalarField) -> complex:
-    return complex(np.sum(f.grid.weights * f.values))
-
-
 # ---------------------------------------------------------------------------
 # interpolation and line integrals
 # ---------------------------------------------------------------------------

@@ -138,7 +138,7 @@ def _surrogate(d1, d2) -> float:
 
 def _sup_inf_one_sided(d1, d2, reg: float = 1e-12) -> float:
     """sup over basis data of ensemble 1 of the inf over the span of
-    ensemble 2,评 evaluated through the normal equations."""
+    ensemble 2, evaluated through the normal equations."""
     wp = _stacked_weights(d1, 0.5)
     wm = _stacked_weights(d1, -0.5)
     W1 = wp**2

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -109,7 +111,19 @@ def test_discrete_residual_small(grid):
     pot = fw.PotentialPair(X, q)
     op = fw.assemble(pot)
     u = op.solve({grid.n_r - 1: np.exp(1j * grid.theta)})
-    assert op.residual(u, {}) < 1e-8
+    assert op.residual(u) < 1e-8
+
+
+def test_residual_independent_of_later_solves():
+    """The residual of a solution does not depend on what the operator
+    solved afterwards."""
+    g = geo.PolarGrid(geo.disk(1.0), 48, 64)
+    X, _ = smooth_real_connection(g)
+    q = geo.ScalarField(g, 0.2 * np.exp(-np.abs(g.nodes) ** 2))
+    op = fw.assemble(fw.PotentialPair(X, q))
+    u1 = op.solve({g.n_r - 1: np.exp(1j * g.theta)})
+    op.solve({g.n_r - 1: 3.0 + np.cos(3 * g.theta)})
+    assert op.residual(u1) < 1e-8
 
 
 def test_solve_annulus_harmonic():
@@ -209,6 +223,56 @@ def test_selfadjoint_green_identity(grid):
     assert abs(lhs - rhs) < 1e-4 * scale
 
 
+def _oracle_matrices(pot, F, order, op):
+    """The three DtN matrices from their definitions: one solve per unit
+    Fourier datum, then the Neumann data or the omega_01 trace and an FFT."""
+    g = pot.grid
+    rings = g.boundary_rings
+    n_t = g.n_theta
+    eit = np.exp(1j * g.theta)
+    A01 = geo.project(pot.X, "p01").c01
+
+    def column(samples_by_ring):
+        c = [np.fft.fft(s) / n_t for s in samples_by_ring]
+        return np.concatenate([[ci[m % n_t] for m in range(-order, order + 1)] for ci in c])
+
+    cols = {"dtn": [], "system": [], "F": [], "G": []}
+    for ring_j in rings:
+        for n in range(-order, order + 1):
+            boundary = {r: np.zeros(n_t, dtype=complex) for r in rings}
+            boundary[ring_j] = np.exp(1j * n * g.theta)
+            u = op.solve(boundary)
+            nd = fw.neumann_data(pot, u)
+            om01 = g.d_zbar(u.values) + 1j * A01 * u.values
+            lam = [om01[r] * np.conj(eit) for r in rings]
+            cols["dtn"].append(column([nd[r] for r in rings]))
+            cols["system"].append(column(lam))
+            cols["F"].append(column([F.values[r] * u.values[r] for r in rings]))
+            cols["G"].append(column([x / np.conj(F.values[r]) for x, r in zip(lam, rings)]))
+    mats = {k: np.array(v).T for k, v in cols.items()}
+    return mats["dtn"], mats["system"], mats["G"] @ np.linalg.inv(mats["F"])
+
+
+@pytest.mark.parametrize("domain", [geo.disk(1.0), geo.annulus(0.5, 1.5)])
+def test_dtn_builders_match_column_oracle(domain):
+    g = geo.PolarGrid(domain, 32, 32)
+    X, alpha = smooth_real_connection(g)
+    q = geo.ScalarField(g, 0.3 * np.exp(-2 * np.abs(g.nodes - 0.2) ** 2))
+    pot = fw.PotentialPair(X, q)
+    F = geo.ScalarField(g, np.exp(1j * alpha))
+    op = fw.assemble(pot)
+    order = 4
+    built = (
+        fw.dtn(pot, order, operator=op),
+        fw.system_dtn(pot, order, operator=op),
+        fw.diagonalized_system_dtn(pot, F, order, operator=op),
+    )
+    for d, ref in zip(built, _oracle_matrices(pot, F, order, op)):
+        assert d.matrix.shape == ref.shape == (len(g.boundary_rings) * 9,) * 2
+        assert d.circles == tuple(float(g.r[r]) for r in g.boundary_rings)
+        assert np.max(np.abs(d.matrix - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_dtn_csv_roundtrip(tmp_path, grid):
     X, _ = smooth_real_connection(grid)
     pot = fw.PotentialPair(X, geo.ScalarField(grid, np.zeros(grid.shape)))
@@ -220,18 +284,61 @@ def test_dtn_csv_roundtrip(tmp_path, grid):
     assert np.max(np.abs(back.matrix - d.matrix)) < 1e-15
 
 
-def test_eigenvalue_collision_perturbation():
-    """Near a Dirichlet eigenvalue of the disk the solver retries with a
-    complex-shifted potential instead of failing."""
+@pytest.mark.parametrize(
+    "edit, message",
+    [("drop", "missing"), ("duplicate", "duplicate"), ("outside", "outside")],
+)
+def test_dtn_csv_rejects_incomplete_file(tmp_path, edit, message):
+    rng = np.random.default_rng(0)
+    m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    path = tmp_path / "dtn.csv"
+    fw.save_dtn_csv(path, fw.DtnMatrix(order=1, circles=(0.5, 1.5), matrix=m))
+    lines = path.read_text().splitlines()
+    entries = {
+        "drop": lines[2:-1],
+        "duplicate": lines[2:] + [lines[9]],
+        "outside": lines[2:] + ["6,0,1.0,0.0"],
+    }[edit]
+    path.write_text("\n".join(lines[:2] + entries) + "\n")
+    with pytest.raises(ValueError, match=message):
+        fw.load_dtn_csv(path)
+
+
+def test_eigenvalue_collision_perturbation(caplog):
+    """On a Dirichlet eigenvalue of the discrete disk problem the solver
+    retries with a complex-shifted potential instead of failing, and logs
+    the retry."""
     g = geo.PolarGrid(geo.disk(1.0), 96, 16)
     z = np.zeros(g.shape)
+
+    def pot_at(lam):
+        return fw.PotentialPair(geo.OneForm(g, z, z), geo.ScalarField(g, np.full(g.shape, -lam)))
+
     # lowest Dirichlet eigenvalue of the unit disk: j_{0,1}^2 = 5.7832...
     lam = 5.783185962946785
-    pot = fw.PotentialPair(geo.OneForm(g, z, z), geo.ScalarField(g, np.full(g.shape, -lam)))
     with pytest.raises(fw.EigenvalueCollision):
-        fw.assemble(pot, condition_limit=1e8)
-    u = fw.solve_dirichlet(pot, np.ones(g.n_theta), allow_perturbation=True)
+        fw.assemble(pot_at(lam), condition_limit=1e8)
+
+    # the discrete eigenvalue: a simple pole of the solution for f = 1, so
+    # the secant method on its reciprocal converges in a few steps
+    def inv_value(lam):
+        op = fw.assemble(pot_at(lam), condition_limit=np.inf)
+        return 1.0 / op.solve({g.n_r - 1: np.ones(g.n_theta)}).values[0, 0].real
+
+    a, b = lam, lam + 1e-3
+    fa = inv_value(a)
+    for _ in range(3):
+        fb = inv_value(b)
+        a, fa, b = b, fb, b - fb * (b - a) / (fb - fa)
+    with pytest.raises(fw.EigenvalueCollision):
+        fw.assemble(pot_at(b))
+    with caplog.at_level(logging.WARNING, logger="dbarlab"):
+        u = fw.solve_dirichlet(pot_at(b), np.ones(g.n_theta), allow_perturbation=True)
     assert np.all(np.isfinite(u.values))
+    assert [r.levelname for r in caplog.records] == ["WARNING"]
+    assert "q + 1e-6i" in caplog.records[0].getMessage()
+    with pytest.raises(fw.EigenvalueCollision):
+        fw.solve_dirichlet(pot_at(b), np.ones(g.n_theta), allow_perturbation=False)
 
 
 def test_cauchy_pair_packaging(grid, zero_pot):
