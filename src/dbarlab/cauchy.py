@@ -17,13 +17,19 @@ fast for any product rule, are re-integrated by subdivided 2x2 Gauss on
 the exact polar geometry, with subcells containing the singularity
 replaced by the exact integral of the kernel over a rectangle in locally
 straightened coordinates.  Near the center of a disk, where whole rings
-are close to the target, the corrected zone covers all angles.
+are close to the target, the corrected zone covers all angles.  Every
+correction is stored once, as (target ring, source ring, angular offset,
+accurate integral minus product-rule term).
 
 Because the kernel restricted to a pair of rings depends on the angle
-difference only (up to a unimodular factor), the node-to-node sum
-diagonalizes in the angular Fourier basis; the fast path evaluates
-exactly the same sum as the direct double loop, to roundoff, at
-O(n_r^2 n_theta) cost after an O(n_r^2 n_theta log n_theta) setup.
+difference only (up to a unimodular factor), the node-to-node sum is a
+circular correlation per ring pair, and so are the corrections.  The fast
+path adds the corrections into the angle-space kernel, takes its angular
+FFT once (the mode tables), and then applies the transform as FFT, one
+contraction over source rings and modes, and inverse FFT: O(n_r^2 n_theta)
+per apply after an O(n_r^2 n_theta log n_theta) setup.  It evaluates the
+same sum as the direct double loop, to roundoff.  Tables over the memory
+budget are rebuilt block by block on every apply instead of kept.
 
 Normalization is calibrated so the right-inverse identities hold exactly
 in the continuum: ``dbar(dbar_inverse(omega)) = omega`` and
@@ -73,6 +79,8 @@ _WIN_T_MAX = 8
 _NEAR_REACH = 2.5
 # cache fast-path mode tables up to this many complex entries (~480 MB)
 _CACHE_BUDGET = 3 * 10**7
+# one near-field correction: target ring, source ring, offset mod n_theta
+_NEAR_DTYPE = np.dtype([("tgt", np.intp), ("src", np.intp), ("off", np.intp), ("val", complex)])
 
 
 def rect_cauchy_integral(w: complex, a: float, b: float) -> complex:
@@ -197,12 +205,17 @@ def _cell_integrals_batch(
 class CauchyKernelTable:
     """Per-grid quadrature data for the solid Cauchy transform.
 
-    Holds radial cell moments, the near-field correction stencils, the
-    full-angle center patch (disk grids), and, when it fits the memory
-    budget, the angular-Fourier mode tables of the far-field kernel.
+    Holds the radial cell moments and the near-field list: for every
+    (target ring, source ring, angular offset) whose cell the product rule
+    misses, the difference between the accurate cell integral and the
+    product-rule term.  The angle-space kernel of a block of target rings
+    is the product rule plus this list, and its angular FFT is the block's
+    mode table.  The mode tables of all rings are built on the first apply
+    and kept when they fit ``_CACHE_BUDGET`` complex entries; otherwise
+    every apply rebuilds them block by block.
     """
 
-    def __init__(self, grid: PolarGrid, cache_budget: int = _CACHE_BUDGET):
+    def __init__(self, grid: PolarGrid):
         self.grid = grid
         n_r = grid.n_r
         self.dtheta = grid.dtheta
@@ -220,7 +233,6 @@ class CauchyKernelTable:
         self.m1 = 0.5 * ((hi - r) ** 2 - (lo - r) ** 2)
         self.m2 = ((hi - r) ** 3 - (lo - r) ** 3) / 3.0
         self.m3 = ((hi - r) ** 4 - (lo - r) ** 4) / 4.0
-        self.w_cell = 0.5 * (hi**2 - lo**2) * self.dtheta
 
         # angular half-width of the corrected window per ring: reach a fixed
         # multiple of the radial spacing even where cell arcs are narrow
@@ -238,9 +250,7 @@ class CauchyKernelTable:
             self._patch_tgt = 0
             self._patch_src = 0
 
-        self._corrections = self._build_corrections()
-        self._patch = self._build_center_patch()
-        self._budget = cache_budget
+        self._near = self._build_near_field()
         self._mode_tables = None
 
     # -- quadrature pieces ----------------------------------------------------
@@ -279,52 +289,39 @@ class CauchyKernelTable:
             out[~near] = _cell_integrals_batch(z_t, rlo, rhi, tcs[~near], dth, 4)
         return out
 
-    def _build_corrections(self) -> np.ndarray:
+    def _build_near_field(self) -> np.ndarray:
+        """Corrections (accurate cell integral minus product-rule term) as a
+        flat list sorted by target ring.  Rows in the disk center patch take
+        every source ring m < _patch_src at every angle; other rows take the
+        rings within _WIN_R at offsets within their window win_t.  Each
+        (target ring, source ring, offset) appears at most once."""
         g = self.grid
-        n_r = g.n_r
+        n_r, n_t = g.shape
         dth = self.dtheta
-        corr = np.zeros((n_r, 2 * _WIN_R + 1, 2 * _WIN_T_MAX + 1), dtype=complex)
+        full = np.arange(-(n_t // 2), n_t // 2)
+        pairs = []
         for j in range(n_r):
-            zt = g.r[j]
-            kt = int(self.win_t[j])
-            for dj in range(-_WIN_R, _WIN_R + 1):
-                m = j + dj
-                if m < 0 or m >= n_r:
-                    continue
-                if j < self._patch_tgt and m < self._patch_src:
-                    continue  # handled by the center patch
-                dks = np.arange(-kt, kt + 1)
-                tcs = dks * dth
-                exact = self._exact_cells(zt, m, tcs)
-                naive = self._fused_naive(zt, m, tcs)
-                if dj == 0:
-                    naive[dks == 0] = 0.0
-                corr[j, dj + _WIN_R, dks + _WIN_T_MAX] = exact - naive
-        return corr
-
-    def _build_center_patch(self):
-        """Full-angle corrections for ring pairs near the disk center,
-        returned as Fourier-mode tables ready for the correlation identity."""
-        if self._patch_tgt == 0:
-            return None
-        g = self.grid
-        n_t = g.n_theta
-        dth = self.dtheta
-        patch = np.zeros((self._patch_tgt, self._patch_src, n_t), dtype=complex)
-        dks = np.arange(-(n_t // 2), n_t // 2)
-        tcs = dks * dth
-        for j in range(self._patch_tgt):
-            zt = g.r[j]
-            for m in range(self._patch_src):
-                exact = self._exact_cells(zt, m, tcs)
-                naive = self._fused_naive(zt, m, tcs)
-                if j == m:
-                    naive[dks == 0] = 0.0
-                patch[j, m, dks % n_t] = exact - naive
-        return n_t * np.fft.ifft(patch, axis=2)
+            if j < self._patch_tgt:
+                srcs, dks = range(self._patch_src), full
+            else:
+                kt = int(self.win_t[j])
+                srcs = range(max(j - _WIN_R, 0), min(j + _WIN_R + 1, n_r))
+                # a window that would wrap takes the full circle, so that
+                # no cell is corrected twice
+                dks = np.arange(-kt, kt + 1) if 2 * kt < n_t else full
+            tcs = dks * dth
+            for m in srcs:
+                exact = self._exact_cells(g.r[j], m, tcs)
+                naive = self._fused_naive(g.r[j], m, tcs)
+                if m == j:
+                    naive[dks == 0] = 0.0  # the kernel's self entry is zero
+                pairs.append((np.full(len(dks), j), np.full(len(dks), m), dks % n_t, exact - naive))
+        return np.rec.fromarrays([np.concatenate(c) for c in zip(*pairs)], dtype=_NEAR_DTYPE)
 
     def _kernel_block(self, rows: np.ndarray) -> np.ndarray:
-        """Fused far-field tables for target rings `rows`, in mode space.
+        """Mode tables of the kernel for the contiguous target rings `rows`:
+        the product rule and the near-field list in angle space, then the
+        angular FFT.
 
         With t = e^{i theta}/D the moment series collapses to
         m0*G + (m1 + m2*t + m3*t^2)*G1 where G = rm/D, G1 = 1/D + t*G.
@@ -349,20 +346,29 @@ class CauchyKernelTable:
             )
         ker = np.nan_to_num(ker, nan=0.0, posinf=0.0, neginf=0.0)
         for i, j in enumerate(rows):
-            ker[i, j, 0] = 0.0  # singular self-entry handled by corrections
+            ker[i, j, 0] = 0.0  # singular self-entry replaced by its exact cell
+        lo, hi = np.searchsorted(self._near["tgt"], [rows[0], rows[-1] + 1])
+        near = self._near[lo:hi]
+        np.add.at(ker, (near["tgt"] - rows[0], near["src"], near["off"]), near["val"])
         # correlation sum_k F_k g_{k-l} has Fourier symbol fhat_m * ghat_{-m}
         return g.n_theta * np.fft.ifft(ker, axis=2)
 
+    def _kernel_blocks(self):
+        """(rows, mode tables of rows) over all target rings, in blocks of
+        about _CACHE_BUDGET / 8 complex entries."""
+        n_r, n_t = self.grid.shape
+        step = max(1, _CACHE_BUDGET // (8 * n_r * n_t))
+        for j0 in range(0, n_r, step):
+            rows = np.arange(j0, min(j0 + step, n_r))
+            yield rows, self._kernel_block(rows)
+
     def _get_mode_tables(self):
         if self._mode_tables is None:
-            n_r, n_t = self.grid.n_r, self.grid.n_theta
-            if n_r * n_r * n_t <= self._budget:
-                chunks = []
-                step = max(1, self._budget // (8 * n_r * n_t))
-                for j0 in range(0, n_r, step):
-                    rows = np.arange(j0, min(j0 + step, n_r))
-                    chunks.append(self._kernel_block(rows))
-                self._mode_tables = np.concatenate(chunks, axis=0)
+            n_r, n_t = self.grid.shape
+            if n_r * n_r * n_t <= _CACHE_BUDGET:
+                self._mode_tables = np.empty((n_r, n_r, n_t), dtype=complex)
+                for rows, blk in self._kernel_blocks():
+                    self._mode_tables[rows] = blk
             else:
                 self._mode_tables = False  # stream per apply
         return self._mode_tables
@@ -372,44 +378,20 @@ class CauchyKernelTable:
     def apply(self, fvals: np.ndarray) -> np.ndarray:
         """(1/pi) * integral of f(zeta)/(z - zeta) dA at every grid node."""
         g = self.grid
-        n_r, n_t = g.shape
-        f = np.asarray(fvals, dtype=complex)
-        fhat = np.fft.fft(f, axis=1)
+        fhat = np.fft.fft(np.asarray(fvals, dtype=complex), axis=1)
         tables = self._get_mode_tables()
-        out = np.empty((n_r, n_t), dtype=complex)
         if tables is not False:
-            out = np.fft.ifft(np.einsum("jmt,mt->jt", tables, fhat), axis=1)
+            prod = np.einsum("jmt,mt->jt", tables, fhat)
         else:
-            step = max(1, self._budget // (4 * n_r * n_t))
-            for j0 in range(0, n_r, step):
-                rows = np.arange(j0, min(j0 + step, n_r))
-                blk = self._kernel_block(rows)
-                out[rows] = np.fft.ifft(np.einsum("jmt,mt->jt", blk, fhat), axis=1)
-
-        corr = self._apply_corrections(f, fhat)
+            prod = np.empty(g.shape, dtype=complex)
+            for rows, blk in self._kernel_blocks():
+                prod[rows] = np.einsum("jmt,mt->jt", blk, fhat)
         phase = np.exp(-1j * g.theta)[None, :]
-        return (out + corr) * phase / math.pi
-
-    def _apply_corrections(self, f: np.ndarray, fhat: np.ndarray) -> np.ndarray:
-        n_r, n_t = self.grid.shape
-        corr = np.zeros((n_r, n_t), dtype=complex)
-        for dj in range(-_WIN_R, _WIN_R + 1):
-            s_t = slice(max(0, -dj), n_r - max(0, dj))
-            s_s = slice(max(0, dj), n_r + min(0, dj))
-            for dk in range(-_WIN_T_MAX, _WIN_T_MAX + 1):
-                c = self._corrections[s_t, dj + _WIN_R, dk + _WIN_T_MAX]
-                if not c.any():
-                    continue
-                corr[s_t] += c[:, None] * np.roll(f[s_s], -dk, axis=1)
-        if self._patch is not None:
-            jt, js = self._patch_tgt, self._patch_src
-            corr[:jt] += np.fft.ifft(
-                np.einsum("jmt,mt->jt", self._patch, fhat[:js]), axis=1
-            )
-        return corr
+        return np.fft.ifft(prod, axis=1) * phase / math.pi
 
     def apply_direct(self, fvals: np.ndarray) -> np.ndarray:
-        """Reference double sum (same cells/corrections); small grids only."""
+        """Reference: the product-rule double sum plus the near-field list,
+        one roll per entry; small grids only."""
         g = self.grid
         n_r, n_t = g.shape
         f = np.asarray(fvals, dtype=complex)
@@ -423,9 +405,10 @@ class CauchyKernelTable:
             for l in range(n_t):
                 rolled = np.roll(f, -l, axis=1)
                 out[j, l] = np.sum(naive * rolled)
-        corr = self._apply_corrections(f, np.fft.fft(f, axis=1))
+        for j, m, k, v in self._near:
+            out[j] += v * np.roll(f[m], -k)
         phase = np.exp(-1j * g.theta)[None, :]
-        return (out + corr) * phase / math.pi
+        return out * phase / math.pi
 
 
 _TABLE_CACHE: "OrderedDict[tuple, CauchyKernelTable]" = OrderedDict()

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -76,16 +76,24 @@ class ExperimentConfig:
     cgo_n_theta: int = 1024
 
     def __post_init__(self):
-        if any(h <= 0 for h in self.h_list):
-            raise ValueError("h values must be positive")
-        if list(self.h_list) != sorted(self.h_list, reverse=True):
-            raise ValueError("h list must be descending")
+        if self.domain_kind not in ("disk", "annulus"):
+            raise ValueError(f"domain kind must be 'disk' or 'annulus', not {self.domain_kind!r}")
+        for name in ("h_list", "cgo_h_list"):
+            hs = getattr(self, name)
+            if any(h <= 0 for h in hs):
+                raise ValueError(f"{name} values must be positive")
+            if list(hs) != sorted(hs, reverse=True):
+                raise ValueError(f"{name} must be descending")
         if any(d <= 0 for d in self.delta_list) or any(t < 0 for t in self.t_list):
             raise ValueError("sweep values must be positive")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         dom = d.get("domain", {})
+        unknown = sorted(set(d) - {f.name for f in fields(cls)} - {"domain"})
+        unknown += sorted(f"domain.{k}" for k in set(dom) - {"kind", "r_inner", "r_outer"})
+        if unknown:
+            raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
         kw = {k: v for k, v in d.items() if k != "domain"}
         for key in ("h_list", "delta_list", "t_list", "cgo_h_list"):
             if key in kw:

@@ -206,24 +206,22 @@ class MagneticOperator:
         J = len(self.int_rings)
         self.n_theta = n_t
 
-        D1t, D2t = _theta_derivative_matrices(n_t)
         eit = np.exp(1j * g.theta)
         X = pot.X
         zeroth = _zeroth_coefficient(pot)
 
-        # per-ring blocks: dense diagonal block, diagonal off-couplings
-        self.B = np.empty((J, n_t, n_t), dtype=complex)
+        # per-ring blocks: the dense diagonal block is rebuilt from these
+        # vectors by `_block`; diagonal off-couplings
+        self._D1t, self._D2t = _theta_derivative_matrices(n_t)
+        self._t_over_r = np.empty((J, n_t), dtype=complex)
+        self._zeroth = zeroth[self.int_rings]
         self.lo = np.empty((J, n_t), dtype=complex)
         self.hi = np.empty((J, n_t), dtype=complex)
         for a, j in enumerate(self.int_rings):
             r = g.r[j]
             P = X.c01[j] * np.conj(eit) + X.c10[j] * eit  # X(d/dr)
             T = 1j * (X.c10[j] * eit - X.c01[j] * np.conj(eit))  # X(d/dtheta)/r
-            B = (2.0 / dr**2) * np.eye(n_t, dtype=complex)
-            B -= D2t / r**2
-            B -= 2j * (T / r)[:, None] * D1t
-            B += np.diag(zeroth[j])
-            self.B[a] = B
+            self._t_over_r[a] = T / r
             self.lo[a] = -1.0 / dr**2 + 1.0 / (2 * dr * r) + 1j * P / dr
             self.hi[a] = -1.0 / dr**2 - 1.0 / (2 * dr * r) - 1j * P / dr
 
@@ -243,14 +241,23 @@ class MagneticOperator:
 
         self._factor(condition_limit)
 
+    def _block(self, a: int) -> np.ndarray:
+        """Dense diagonal block of interior ring a (index into int_rings)."""
+        r = self.grid.r[self.int_rings[a]]
+        B = (2.0 / self.grid.dr**2) * np.eye(self.n_theta, dtype=complex)
+        B -= self._D2t / r**2
+        B -= 2j * self._t_over_r[a][:, None] * self._D1t
+        B += np.diag(self._zeroth[a])
+        return B
+
     def _factor(self, condition_limit: float) -> None:
         J, n_t = len(self.int_rings), self.n_theta
         self.lus = []
-        D = self.B[0].copy()
+        D = self._block(0)
         for a in range(J):
             if a > 0:
                 S = lu_solve(self.lus[a - 1], np.diag(self.hi[a - 1]).astype(complex))
-                D = self.B[a] - self.lo[a][:, None] * S
+                D = self._block(a) - self.lo[a][:, None] * S
             self.lus.append(lu_factor(D))
         if self.kind == "disk":
             # ring-0 unknowns couple to the center through the `lo` slot; the
@@ -325,7 +332,7 @@ class MagneticOperator:
         res = 0.0
         norm = 0.0
         for a, j in enumerate(self.int_rings):
-            row = self.B[a] @ vals[j]
+            row = self._block(a) @ vals[j]
             row += self.lo[a] * (vals[j - 1] if j > 0 else u_c)
             row += self.hi[a] * vals[j + 1]
             res += np.sum(np.abs(row) ** 2)

@@ -59,20 +59,58 @@ def test_sector_integral_against_brute(case):
     assert abs(exact - b2) < 5e-5
 
 
-def test_fast_path_matches_direct_sum():
-    g = geo.PolarGrid(geo.disk(1.0), 24, 32)
+@pytest.mark.parametrize(
+    "domain, n_r, n_theta, seed",
+    [
+        (geo.disk(1.0), 24, 32, 3),
+        (geo.annulus(0.5, 1.2), 20, 32, 4),
+        (geo.disk(1.0), 16, 16, 5),  # the center patch covers 10 of 16 rings
+        (geo.annulus(0.05, 1.0), 16, 16, 6),  # ring 0's +-8 window spans the circle
+    ],
+    ids=["disk", "annulus", "disk-16", "annulus-full-circle-window"],
+)
+def test_fast_path_matches_direct_sum(domain, n_r, n_theta, seed):
+    g = geo.PolarGrid(domain, n_r, n_theta)
     tbl = cau.CauchyKernelTable(g)
-    rng = np.random.default_rng(3)
+    rng = np.random.default_rng(seed)
     f = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
     assert np.max(np.abs(tbl.apply(f) - tbl.apply_direct(f))) < 1e-10
 
 
-def test_fast_path_matches_direct_sum_annulus():
-    g = geo.PolarGrid(geo.annulus(0.5, 1.2), 20, 32)
+def test_window_wider_than_circle_corrects_each_cell_once():
+    """Ring 0's window (+-8 cells) is wider than its 8-cell circle.  Each cell
+    must be corrected once: a wrapped offset of +-n_theta lands on the self
+    cell, where the product rule is near-singular."""
+    r_in = 0.02
+    g = geo.PolarGrid(geo.annulus(r_in, 1.0), 12, 8)
     tbl = cau.CauchyKernelTable(g)
-    rng = np.random.default_rng(4)
+    assert 2 * tbl.win_t[0] > g.n_theta
+    near = tbl._near
+    keys = near["tgt"] * g.n_r * g.n_theta + near["src"] * g.n_theta + near["off"]
+    assert len(np.unique(keys)) == len(keys)
+    # C(1)(z) = conj(z) - r_in^2 / z on the annulus
+    want = np.conj(g.nodes) - r_in**2 / g.nodes
+    assert np.max(np.abs(tbl.apply(np.ones(g.shape)) - want)) < 1e-2
+
+
+@pytest.mark.parametrize(
+    "domain, n_r, n_theta",
+    [(geo.disk(1.0), 24, 32), (geo.annulus(0.5, 1.2), 20, 32)],
+    ids=["disk", "annulus"],
+)
+def test_streamed_apply_matches_cached(monkeypatch, domain, n_r, n_theta):
+    g = geo.PolarGrid(domain, n_r, n_theta)
+    rng = np.random.default_rng(6)
     f = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
-    assert np.max(np.abs(tbl.apply(f) - tbl.apply_direct(f))) < 1e-10
+    cached = cau.CauchyKernelTable(g)
+    want = cached.apply(f)
+    assert isinstance(cached._mode_tables, np.ndarray)
+    # a budget below n_r^2 n_theta streams, here in blocks of 2 target rings
+    monkeypatch.setattr(cau, "_CACHE_BUDGET", 16 * n_r * n_theta)
+    streamed = cau.CauchyKernelTable(g)
+    got = streamed.apply(f)
+    assert streamed._mode_tables is False
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 # -- dbar_inverse -----------------------------------------------------------------
@@ -289,7 +327,8 @@ def test_lp_boundedness_battery(grid):
 def test_self_cell_correction_is_exact_sector(grid):
     tbl = cau.kernel_table(grid)
     for j in (tbl._patch_tgt + 2, grid.n_r // 2, grid.n_r - 1):
-        got = tbl._corrections[j, cau._WIN_R, cau._WIN_T_MAX]
+        near = tbl._near
+        (got,) = near["val"][(near["tgt"] == j) & (near["src"] == j) & (near["off"] == 0)]
         want = cau.sector_cauchy_integral(
             grid.r[j],
             tbl.cell_lo[j],

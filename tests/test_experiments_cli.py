@@ -23,6 +23,21 @@ def test_config_validation():
         ex.ExperimentConfig(h_list=(0.05, 0.1))  # not descending
     with pytest.raises(ValueError):
         ex.ExperimentConfig(delta_list=(0.1, -0.2))
+    with pytest.raises(ValueError, match="cgo_h_list must be descending"):
+        ex.ExperimentConfig(cgo_h_list=(0.02, 0.04))
+    with pytest.raises(ValueError, match="cgo_h_list values must be positive"):
+        ex.ExperimentConfig(cgo_h_list=(0.04, 0.0))
+    with pytest.raises(ValueError, match="'square'"):
+        ex.ExperimentConfig(domain_kind="square")
+    with pytest.raises(ValueError, match="'square'"):
+        ex.ExperimentConfig.from_dict({"domain": {"kind": "square"}})
+    with pytest.raises(ValueError, match="unknown config key.*n_rings"):
+        ex.ExperimentConfig.from_dict({"n_rings": 48})
+    with pytest.raises(ValueError, match="unknown config key.*domain.radius"):
+        ex.ExperimentConfig.from_dict({"domain": {"kind": "disk", "radius": 1.0}})
+    # every field is a valid key
+    cfg = ex.ExperimentConfig.from_dict(json.loads(ex.ExperimentConfig().canonical()))
+    assert cfg == ex.ExperimentConfig()
 
 
 def test_config_roundtrip(tmp_path):
@@ -36,6 +51,23 @@ def test_config_roundtrip(tmp_path):
     loaded = ex.ExperimentConfig.from_json(path)
     assert loaded.n_r == cfg.n_r and loaded.seed == 7
     assert loaded.digest() != ex.ExperimentConfig().digest()
+
+
+def test_cgo_decay_small_grid(tmp_path):
+    # coarse h = 0.08 <= radius^2/pi on the radius-0.5 disk; n_theta ~ 2 pi n_r
+    cfg = ex.ExperimentConfig(cgo_n_r=24, cgo_n_theta=128, cgo_h_list=(0.08, 0.04, 0.02))
+    slopes = ex.run_cgo_decay(cfg, out=tmp_path)
+    header, *rows = (tmp_path / "cgo_decay.csv").read_text().splitlines()
+    assert len(rows) == 2 * len(cfg.cgo_h_list)
+    for line in rows:
+        rec = dict(zip(header.split(","), map(float, line.split(","))))
+        assert rec["residual"] <= 1e-10
+        assert rec["terms_used"] < 200
+    manifest = json.loads((tmp_path / "cgo_decay.json").read_text())
+    assert manifest["study"] == "cgo-decay"
+    for tag in ("pair1", "pair2"):
+        assert set(manifest["results"][tag]) == {"slope_r", "slope_s"}
+        assert manifest["results"][tag] == slopes[tag]
 
 
 def test_gauge_check_passes(tmp_path):
