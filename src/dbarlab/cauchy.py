@@ -13,13 +13,13 @@ node (analytic radial moment corrections), which removes the leading
 Euler-Maclaurin boundary terms of the plain midpoint rule; the angular direction needs no
 correction because full-circle sums of smooth periodic data are already
 spectrally accurate.  Cells near the target, where the kernel varies too
-fast for any product rule, are re-integrated by subdivided 2x2 Gauss on
-the exact polar geometry, with subcells containing the singularity
-replaced by the exact integral of the kernel over a rectangle in locally
-straightened coordinates.  Near the center of a disk, where whole rings
-are close to the target, the corrected zone covers all angles.  Every
-correction is stored once, as (target ring, source ring, angular offset,
-accurate integral minus product-rule term).
+fast for any product rule, are re-integrated on the exact polar geometry:
+by the closed-form integral of the kernel over the polar cell (its edge
+terms) within 6 cell scales of the target, and by subdivided 2x2 Gauss
+farther out.  Near the center of a disk, where whole rings are close to
+the target, the corrected zone covers all angles.  Every correction is
+stored once, as (target ring, source ring, angular offset, accurate
+integral minus product-rule term).
 
 Because the kernel restricted to a pair of rings depends on the angle
 difference only (up to a unimodular factor), the node-to-node sum is a
@@ -104,41 +104,49 @@ def rect_cauchy_integral(w: complex, a: float, b: float) -> complex:
     return -total / 2.0j
 
 
-def _edge_segment(w: complex, p: complex, q: complex) -> complex:
+def _edge_segment(w, p, q):
     """Contribution of the straight edge p -> q to the contour integral
-    of (zeta_bar - w_bar)/(zeta - w) dzeta."""
+    of (zeta_bar - w_bar)/(zeta - w) dzeta; broadcasts over its inputs."""
     e = q - p
     c = p - w
     coef = np.conj(c) - (np.conj(e) / e) * c
-    if abs(coef) < 1e-13 * (abs(c) + abs(e)):
-        return np.conj(e)
-    return np.conj(e) + coef * np.log((c + e) / c)
+    # w on the line through the edge: the log term has a zero coefficient
+    degenerate = np.abs(coef) < 1e-13 * (np.abs(c) + np.abs(e))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        log_term = coef * np.log((c + e) / c)
+    return np.conj(e) + np.where(degenerate, 0.0, log_term)
 
 
-def _edge_arc(w: complex, rho: float, t_a: float, t_b: float) -> complex:
+def _edge_arc(w, rho, t_a, t_b):
     """Contribution of the circular arc rho*e^{i t}, t from t_a to t_b, to
-    the contour integral of (zeta_bar - w_bar)/(zeta - w) dzeta."""
+    the contour integral of (zeta_bar - w_bar)/(zeta - w) dzeta; broadcasts
+    over its inputs."""
+    w = np.asarray(w)
     za = rho * np.exp(1j * t_a)
     zb = rho * np.exp(1j * t_b)
-    if abs(w) < 1e-300:
-        return rho**2 * (1.0 / za - 1.0 / zb)
-    # (rho^2/zeta - w_bar)/(zeta - w) = A/zeta + B/(zeta - w)
-    A = -(rho**2) / w
-    B = (rho**2 - abs(w) ** 2) / w
-    total = A * 1j * (t_b - t_a)
-    if abs(B) > 1e-13 * rho * (abs(w) + rho):
-        total += B * np.log((zb - w) / (za - w))
-    return total
+    at_center = np.abs(w) < 1e-300
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # (rho^2/zeta - w_bar)/(zeta - w) = A/zeta + B/(zeta - w)
+        A = -(rho**2) / w
+        B = (rho**2 - np.abs(w) ** 2) / w
+        total = A * 1j * (t_b - t_a)
+        # between the arc and its chord, w sees the arc subtend more than pi,
+        # one full turn beyond the principal log
+        chord = np.conj(zb - za)
+        past_chord = (chord * (w - za)).imag * (chord * -za).imag < 0
+        turn = np.where((np.abs(w) < rho) & past_chord, 2j * np.pi * np.sign(t_b - t_a), 0.0)
+        has_log = np.abs(B) > 1e-13 * rho * (np.abs(w) + rho)
+        total = np.where(has_log, total + B * (np.log((zb - w) / (za - w)) + turn), total)
+        return np.where(at_center, rho**2 * (1.0 / za - 1.0 / zb), total)
 
 
-def sector_cauchy_integral(
-    w: complex, r_lo: float, r_hi: float, t_lo: float, t_hi: float
-) -> complex:
+def sector_cauchy_integral(w, r_lo, r_hi, t_lo, t_hi):
     """Exact integral of 1/(w - zeta) dA over the polar cell
     [r_lo, r_hi] x [t_lo, t_hi] (arcs subtending less than pi).
 
     Valid for w inside, outside, or on the boundary of the cell; reduces
-    the area integral to closed-form edge terms.
+    the area integral to closed-form edge terms.  Broadcasts over its
+    inputs, one cell per element; scalar inputs give a scalar.
     """
     a0 = r_lo * np.exp(1j * t_lo)
     a1 = r_hi * np.exp(1j * t_lo)
@@ -147,59 +155,33 @@ def sector_cauchy_integral(
     total = _edge_segment(w, a0, a1)
     total += _edge_arc(w, r_hi, t_lo, t_hi)
     total += _edge_segment(w, b1, b0)
-    if r_lo > 0.0:
-        total += _edge_arc(w, r_lo, t_hi, t_lo)
+    total += np.where(r_lo > 0.0, _edge_arc(w, r_lo, t_hi, t_lo), 0.0)
     return -total / 2.0j
 
 
-_GAUSS2 = (np.array([-1.0, 1.0]) / math.sqrt(3.0), np.array([1.0, 1.0]))
+# nodes in [-1/2, 1/2] of 2-point Gauss on 4 equal panels; every weight is 1/8
+_GAUSS_X = (
+    (np.arange(4)[:, None] + 0.5 + np.array([-0.5, 0.5]) / math.sqrt(3.0)) / 4 - 0.5
+).ravel()
 
 
 def _cell_integrals_batch(
-    z_t: float, r_lo: float, r_hi: float, t_centers: np.ndarray, dth: float, nsub: int
+    z_t: float, r_lo: np.ndarray, r_hi: np.ndarray, t_centers: np.ndarray, dth: float
 ) -> np.ndarray:
     """Integrals of 1/(z_t - rho e^{i theta}) rho drho dtheta over the polar
-    cells [r_lo, r_hi] x [tc - dth/2, tc + dth/2], one per entry of t_centers.
+    cells [r_lo, r_hi] x [tc - dth/2, tc + dth/2], one per entry of the
+    equally long arrays r_lo, r_hi and t_centers.
 
-    Cells are subdivided nsub x nsub with 2x2 Gauss on the exact polar
-    integrand; subcells containing the singular point z_t (possible only
-    when the cell straddles theta = 0) are replaced by the exact rectangle
-    integral in locally straightened coordinates.
+    Each cell is subdivided 4 x 4 with 2x2 Gauss on the exact polar
+    integrand, so the target must lie well away from every cell.  The loop
+    over radial nodes keeps the temporaries at 8 entries per cell.
     """
-    t_centers = np.asarray(t_centers, dtype=float)
-    re = np.linspace(r_lo, r_hi, nsub + 1)
-    rc = 0.5 * (re[:-1] + re[1:])
-    drh = 0.5 * (re[1] - re[0])
-    sub_dt = dth / nsub
-    toff = (np.arange(nsub) - (nsub - 1) / 2.0) * sub_dt
-
-    xg, wg = _GAUSS2
-    # axes: (cell, rho-sub, theta-sub, gauss-rho, gauss-theta)
-    rho = rc[None, :, None, None, None] + drh * xg[None, None, None, :, None]
-    tht = (
-        t_centers[:, None, None, None, None]
-        + toff[None, None, :, None, None]
-        + 0.5 * sub_dt * xg[None, None, None, None, :]
-    )
-    ker = rho / (z_t - rho * np.exp(1j * tht))
-    ww = np.outer(wg, wg)[None, None, None, :, :]
-    contrib = (ker * ww).sum(axis=(3, 4)) * drh * (0.5 * sub_dt)
-
-    if r_lo - 1e-14 <= z_t <= r_hi + 1e-14:
-        i_sing = np.nonzero((z_t >= re[:-1] - 1e-14) & (z_t <= re[1:] + 1e-14))[0]
-        for ci, tc in enumerate(t_centers):
-            t_lo = tc + toff - 0.5 * sub_dt
-            t_hi = tc + toff + 0.5 * sub_dt
-            k_sing = np.nonzero((0.0 >= t_lo - 1e-14) & (0.0 <= t_hi + 1e-14))[0]
-            for i in i_sing:
-                for k in k_sing:
-                    a = re[i + 1] - re[i]
-                    b = rc[i] * sub_dt
-                    tcc = tc + toff[k]
-                    center = rc[i] * np.exp(1j * tcc)
-                    w_loc = (z_t - center) * np.exp(-1j * tcc)
-                    contrib[ci, i, k] = np.exp(-1j * tcc) * rect_cauchy_integral(w_loc, a, b)
-    return contrib.sum(axis=(1, 2))
+    e = np.exp(1j * (t_centers[:, None] + dth * _GAUSS_X))
+    total = np.zeros(len(t_centers), dtype=complex)
+    for x in _GAUSS_X:
+        rho = (0.5 * (r_lo + r_hi) + (r_hi - r_lo) * x)[:, None]
+        total += (rho / (z_t - rho * e)).sum(axis=1)
+    return total * (r_hi - r_lo) * dth / _GAUSS_X.size**2
 
 
 class CauchyKernelTable:
@@ -255,98 +237,71 @@ class CauchyKernelTable:
 
     # -- quadrature pieces ----------------------------------------------------
 
-    def _fused_naive(self, z_t: float, m: int, tc) -> np.ndarray:
-        """Far-field product-rule term for source ring m at angular offsets tc:
-        kernel expanded through the third radial moment about the node."""
-        e = np.exp(1j * np.asarray(tc, dtype=float))
+    def _product_rule(self, z_t, m, theta) -> np.ndarray:
+        """Product-rule term of the cells of source rings m at angles theta
+        seen from target radius z_t: the kernel expanded through the third
+        radial moment about the node.  Broadcasts over its inputs; the
+        singular self entry (z_t on the node) comes out non-finite.
+
+        With D = z_t - r_m e^{i theta} and t = e^{i theta}/D the moment series
+        collapses to m0*G + (m1 + m2*t + m3*t^2)*G1 where G = r_m/D,
+        G1 = 1/D + t*G.
+        """
+        e = np.exp(1j * theta)
         rm = self.grid.r[m]
         with np.errstate(divide="ignore", invalid="ignore"):
-            D = z_t - rm * e
-            inv = 1.0 / D
+            inv = 1.0 / (z_t - rm * e)
             t = e * inv
             G = rm * inv
             G1 = inv + t * G
-            out = self.dtheta * (
+            return self.dtheta * (
                 self.m0[m] * G + (self.m1[m] + (self.m2[m] + self.m3[m] * t) * t) * G1
             )
-        return out
-
-    def _exact_cells(self, z_t: float, m: int, tcs: np.ndarray) -> np.ndarray:
-        """Accurate integrals over the cells of ring m at angular offsets tcs:
-        exact sector integrals near the target, Gauss subdivision farther out."""
-        out = np.empty(len(tcs), dtype=complex)
-        rm = self.grid.r[m]
-        rlo, rhi = self.cell_lo[m], self.cell_hi[m]
-        dth = self.dtheta
-        scale = max(rhi - rlo, rm * dth)
-        dist = np.abs(z_t - rm * np.exp(1j * tcs))
-        near = dist <= 6.0 * scale
-        for i in np.nonzero(near)[0]:
-            out[i] = sector_cauchy_integral(
-                z_t, rlo, rhi, tcs[i] - 0.5 * dth, tcs[i] + 0.5 * dth
-            )
-        if (~near).any():
-            out[~near] = _cell_integrals_batch(z_t, rlo, rhi, tcs[~near], dth, 4)
-        return out
 
     def _build_near_field(self) -> np.ndarray:
         """Corrections (accurate cell integral minus product-rule term) as a
         flat list sorted by target ring.  Rows in the disk center patch take
         every source ring m < _patch_src at every angle; other rows take the
         rings within _WIN_R at offsets within their window win_t.  Each
-        (target ring, source ring, offset) appears at most once."""
+        (target ring, source ring, offset) appears at most once.  The
+        accurate integral is the exact sector integral within 6 cell scales
+        of the target and Gauss subdivision farther out."""
         g = self.grid
         n_r, n_t = g.shape
         dth = self.dtheta
         full = np.arange(-(n_t // 2), n_t // 2)
-        pairs = []
+        parts = []
         for j in range(n_r):
             if j < self._patch_tgt:
-                srcs, dks = range(self._patch_src), full
+                srcs, dks = np.arange(self._patch_src), full
             else:
                 kt = int(self.win_t[j])
-                srcs = range(max(j - _WIN_R, 0), min(j + _WIN_R + 1, n_r))
+                srcs = np.arange(max(j - _WIN_R, 0), min(j + _WIN_R + 1, n_r))
                 # a window that would wrap takes the full circle, so that
                 # no cell is corrected twice
                 dks = np.arange(-kt, kt + 1) if 2 * kt < n_t else full
-            tcs = dks * dth
-            for m in srcs:
-                exact = self._exact_cells(g.r[j], m, tcs)
-                naive = self._fused_naive(g.r[j], m, tcs)
-                if m == j:
-                    naive[dks == 0] = 0.0  # the kernel's self entry is zero
-                pairs.append((np.full(len(dks), j), np.full(len(dks), m), dks % n_t, exact - naive))
-        return np.rec.fromarrays([np.concatenate(c) for c in zip(*pairs)], dtype=_NEAR_DTYPE)
+            m, dk = (a.ravel() for a in np.meshgrid(srcs, dks, indexing="ij"))
+            z_t, tc = g.r[j], dk * dth
+            lo, hi, rm = self.cell_lo[m], self.cell_hi[m], g.r[m]
+            near = np.abs(z_t - rm * np.exp(1j * tc)) <= 6.0 * np.maximum(hi - lo, rm * dth)
+            far = ~near
+            exact = np.empty(m.size, dtype=complex)
+            exact[near] = sector_cauchy_integral(
+                z_t, lo[near], hi[near], tc[near] - 0.5 * dth, tc[near] + 0.5 * dth
+            )
+            exact[far] = _cell_integrals_batch(z_t, lo[far], hi[far], tc[far], dth)
+            naive = self._product_rule(z_t, m, tc)
+            naive[(m == j) & (dk == 0)] = 0.0  # the kernel's self entry is zero
+            parts.append((np.full(m.size, j), m, dk % n_t, exact - naive))
+        return np.rec.fromarrays([np.concatenate(c) for c in zip(*parts)], dtype=_NEAR_DTYPE)
 
     def _kernel_block(self, rows: np.ndarray) -> np.ndarray:
         """Mode tables of the kernel for the contiguous target rings `rows`:
         the product rule and the near-field list in angle space, then the
-        angular FFT.
-
-        With t = e^{i theta}/D the moment series collapses to
-        m0*G + (m1 + m2*t + m3*t^2)*G1 where G = rm/D, G1 = 1/D + t*G.
-        """
+        angular FFT."""
         g = self.grid
-        r = g.r
-        e = np.exp(1j * g.theta)[None, None, :]
-        rm = r[None, :, None]
-        D = r[rows][:, None, None] - rm * e
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inv = 1.0 / D
-            t = e * inv
-            G = rm * inv
-            G1 = inv + t * G
-            ker = self.dtheta * (
-                self.m0[None, :, None] * G
-                + (
-                    self.m1[None, :, None]
-                    + (self.m2[None, :, None] + self.m3[None, :, None] * t) * t
-                )
-                * G1
-            )
-        ker = np.nan_to_num(ker, nan=0.0, posinf=0.0, neginf=0.0)
-        for i, j in enumerate(rows):
-            ker[i, j, 0] = 0.0  # singular self-entry replaced by its exact cell
+        ker = self._product_rule(g.r[rows][:, None, None], np.arange(g.n_r)[:, None], g.theta)
+        ker[np.arange(len(rows)), rows, 0] = 0.0  # singular self entry; its cell is in _near
         lo, hi = np.searchsorted(self._near["tgt"], [rows[0], rows[-1] + 1])
         near = self._near[lo:hi]
         np.add.at(ker, (near["tgt"] - rows[0], near["src"], near["off"]), near["val"])
@@ -396,11 +351,8 @@ class CauchyKernelTable:
         n_r, n_t = g.shape
         f = np.asarray(fvals, dtype=complex)
         out = np.zeros((n_r, n_t), dtype=complex)
-        dks = np.arange(n_t)
         for j in range(n_r):
-            naive = np.empty((n_r, n_t), dtype=complex)
-            for m in range(n_r):
-                naive[m] = self._fused_naive(g.r[j], m, dks * self.dtheta)
+            naive = self._product_rule(g.r[j], np.arange(n_r)[:, None], g.theta)
             naive[j, 0] = 0.0
             for l in range(n_t):
                 rolled = np.roll(f, -l, axis=1)

@@ -263,23 +263,19 @@ class OscillatoryCauchy:
     P* = R' dbar*^{-1} e^{2 i psi / h} E' on an enlarged grid.
 
     The extension E tapers reflected data to zero across the padding
-    rings with a C^2 cutoff; psi is evaluated on the enlargement either
-    from a phase object (exact) or by the same reflection of a sampled
-    field.
+    rings with a C^2 cutoff; psi is the imaginary part of the phase
+    object, evaluated exactly on the enlargement.
     """
 
-    def __init__(self, grid: PolarGrid, psi, h: float, pad_rings: int = 8):
+    def __init__(self, grid: PolarGrid, psi: HolomorphicPhase, h: float, pad_rings: int = 8):
         if h <= 0:
             raise ValueError("h must be positive")
+        if not isinstance(psi, HolomorphicPhase):
+            raise TypeError(f"psi must be a HolomorphicPhase, got {type(psi).__name__}")
         self.grid = grid
         self.h = float(h)
         self.big, self.rows = extend_grid(grid, pad_rings)
-        if isinstance(psi, HolomorphicPhase):
-            psi_big = psi(self.big.nodes).imag
-        elif isinstance(psi, ScalarField):
-            psi_big = reflect_extend(self.big, self.rows, psi.values.real, mode="c1").real
-        else:
-            psi_big = np.real(psi(self.big.nodes))
+        psi_big = psi(self.big.nodes).imag
         self._osc_minus = np.exp(-2j * psi_big / self.h)
         self._table = kernel_table(self.big)
 
@@ -363,7 +359,9 @@ def neumann_cgo(
     seed_kind 'b': anti-holomorphic 1-form seed, the series runs on the
     scalar slot; seed_kind 'a': holomorphic function seed, the series
     runs on the form slot.  Refuses when the composed operator fails the
-    contraction estimate.
+    contraction estimate.  ``residuals`` holds the relative residual of the
+    remainder equation the series solves; the partner remainder is defined
+    by the other equation, which therefore holds exactly.
     """
     g = Vt.grid
     Qt = Vt.Qtilde.values
@@ -401,8 +399,7 @@ def neumann_cgo(
             if norm_l2(term) < tol:
                 break
         s = Pstar(Qt * r.values) * (-1.0)
-        res1 = norm_l2(r + P(Ft * (b01 + s.c01)))
-        res2 = norm_l2(s + Pstar(Qt * r.values))
+        res = norm_l2(r + P(Ft * (b01 + s.c01)))
         scale = max(norm_l2(t0), 1e-300)
         r_h, s_h = r, s
     elif seed_kind == "a":
@@ -431,10 +428,7 @@ def neumann_cgo(
                 break
         s_h = OneForm(g, zeros, acc.values)
         r_h = P(Ft * s_h.c01) * (-1.0)
-        res1 = norm_l2(r_h + P(Ft * s_h.c01))
-        res2 = norm_l2(
-            ScalarField(g, s_h.c01 + Pstar(Qt * (a0 + r_h.values)).c01)
-        )
+        res = norm_l2(ScalarField(g, s_h.c01 + Pstar(Qt * (a0 + r_h.values)).c01))
         scale = max(norm_l2(t0), 1e-300)
     else:
         raise ValueError(f"seed_kind must be 'a' or 'b', got {seed_kind!r}")
@@ -456,7 +450,7 @@ def neumann_cgo(
         norms=norms,
         terms_used=used,
         contraction_estimate=est,
-        residuals=(res1 / scale, res2 / scale),
+        residuals=(res / scale,),
     )
 
 

@@ -351,9 +351,7 @@ def run_stability_sweep(cfg: ExperimentConfig, out="out") -> list[StabilityRecor
     base = ph.base_phase(0.0 + 0.0j)
     delta = cfg.delta_list[-1]
     excl = ph.exclusion_set(base, delta)
-    off_mask = ~np.array(
-        [[excl.contains(z) for z in row] for row in g.nodes], dtype=bool
-    )
+    off_mask = ~excl.contains(g.nodes)
 
     # diagonalized-system distances vs the log-augmented scalar distance:
     # the fitted envelope constant is recorded, not asserted

@@ -170,6 +170,8 @@ class PolarGrid:
     def __init__(self, domain: Domain, n_r: int, n_theta: int):
         if n_r < 4:
             raise GridError("n_r too small")
+        if domain.kind == "annulus" and n_r < 6:
+            raise GridError("an annulus needs n_r >= 6 for the 6-point radial stencil")
         if n_theta < 8 or (n_theta & (n_theta - 1)) != 0:
             raise GridError("n_theta must be a power of two >= 8")
         self.domain = domain

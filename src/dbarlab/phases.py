@@ -60,8 +60,9 @@ class ExclusionBall:
     center: complex
     radius: float
 
-    def contains(self, p: complex) -> bool:
-        return abs(p - self.center) < self.radius
+    def contains(self, p):
+        """Whether p lies in the open ball; elementwise for an array of points."""
+        return np.abs(p - self.center) < self.radius
 
 
 @dataclass(frozen=True)
@@ -71,8 +72,10 @@ class ExclusionSet:
     balls: tuple
     delta: float
 
-    def contains(self, p: complex) -> bool:
-        return any(b.contains(p) for b in self.balls)
+    def contains(self, p):
+        """Whether p lies in some ball; elementwise for an array of points."""
+        none = np.zeros(np.shape(p), dtype=bool)
+        return np.logical_or.reduce([none] + [b.contains(p) for b in self.balls])
 
     def violating_ball(self, p: complex):
         for b in self.balls:

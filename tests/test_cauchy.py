@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dbarlab import geometry as geo
 from dbarlab import cauchy as cau
@@ -47,6 +49,8 @@ def test_rect_integral_against_brute():
         (0.5 + 0j, 0.51, 0.53, 0.02, 0.06),  # nearby regular cell
         (0.0078125 + 0j, 0.0, 0.0117, -0.0245, 0.0245),  # center-absorbing cell
         (1.0 + 0j, 0.99, 1.0, -0.02, 0.02),  # node on the outer arc
+        (0.5545 + 0j, 0.51, 0.599, -0.3927, 0.3927),  # node between outer arc and chord
+        (0.55 + 0.05j, 0.6, 1.0, -0.6, 0.6),  # point between inner arc and chord
     ],
 )
 def test_sector_integral_against_brute(case):
@@ -57,6 +61,58 @@ def test_sector_integral_against_brute(case):
     # brute force converges towards the closed form
     assert abs(exact - b2) <= abs(exact - b1) + 1e-12
     assert abs(exact - b2) < 5e-5
+
+
+def _edge_distance(w, r_lo, r_hi, t_edges):
+    """Distance from w to the circles r_lo, r_hi and to the radial edges at
+    the angles t_edges of a polar cell."""
+    d = [abs(abs(w) - r_lo), abs(abs(w) - r_hi)]
+    for t in t_edges:
+        u = np.exp(1j * t)
+        s = np.clip((np.conj(u) * w).real, r_lo, r_hi)
+        d.append(abs(w - s * u))
+    return min(d)
+
+
+@st.composite
+def _cell_and_point(draw):
+    """(w, r_lo, r_hi, t_lo, t_hi): a polar cell with arcs under pi and a
+    point around it, inside it, or at the center."""
+    r_lo = draw(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)))
+    r_hi = r_lo + draw(st.floats(0.01, 1.0))
+    t_lo = draw(st.floats(-4.0, 4.0))
+    dt = draw(st.floats(0.01, 3.0))
+    # the arc terms lose about log10(r_hi/|w|) digits to cancellation as w
+    # nears the center, so |w| >= 1e-3 r_hi unless w is the center
+    s = draw(st.one_of(st.just(0.0), st.floats(1e-3, 2.0)))
+    w = s * r_hi * np.exp(1j * (t_lo + draw(st.floats(-0.5, 1.5)) * dt))
+    return w, r_lo, r_hi, t_lo, t_lo + dt
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_cell_and_point(), min_size=1, max_size=20))
+def test_sector_integral_array_matches_scalar(cases):
+    args = [np.array(a) for a in zip(*cases)]
+    got = cau.sector_cauchy_integral(*args)
+    want = [cau.sector_cauchy_integral(*c) for c in cases]
+    assert got.shape == (len(cases),)
+    # roundoff of the arc terms, which reach r_hi^2/|w| near the center
+    assert np.all(np.abs(got - want) <= 1e-12 * args[2])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cell_and_point(), st.floats(0.05, 0.95))
+def test_sector_integral_splits_in_angle(case, frac):
+    w, r_lo, r_hi, t_lo, t_hi = case
+    t_mid = t_lo + frac * (t_hi - t_lo)
+    # keep w off every edge, where the log terms sit on their branch cut
+    if _edge_distance(w, r_lo, r_hi, (t_lo, t_mid, t_hi)) < 1e-6:
+        return
+    whole = cau.sector_cauchy_integral(w, r_lo, r_hi, t_lo, t_hi)
+    parts = cau.sector_cauchy_integral(
+        w, np.array([r_lo, r_lo]), r_hi, np.array([t_lo, t_mid]), np.array([t_mid, t_hi])
+    )
+    assert abs(parts.sum() - whole) <= 1e-9 * (1.0 + abs(whole))
 
 
 @pytest.mark.parametrize(

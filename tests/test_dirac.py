@@ -126,6 +126,12 @@ def test_oscillatory_requires_positive_h(grid):
         dc.oscillatory_inverse(geo.OneForm(grid, zeros, zeros), base, -1.0, "dbar")
 
 
+def test_oscillatory_requires_phase_object(grid):
+    psi = geo.ScalarField(grid, grid.nodes.imag)
+    with pytest.raises(TypeError):
+        dc.OscillatoryCauchy(grid, psi, 0.1)
+
+
 def test_oscillatory_decay_slopes(grid):
     Z = grid.nodes
     zeros = np.zeros(grid.shape)

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dbarlab import geometry as geo
 
@@ -26,6 +30,37 @@ def test_domain_validation():
 def test_grid_requires_power_of_two_angles():
     with pytest.raises(geo.GridError):
         geo.PolarGrid(geo.disk(1.0), 32, 48)
+
+
+def test_annulus_needs_six_rings():
+    # the 6-point radial stencil would wrap onto repeated nodes
+    for n_r in (4, 5):
+        with pytest.raises(geo.GridError):
+            geo.PolarGrid(geo.annulus(0.5, 1.0), n_r, 16)
+    g = geo.PolarGrid(geo.annulus(0.5, 1.0), 6, 16)
+    r = np.broadcast_to(g.r[:, None], g.shape)
+    assert np.allclose(g.diff_r(r**5), 5 * r**4, rtol=1e-10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(-8, 8), min_size=2, max_size=7, unique=True),
+    st.floats(0.01, 2.0),
+    st.floats(-8.0, 8.0),
+    st.integers(0, 2),
+    st.data(),
+)
+def test_fornberg_weights_exact_on_polynomials(ks, h, k0, m, data):
+    """Weights for the m-th derivative reproduce it on (x - x0)^d for every
+    degree d <= len(x) - 1, up to roundoff in the weighted sum."""
+    x = h * np.array(sorted(ks), dtype=float)
+    x0 = h * k0
+    m = min(m, len(x) - 1)
+    d = data.draw(st.integers(0, len(x) - 1))
+    w = geo._fornberg_weights(x0, x, m)
+    terms = w * (x - x0) ** d
+    want = math.factorial(m) if d == m else 0.0
+    assert abs(terms.sum() - want) <= 1e-12 * max(np.abs(terms).sum(), 1.0)
 
 
 @pytest.mark.parametrize("dom", [geo.disk(1.0), geo.annulus(0.5, 1.5), geo.disk(0.7, 0.3 + 0.1j)])

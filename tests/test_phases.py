@@ -43,6 +43,19 @@ def test_exclusion_set_geometry():
     assert not ex.contains(0.3)
 
 
+def test_exclusion_contains_is_elementwise():
+    """One call on the grid nodes gives the per-node mask, with one, two or
+    no balls."""
+    g = geo.PolarGrid(geo.disk(1.0), 96, 128)
+    ex = ph.exclusion_set(ph.base_phase(0.0), 0.05)
+    two = ph.ExclusionSet(ex.balls + (ph.ExclusionBall(0.5 + 0.3j, 0.1),), ex.delta)
+    for s in (ex, two, ph.ExclusionSet((), ex.delta)):
+        mask = s.contains(g.nodes)
+        assert mask.shape == g.shape
+        assert np.array_equal(mask, [[bool(s.contains(z)) for z in row] for row in g.nodes])
+    assert ex.contains(g.nodes).any() and not ex.contains(g.nodes).all()
+
+
 def test_squared_phase_refuses_inside_exclusion():
     b = ph.base_phase(0.0)
     with pytest.raises(ph.ExclusionError):
