@@ -405,7 +405,7 @@ def dbar_star_inverse(v: ScalarField) -> OneForm:
     return OneForm(v.grid, np.zeros(v.grid.shape), -0.5 * np.conj(u))
 
 
-def primitive_alpha(A: OneForm, pad_rings: int = 8) -> ScalarField:
+def primitive_alpha(A: OneForm) -> ScalarField:
     """A Cauchy-transform primitive alpha with dbar alpha = A.
 
     The transform is taken on a slightly enlarged grid with the data
@@ -415,7 +415,7 @@ def primitive_alpha(A: OneForm, pad_rings: int = 8) -> ScalarField:
     fixed recipe, so the result is deterministic.
     """
     _require_type01(A, "primitive_alpha")
-    big, rows = extend_grid(A.grid, pad_rings)
+    big, rows = extend_grid(A.grid)
     g = reflect_extend(big, rows, A.c01, mode="c1")
     u = kernel_table(big).apply(g)
     return ScalarField(A.grid, u[rows])

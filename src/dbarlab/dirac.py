@@ -267,14 +267,14 @@ class OscillatoryCauchy:
     object, evaluated exactly on the enlargement.
     """
 
-    def __init__(self, grid: PolarGrid, psi: HolomorphicPhase, h: float, pad_rings: int = 8):
+    def __init__(self, grid: PolarGrid, psi: HolomorphicPhase, h: float):
         if h <= 0:
             raise ValueError("h must be positive")
         if not isinstance(psi, HolomorphicPhase):
             raise TypeError(f"psi must be a HolomorphicPhase, got {type(psi).__name__}")
         self.grid = grid
         self.h = float(h)
-        self.big, self.rows = extend_grid(grid, pad_rings)
+        self.big, self.rows = extend_grid(grid)
         psi_big = psi(self.big.nodes).imag
         self._osc_minus = np.exp(-2j * psi_big / self.h)
         self._table = kernel_table(self.big)
@@ -293,12 +293,12 @@ class OscillatoryCauchy:
         return OneForm(self.grid, np.zeros(self.grid.shape), out)
 
 
-def oscillatory_inverse(x, psi, h: float, which: str, pad_rings: int = 8):
+def oscillatory_inverse(x, psi, h: float, which: str):
     """One-shot oscillatory inverse; see OscillatoryCauchy for semantics."""
     if which not in ("dbar", "dbar_star"):
         raise ValueError(f"which must be 'dbar' or 'dbar_star', got {which!r}")
     grid = x.grid
-    op = OscillatoryCauchy(grid, psi, h, pad_rings)
+    op = OscillatoryCauchy(grid, psi, h)
     return op.dbar_inv(x) if which == "dbar" else op.dbar_star_inv(x)
 
 
@@ -326,14 +326,26 @@ def _poly_field(grid: PolarGrid, coeffs, conjugate: bool) -> np.ndarray:
     return np.polynomial.polynomial.polyval(z, np.asarray(coeffs, dtype=complex))
 
 
+# series controls: a term below SERIES_TOL times the first term ends the
+# sum (relative, so the accuracy does not depend on the seed's scale); the
+# guard refuses an estimate of S at or above CONTRACTION_LIMIT
+SERIES_TOL = 1e-12
+MAX_TERMS = 200
+CONTRACTION_LIMIT = 0.9
+
+
+def _l2(grid: PolarGrid, v: np.ndarray) -> float:
+    return norm_l2(ScalarField(grid, v))
+
+
 def _estimate_contraction(S, grid: PolarGrid, steps: int = 20, seed: int = 0) -> float:
     rng = np.random.default_rng(seed)
-    x = ScalarField(grid, rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
-    x = x * (1.0 / norm_l2(x))
+    x = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    x = x * (1.0 / _l2(grid, x))
     est = 0.0
     for _ in range(steps):
         y = S(x)
-        ny = norm_l2(y)
+        ny = _l2(grid, y)
         if ny == 0.0:
             return 0.0
         est = ny
@@ -347,92 +359,66 @@ def neumann_cgo(
     h: float,
     seed_kind: str = "b",
     seed_coeffs=(1.0,),
-    pad_rings: int = 8,
-    tol: float = 1e-12,
-    max_terms: int = 200,
-    contraction_limit: float = 0.9,
     power_steps: int = 20,
     power_seed: int = 0,
 ) -> CgoSolution:
     """Remainders (r_h, s_h) of the diagonal-system CGO solution.
 
-    seed_kind 'b': anti-holomorphic 1-form seed, the series runs on the
-    scalar slot; seed_kind 'a': holomorphic function seed, the series
-    runs on the form slot.  Refuses when the composed operator fails the
-    contraction estimate.  ``residuals`` holds the relative residual of the
-    remainder equation the series solves; the partner remainder is defined
-    by the other equation, which therefore holds exactly.
+    Both remainder equations, r + P(Ft (b + s)) = 0 and
+    s + P*(Qt (a + r)) = 0, read x + outer(c + y) = 0 with y = -inner(x),
+    and x is summed as the Neumann series of S = outer o inner.  Seed 'b'
+    (anti-holomorphic 1-form c = b) puts the series on the scalar slot,
+    outer = P; seed 'a' (holomorphic function c = a) on the form slot,
+    outer = P*.  Refuses when S fails the contraction estimate.
+    ``residuals`` holds the relative residual of the equation the series
+    solves; y is defined by the other equation, which holds exactly.
     """
     g = Vt.grid
     Qt = Vt.Qtilde.values
     Ft = Vt.Ftilde.values
-    op = OscillatoryCauchy(g, phase, h, pad_rings)
+    op = OscillatoryCauchy(g, phase, h)
     zeros = np.zeros(g.shape)
 
-    def P(vals01) -> ScalarField:
-        return op.dbar_inv(OneForm(g, zeros, vals01))
+    def P(v):  # (0,1) coefficients -> function values
+        return op.dbar_inv(OneForm(g, zeros, Ft * v)).values
 
-    def Pstar(vals0) -> OneForm:
-        return op.dbar_star_inv(ScalarField(g, vals0))
+    def Pstar(v):  # function values -> (0,1) coefficients
+        return op.dbar_star_inv(ScalarField(g, Qt * v)).c01
 
     if seed_kind == "b":
-        b01 = _poly_field(g, seed_coeffs, conjugate=True)
-        seed_obj = OneForm(g, zeros, b01)
-
-        def S(x: ScalarField) -> ScalarField:
-            return P(Ft * Pstar(Qt * x.values).c01)
-
-        est = _estimate_contraction(S, g, steps=power_steps, seed=power_seed)
-        if est >= contraction_limit:
-            raise ContractionError(
-                f"series operator estimate {est:.3f} >= {contraction_limit}; "
-                "decrease h or the potential size"
-            )
-        t0 = P(Ft * b01) * (-1.0)
-        r = t0
-        term = t0
-        used = 1
-        while used < max_terms:
-            term = S(term)
-            r = r + term
-            used += 1
-            if norm_l2(term) < tol:
-                break
-        s = Pstar(Qt * r.values) * (-1.0)
-        res = norm_l2(r + P(Ft * (b01 + s.c01)))
-        scale = max(norm_l2(t0), 1e-300)
-        r_h, s_h = r, s
+        outer, inner = P, Pstar
     elif seed_kind == "a":
-        a0 = _poly_field(g, seed_coeffs, conjugate=False)
-        seed_obj = ScalarField(g, a0)
-
-        def S(x: ScalarField) -> ScalarField:
-            # series on the form slot, tracked through its c01 values
-            return ScalarField(g, Pstar(Qt * P(Ft * x.values).values).c01)
-
-        est = _estimate_contraction(S, g, steps=power_steps, seed=power_seed)
-        if est >= contraction_limit:
-            raise ContractionError(
-                f"series operator estimate {est:.3f} >= {contraction_limit}; "
-                "decrease h or the potential size"
-            )
-        t0 = ScalarField(g, Pstar(Qt * a0).c01) * (-1.0)
-        acc = t0
-        term = t0
-        used = 1
-        while used < max_terms:
-            term = S(term)
-            acc = acc + term
-            used += 1
-            if norm_l2(term) < tol:
-                break
-        s_h = OneForm(g, zeros, acc.values)
-        r_h = P(Ft * s_h.c01) * (-1.0)
-        res = norm_l2(ScalarField(g, s_h.c01 + Pstar(Qt * (a0 + r_h.values)).c01))
-        scale = max(norm_l2(t0), 1e-300)
+        outer, inner = Pstar, P
     else:
         raise ValueError(f"seed_kind must be 'a' or 'b', got {seed_kind!r}")
+    on_scalar = outer is P
+    c = _poly_field(g, seed_coeffs, conjugate=on_scalar)
 
+    def S(v):
+        return outer(inner(v))
+
+    est = _estimate_contraction(S, g, steps=power_steps, seed=power_seed)
+    if est >= CONTRACTION_LIMIT:
+        raise ContractionError(
+            f"series operator estimate {est:.3f} >= {CONTRACTION_LIMIT}; "
+            "decrease h or the potential size"
+        )
+    t0 = -outer(c)
+    scale = max(_l2(g, t0), 1e-300)
+    x = term = t0
+    used = 1
+    while used < MAX_TERMS:
+        term = S(term)
+        x = x + term
+        used += 1
+        if _l2(g, term) < SERIES_TOL * scale:
+            break
+    y = -inner(x)
+    res = _l2(g, x + outer(c + y))
+
+    r, s = (x, y) if on_scalar else (y, x)
+    r_h = ScalarField(g, r)
+    s_h = OneForm(g, zeros, s)
     nr, ns = norm_l2(r_h), norm_l2(s_h)
     delta = phase.delta if phase.delta > 0 else 1.0
     norms = {
@@ -444,7 +430,7 @@ def neumann_cgo(
         phase=phase,
         h=h,
         seed_kind=seed_kind,
-        seed=seed_obj,
+        seed=OneForm(g, zeros, c) if on_scalar else ScalarField(g, c),
         r_h=r_h,
         s_h=s_h,
         norms=norms,

@@ -13,10 +13,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import platform
 from dataclasses import dataclass, asdict, fields
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from . import geometry as geo
@@ -86,6 +88,9 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be descending")
         if any(d <= 0 for d in self.delta_list) or any(t < 0 for t in self.t_list):
             raise ValueError("sweep values must be positive")
+        if 2 * self.order + 1 > self.n_theta:
+            need = 2 * self.order + 1
+            raise ValueError(f"order {self.order} needs n_theta >= {need}, got {self.n_theta}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -163,7 +168,12 @@ def write_manifest(path, cfg: ExperimentConfig, study: str, extras: dict) -> Non
         "study": study,
         "config_sha256": cfg.digest(),
         "config": json.loads(cfg.canonical()),
-        "versions": {"dbarlab": __version__, "numpy": np.__version__},
+        "versions": {
+            "dbarlab": __version__,
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "python": platform.python_version(),
+        },
         "results": extras,
     }
     Path(path).write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n")

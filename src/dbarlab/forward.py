@@ -467,6 +467,8 @@ def _unit_fourier_response(
     data, all from one batched solve: column cj * (2 order + 1) + k holds
     datum e^{i n theta}, n = k - order, on circle cj (zero on the others)."""
     g = pot.grid
+    if 2 * order + 1 > g.n_theta:
+        raise ValueError("order exceeds the sample bandwidth")
     op = operator if operator is not None else assemble(pot)
     n_c = len(g.boundary_rings)
     waves = np.exp(1j * np.outer(g.theta, np.arange(-order, order + 1)))

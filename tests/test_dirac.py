@@ -182,6 +182,21 @@ def test_cgo_residuals_and_seeds(small_diag):
         assert sol.norms["norm_r_l2"] > 0 and sol.norms["norm_s_l2"] > 0
 
 
+@pytest.mark.parametrize("kind", ["a", "b"])
+def test_cgo_stopping_rule_is_relative(kind):
+    """The series stops relative to its first term, so the residual does
+    not depend on the seed's scale."""
+    g = geo.PolarGrid(geo.disk(0.5), 32, 64)
+    Z = g.nodes
+    Vt = dc.DiagonalPotential(
+        geo.ScalarField(g, 0.5 * np.exp(-8 * np.abs(Z - 0.05) ** 2)),
+        geo.ScalarField(g, -(1 + 0.2 * np.exp(-6 * np.abs(Z + 0.1) ** 2))),
+    )
+    for scale in (1.0, 1e-6, 1e-10):
+        sol = dc.neumann_cgo(Vt, ph.base_phase(0.0), 0.2, seed_kind=kind, seed_coeffs=(scale,))
+        assert sol.residuals[0] < 1e-12, (scale, sol.residuals)
+
+
 def test_cgo_contraction_refusal(grid):
     Z = grid.nodes
     huge = dc.DiagonalPotential(

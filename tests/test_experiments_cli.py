@@ -1,7 +1,9 @@
 import json
+import platform
 
 import numpy as np
 import pytest
+import scipy
 
 from dbarlab import geometry as geo
 from dbarlab import forward as fw
@@ -35,9 +37,20 @@ def test_config_validation():
         ex.ExperimentConfig.from_dict({"n_rings": 48})
     with pytest.raises(ValueError, match="unknown config key.*domain.radius"):
         ex.ExperimentConfig.from_dict({"domain": {"kind": "disk", "radius": 1.0}})
+    with pytest.raises(ValueError, match="order 8 needs n_theta >= 17, got 16"):
+        ex.ExperimentConfig(n_theta=16, order=8)
+    assert ex.ExperimentConfig(n_theta=16, order=7).order == 7
     # every field is a valid key
     cfg = ex.ExperimentConfig.from_dict(json.loads(ex.ExperimentConfig().canonical()))
     assert cfg == ex.ExperimentConfig()
+
+
+def test_manifest_records_library_versions(tmp_path):
+    ex.write_manifest(tmp_path / "m.json", ex.ExperimentConfig(), "forward", {})
+    versions = json.loads((tmp_path / "m.json").read_text())["versions"]
+    assert versions["numpy"] == np.__version__
+    assert versions["scipy"] == scipy.__version__
+    assert versions["python"] == platform.python_version()
 
 
 def test_config_roundtrip(tmp_path):

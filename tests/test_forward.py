@@ -273,6 +273,25 @@ def test_dtn_builders_match_column_oracle(domain):
         assert np.max(np.abs(d.matrix - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def test_dtn_order_must_fit_angular_bandwidth():
+    """2 order + 1 Fourier modes need n_theta samples; past that the top
+    and bottom modes alias and the builders refuse before solving."""
+    g = geo.PolarGrid(geo.disk(1.0), 16, 16)
+    X, alpha = smooth_real_connection(g)
+    pot = fw.PotentialPair(X, geo.ScalarField(g, 0.3 * np.exp(-2 * np.abs(g.nodes) ** 2)))
+    F = geo.ScalarField(g, np.exp(1j * alpha))
+    builders = (
+        lambda order: fw.dtn(pot, order),
+        lambda order: fw.system_dtn(pot, order),
+        lambda order: fw.diagonalized_system_dtn(pot, F, order),
+    )
+    for build in builders:
+        with pytest.raises(ValueError, match="order exceeds the sample bandwidth"):
+            build(8)
+        d = build(7)
+        assert d.matrix.shape == (15, 15) and np.all(np.isfinite(d.matrix))
+
+
 def test_dtn_csv_roundtrip(tmp_path, grid):
     X, _ = smooth_real_connection(grid)
     pot = fw.PotentialPair(X, geo.ScalarField(grid, np.zeros(grid.shape)))

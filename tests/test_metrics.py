@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dbarlab import geometry as geo
 from dbarlab import metrics as me
@@ -47,6 +48,24 @@ def test_trace_from_samples_roundtrip():
     assert abs(t.coeffs[0, 4] - 2.0) < 1e-12
     assert abs(t.coeffs[0, 5] - 1.0) < 1e-12
     assert abs(t.coeffs[0, 1] + 0.5j) < 1e-12
+
+
+@settings(max_examples=50, deadline=None)
+@given(n=st.integers(8, 256), data=st.data())
+def test_trace_round_trip(n, data):
+    """Coefficients of order N <= (n_theta - 1) / 2, sampled on n_theta
+    points, come back from trace_from_samples; order N + 1 raises."""
+    limit = (n - 1) // 2
+    N = data.draw(st.integers(0, limit))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    coeffs = rng.standard_normal((2, 2 * N + 1)) + 1j * rng.standard_normal((2, 2 * N + 1))
+    theta = 2 * np.pi * np.arange(n) / n
+    samples = coeffs @ np.exp(1j * np.outer(np.arange(-N, N + 1), theta))
+    t = me.trace_from_samples(samples, N)
+    assert t.order == N
+    assert np.max(np.abs(t.coeffs - coeffs)) <= 1e-12 * np.max(np.abs(coeffs))
+    with pytest.raises(ValueError, match="order exceeds the sample bandwidth"):
+        me.trace_from_samples(samples, limit + 1)
 
 
 def test_real_trace_predicate():
