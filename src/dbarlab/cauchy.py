@@ -60,7 +60,6 @@ from .geometry import (
 __all__ = [
     "CauchyKernelTable",
     "kernel_table",
-    "rect_cauchy_integral",
     "dbar_inverse",
     "dbar_star_inverse",
     "primitive_alpha",
@@ -81,27 +80,6 @@ _NEAR_REACH = 2.5
 _CACHE_BUDGET = 3 * 10**7
 # one near-field correction: target ring, source ring, offset mod n_theta
 _NEAR_DTYPE = np.dtype([("tgt", np.intp), ("src", np.intp), ("off", np.intp), ("val", complex)])
-
-
-def rect_cauchy_integral(w: complex, a: float, b: float) -> complex:
-    """Exact integral of 1/(w - zeta) over the centered a-by-b rectangle.
-
-    ``w`` is the evaluation point relative to the rectangle center; it may
-    lie inside, outside, or on the boundary (the singularity is integrable).
-    """
-    hw, hh = 0.5 * a, 0.5 * b
-    corners = [
-        complex(-hw, -hh),
-        complex(hw, -hh),
-        complex(hw, hh),
-        complex(-hw, hh),
-    ]
-    total = 0.0 + 0.0j
-    for idx in range(4):
-        total += _edge_segment(w, corners[idx], corners[(idx + 1) % 4])
-    # integral of dA/(zeta - w) = (1/2i) * contour integral of
-    # (zeta_bar - w_bar)/(zeta - w) dzeta; flip sign for 1/(w - zeta)
-    return -total / 2.0j
 
 
 def _edge_segment(w, p, q):

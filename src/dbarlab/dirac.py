@@ -21,7 +21,9 @@ equations
 
 with P, P* the oscillatory inverses built from a Morse phase; the
 composition S = P Ft P* Qt is a contraction for small h and the series
-is summed directly.
+is summed directly.  The series is its own guard: the ratio of
+successive term norms is S's gain on the current term, and a ratio at
+the contraction limit, or a sum that reaches the term cap, is refused.
 """
 
 from __future__ import annotations
@@ -327,8 +329,9 @@ def _poly_field(grid: PolarGrid, coeffs, conjugate: bool) -> np.ndarray:
 
 
 # series controls: a term below SERIES_TOL times the first term ends the
-# sum (relative, so the accuracy does not depend on the seed's scale); the
-# guard refuses an estimate of S at or above CONTRACTION_LIMIT
+# sum (relative, so the accuracy does not depend on the seed's scale); a
+# ratio of successive term norms at or above CONTRACTION_LIMIT, or
+# MAX_TERMS terms without meeting the stop, is refused
 SERIES_TOL = 1e-12
 MAX_TERMS = 200
 CONTRACTION_LIMIT = 0.9
@@ -338,29 +341,12 @@ def _l2(grid: PolarGrid, v: np.ndarray) -> float:
     return norm_l2(ScalarField(grid, v))
 
 
-def _estimate_contraction(S, grid: PolarGrid, steps: int = 20, seed: int = 0) -> float:
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-    x = x * (1.0 / _l2(grid, x))
-    est = 0.0
-    for _ in range(steps):
-        y = S(x)
-        ny = _l2(grid, y)
-        if ny == 0.0:
-            return 0.0
-        est = ny
-        x = y * (1.0 / ny)
-    return est
-
-
 def neumann_cgo(
     Vt: DiagonalPotential,
     phase: HolomorphicPhase,
     h: float,
     seed_kind: str = "b",
     seed_coeffs=(1.0,),
-    power_steps: int = 20,
-    power_seed: int = 0,
 ) -> CgoSolution:
     """Remainders (r_h, s_h) of the diagonal-system CGO solution.
 
@@ -369,7 +355,11 @@ def neumann_cgo(
     and x is summed as the Neumann series of S = outer o inner.  Seed 'b'
     (anti-holomorphic 1-form c = b) puts the series on the scalar slot,
     outer = P; seed 'a' (holomorphic function c = a) on the form slot,
-    outer = P*.  Refuses when S fails the contraction estimate.
+    outer = P*.  Each term is S applied to the one before, so the ratio
+    of successive term norms is S's gain along the series; the largest
+    ratio seen is ``contraction_estimate`` (0.0 when the first term
+    vanishes).  Raises ContractionError when a ratio reaches
+    CONTRACTION_LIMIT or when MAX_TERMS terms do not meet the stop.
     ``residuals`` holds the relative residual of the equation the series
     solves; y is defined by the other equation, which holds exactly.
     """
@@ -394,25 +384,32 @@ def neumann_cgo(
     on_scalar = outer is P
     c = _poly_field(g, seed_coeffs, conjugate=on_scalar)
 
-    def S(v):
-        return outer(inner(v))
-
-    est = _estimate_contraction(S, g, steps=power_steps, seed=power_seed)
-    if est >= CONTRACTION_LIMIT:
-        raise ContractionError(
-            f"series operator estimate {est:.3f} >= {CONTRACTION_LIMIT}; "
-            "decrease h or the potential size"
-        )
     t0 = -outer(c)
     scale = max(_l2(g, t0), 1e-300)
     x = term = t0
     used = 1
+    prev = scale
+    est = 0.0
     while used < MAX_TERMS:
-        term = S(term)
+        term = outer(inner(term))
         x = x + term
         used += 1
-        if _l2(g, term) < SERIES_TOL * scale:
+        norm = _l2(g, term)
+        ratio = norm / prev
+        est = max(est, ratio)
+        if ratio >= CONTRACTION_LIMIT:
+            raise ContractionError(
+                f"series term ratio {ratio:.3f} >= {CONTRACTION_LIMIT} at term {used - 1}; "
+                "decrease h or the potential size"
+            )
+        if norm < SERIES_TOL * scale:
             break
+        prev = norm
+    else:
+        raise ContractionError(
+            f"series reached the {MAX_TERMS}-term cap at term {used - 1} without meeting "
+            f"the relative stop {SERIES_TOL:g}; largest term ratio {est:.3f}"
+        )
     y = -inner(x)
     res = _l2(g, x + outer(c + y))
 

@@ -477,9 +477,7 @@ def run_cgo_decay(cfg: ExperimentConfig, out="out") -> dict:
         diag = dc.diagonalize(red)
         rn, sn = [], []
         for h in hs:
-            sol = dc.neumann_cgo(
-                diag, base, h, seed_kind="b", seed_coeffs=(1.0, 0.25), power_seed=cfg.seed
-            )
+            sol = dc.neumann_cgo(diag, base, h, seed_kind="b", seed_coeffs=(1.0, 0.25))
             rows.append(
                 [
                     h,
@@ -499,7 +497,7 @@ def run_cgo_decay(cfg: ExperimentConfig, out="out") -> dict:
         }
     write_csv(
         outdir / "cgo_decay.csv",
-        ["h", "delta", "norm_r", "norm_s", "S_norm_estimate", "terms_used", "residual"],
+        ["h", "delta", "norm_r", "norm_s", "S_term_ratio", "terms_used", "residual"],
         rows,
     )
     write_manifest(outdir / "cgo_decay.json", cfg, "cgo-decay", slopes)

@@ -33,15 +33,6 @@ def brute_cell(w, rlo, rhi, tlo, thi, n=1200):
     return np.sum(np.where(ok, R / np.where(ok, d, 1.0), 0.0)) * (rhi - rlo) / n * (thi - tlo) / n
 
 
-def test_rect_integral_center_symmetry():
-    assert abs(cau.rect_cauchy_integral(0.0, 1.0, 0.5)) < 1e-14
-
-
-def test_rect_integral_against_brute():
-    val = cau.rect_cauchy_integral(0.1 + 0.05j, 1.0, 0.5)
-    assert abs(val - 0.185862 - 0.219058j * (-1)) < 1e-4
-
-
 @pytest.mark.parametrize(
     "case",
     [

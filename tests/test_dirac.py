@@ -164,6 +164,7 @@ def test_cgo_zero_potential(grid):
     V0 = dc.DiagonalPotential(geo.ScalarField(grid, zeros), geo.ScalarField(grid, zeros))
     sol = dc.neumann_cgo(V0, ph.base_phase(0.0), 0.1)
     assert geo.norm_l2(sol.r_h) == 0.0 and geo.norm_l2(sol.s_h) == 0.0
+    assert sol.contraction_estimate == 0.0
 
 
 @pytest.fixture(scope="module")
@@ -205,6 +206,27 @@ def test_cgo_contraction_refusal(grid):
     )
     with pytest.raises(dc.ContractionError):
         dc.neumann_cgo(huge, ph.base_phase(0.0), 0.2)
+
+
+@pytest.mark.parametrize("kind", ["a", "b"])
+def test_cgo_refusal_boundary(small_diag, kind):
+    """Scaling the potential by s scales S by s^2.  s = 5 converges.  At
+    s = 7.05 the terms shrink too slowly to meet the stop within the term
+    cap, and from s = 7.2 a term ratio reaches the limit; both are refused."""
+    base = ph.base_phase(0.0)
+
+    def scaled(s):
+        return dc.DiagonalPotential(small_diag.Qtilde * s, small_diag.Ftilde * s)
+
+    sol = dc.neumann_cgo(scaled(5.0), base, 0.2, seed_kind=kind)
+    assert sol.terms_used < dc.MAX_TERMS
+    assert sol.residuals[0] < 1e-12
+    assert sol.contraction_estimate < dc.CONTRACTION_LIMIT
+    with pytest.raises(dc.ContractionError):
+        dc.neumann_cgo(scaled(7.05), base, 0.2, seed_kind=kind)
+    for s in (7.2, 8.0):
+        with pytest.raises(dc.ContractionError, match=r"term ratio \S+ >= "):
+            dc.neumann_cgo(scaled(s), base, 0.2, seed_kind=kind)
 
 
 def test_cgo_matches_dense_solve():
@@ -340,7 +362,7 @@ def test_contraction_estimate_decreases_with_h(small_diag):
     hs = [0.2, 0.1, 0.05, 0.025]
     ests = []
     for h in hs:
-        sol = dc.neumann_cgo(small_diag, ph.base_phase(0.0), h, power_steps=10)
+        sol = dc.neumann_cgo(small_diag, ph.base_phase(0.0), h)
         ests.append(sol.contraction_estimate)
     assert all(b < a for a, b in zip(ests, ests[1:]))
     assert ph.fit_loglog_slope(hs, ests) >= 0.4
@@ -352,7 +374,7 @@ def test_h1_growth_bounded(small_diag):
     hs = [0.2, 0.1, 0.05, 0.025]
     vals = []
     for h in hs:
-        sol = dc.neumann_cgo(small_diag, ph.base_phase(0.0), h, power_steps=5)
+        sol = dc.neumann_cgo(small_diag, ph.base_phase(0.0), h)
         sec = dc.cgo_section(sol)
         vals.append(h * np.log(max(dc.h1_norm_section(sec), 1e-300)))
     assert max(vals) < 10.0
