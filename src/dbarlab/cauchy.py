@@ -23,13 +23,24 @@ integral minus product-rule term).
 
 Because the kernel restricted to a pair of rings depends on the angle
 difference only (up to a unimodular factor), the node-to-node sum is a
-circular correlation per ring pair, and so are the corrections.  The fast
-path adds the corrections into the angle-space kernel, takes its angular
-FFT once (the mode tables), and then applies the transform as FFT, one
-contraction over source rings and modes, and inverse FFT: O(n_r^2 n_theta)
-per apply after an O(n_r^2 n_theta log n_theta) setup.  It evaluates the
-same sum as the direct double loop, to roundoff.  Tables over the memory
-budget are rebuilt block by block on every apply instead of kept.
+circular correlation per ring pair, and so are the corrections: after an
+angular FFT every mode of the source data is contracted over source rings
+on its own.  Each target ring keeps exact mode tables (product rule plus
+corrections, then the angular FFT) for a window of nearby source rings:
+every ring it corrects, and every ring whose radius ratio to it lies
+within e^(+-L/n_theta), L = -ln(eps), the range outside of which the
+aliased modes of the sampled kernel fall below machine epsilon.  Beyond
+the window each mode of the product rule is rank one in (target, source),
+from 1/(r - rho e^{i phi}) = sum_q (rho/r)^q e^{i q phi}/r (rho < r) and
+its mirror for rho > r, as in Daripa's fast algorithm (SIAM J. Sci. Stat.
+Comput. 13 (1992) 1418-1432): a source weight times a power of the radius
+ratio.  The far field is then two radial recurrences, outward over the
+rings inside the target circle and inward over those outside, stepped by
+ratio powers so nothing overflows.  An apply is FFT, the window
+contraction, the two sweeps and the inverse FFT: O(n_r n_theta width)
+work and memory, where width is the widest window, after an
+O(n_r n_theta width log n_theta) setup.  It matches the direct double sum
+to roundoff.
 
 Normalization is calibrated so the right-inverse identities hold exactly
 in the continuum: ``dbar(dbar_inverse(omega)) = omega`` and
@@ -42,12 +53,13 @@ whole right inverse; no chart-assembly smoothing term arises.
 
 from __future__ import annotations
 
+import functools
 import math
-from collections import OrderedDict
 
 import numpy as np
 
 from .geometry import (
+    Domain,
     OneForm,
     PolarGrid,
     ScalarField,
@@ -76,8 +88,6 @@ _WIN_R = 4
 _WIN_T_MAX = 8
 # corrected zone reaches out to this many local cell scales
 _NEAR_REACH = 2.5
-# cache fast-path mode tables up to this many complex entries (~480 MB)
-_CACHE_BUDGET = 3 * 10**7
 # one near-field correction: target ring, source ring, offset mod n_theta
 _NEAR_DTYPE = np.dtype([("tgt", np.intp), ("src", np.intp), ("off", np.intp), ("val", complex)])
 
@@ -168,11 +178,12 @@ class CauchyKernelTable:
     Holds the radial cell moments and the near-field list: for every
     (target ring, source ring, angular offset) whose cell the product rule
     misses, the difference between the accurate cell integral and the
-    product-rule term.  The angle-space kernel of a block of target rings
-    is the product rule plus this list, and its angular FFT is the block's
-    mode table.  The mode tables of all rings are built on the first apply
-    and kept when they fit ``_CACHE_BUDGET`` complex entries; otherwise
-    every apply rebuilds them block by block.
+    product-rule term.  Target ring j reads the source rings
+    [start_j, start_j + width) through exact mode tables, the angular FFT
+    of the product rule plus this list, stored as (width, n_r, n_theta);
+    the rings outside its window are summed by the two far-field sweeps,
+    whose per-ring weights and ratio-power steps depend only on the grid.
+    Everything is built here, once.
     """
 
     def __init__(self, grid: PolarGrid):
@@ -211,7 +222,8 @@ class CauchyKernelTable:
             self._patch_src = 0
 
         self._near = self._build_near_field()
-        self._mode_tables = None
+        self._build_window_tables()
+        self._build_far_field()
 
     # -- quadrature pieces ----------------------------------------------------
 
@@ -273,38 +285,65 @@ class CauchyKernelTable:
             parts.append((np.full(m.size, j), m, dk % n_t, exact - naive))
         return np.rec.fromarrays([np.concatenate(c) for c in zip(*parts)], dtype=_NEAR_DTYPE)
 
-    def _kernel_block(self, rows: np.ndarray) -> np.ndarray:
-        """Mode tables of the kernel for the contiguous target rings `rows`:
-        the product rule and the near-field list in angle space, then the
-        angular FFT."""
+    def _build_window_tables(self) -> None:
+        """Window of source rings per target ring and its mode tables.
+
+        Ring j's window holds every source ring of its near-field entries
+        and every ring m with |ln(r_m/r_j)| <= L/n_theta, L = -ln(eps);
+        outside it (r_m/r_j)^(+-n_theta) < eps, so the aliased modes of the
+        sampled kernel are below roundoff.  All windows share the widest
+        span, shifted inward where they would pass the outer ring."""
         g = self.grid
-        ker = self._product_rule(g.r[rows][:, None, None], np.arange(g.n_r)[:, None], g.theta)
-        ker[np.arange(len(rows)), rows, 0] = 0.0  # singular self entry; its cell is in _near
-        lo, hi = np.searchsorted(self._near["tgt"], [rows[0], rows[-1] + 1])
-        near = self._near[lo:hi]
-        np.add.at(ker, (near["tgt"] - rows[0], near["src"], near["off"]), near["val"])
-        # correlation sum_k F_k g_{k-l} has Fourier symbol fhat_m * ghat_{-m}
-        return g.n_theta * np.fft.ifft(ker, axis=2)
+        n_r, n_t = g.shape
+        r = g.r
+        reach = math.exp(-math.log(np.finfo(float).eps) / n_t)
+        near = self._near
+        lo = np.searchsorted(r, r / reach)
+        hi = np.searchsorted(r, r * reach, side="right") - 1
+        np.minimum.at(lo, near["tgt"], near["src"])
+        np.maximum.at(hi, near["tgt"], near["src"])
+        width = int(np.max(hi - lo + 1))
+        self._start = np.minimum(lo, n_r - width)
+        self._tables = np.empty((width, n_r, n_t), dtype=complex)
+        bounds = np.searchsorted(near["tgt"], np.arange(n_r + 1))
+        for j, s0 in enumerate(self._start):
+            ker = self._product_rule(r[j], np.arange(s0, s0 + width)[:, None], g.theta)
+            ker[j - s0, 0] = 0.0  # singular self entry; its cell is in _near
+            nj = near[bounds[j] : bounds[j + 1]]
+            np.add.at(ker, (nj["src"] - s0, nj["off"]), nj["val"])
+            # correlation sum_k F_k g_{k-l} has Fourier symbol fhat_m * ghat_{-m}
+            self._tables[:, j] = n_t * np.fft.ifft(ker, axis=1)
 
-    def _kernel_blocks(self):
-        """(rows, mode tables of rows) over all target rings, in blocks of
-        about _CACHE_BUDGET / 8 complex entries."""
-        n_r, n_t = self.grid.shape
-        step = max(1, _CACHE_BUDGET // (8 * n_r * n_t))
-        for j0 in range(0, n_r, step):
-            rows = np.arange(j0, min(j0 + step, n_r))
-            yield rows, self._kernel_block(rows)
+    def _build_far_field(self) -> None:
+        """Weights and ratio-power steps of the far-field sweeps.
 
-    def _get_mode_tables(self):
-        if self._mode_tables is None:
-            n_r, n_t = self.grid.shape
-            if n_r * n_r * n_t <= _CACHE_BUDGET:
-                self._mode_tables = np.empty((n_r, n_r, n_t), dtype=complex)
-                for rows, blk in self._kernel_blocks():
-                    self._mode_tables[rows] = blk
-            else:
-                self._mode_tables = False  # stream per apply
-        return self._mode_tables
+        FFT index n carries mode q = -n mod n_theta of rho/(r - rho e^{i theta}).
+        For a source ring inside the target circle that mode is (rho/r)^(q+1),
+        and the product rule's radial moments make the (target j, source m)
+        entry w_in[m, n] (r_m/r_j)^(q+1), with
+        w_in = 2 pi sum_p m_p C(q+1, p) r_m^-p.  Outside, mode q = -(s+1),
+        s = (n - 1) mod n_theta, is -(r/rho)^s, giving w_out[m, n] (r_j/r_m)^s
+        with w_out = -2 pi sum_p m_p C(-s, p) r_m^-p."""
+        g = self.grid
+        n_r, n_t = g.shape
+        r = g.r
+        n = np.arange(n_t)
+        e_in = (-n) % n_t + 1
+        e_out = (n - 1) % n_t
+        moments = np.stack([self.m0, self.m1 / r, self.m2 / r**2, self.m3 / r**3], axis=1)
+        self._w_in = 2 * math.pi * moments @ _binomials(e_in)
+        self._w_out = -2 * math.pi * moments @ _binomials(-e_out)
+        # steps between neighbouring rings: (r_{i-1}/r_i)^(q+1), (r_i/r_{i+1})^s
+        ratio = (r[:-1] / r[1:])[:, None]
+        self._step_in = ratio**e_in
+        self._step_out = ratio**e_out
+        # jumps from the last ring below a window and the first ring above
+        # it to the target; zero where the window reaches the grid's edge
+        end = self._start + len(self._tables)
+        self._below = np.maximum(self._start - 1, 0)
+        self._above = np.minimum(end, n_r - 1)
+        self._jump_in = (r[self._below] / r)[:, None] ** e_in * (self._start > 0)[:, None]
+        self._jump_out = (r / r[self._above])[:, None] ** e_out * (end < n_r)[:, None]
 
     # -- application ----------------------------------------------------------
 
@@ -312,13 +351,18 @@ class CauchyKernelTable:
         """(1/pi) * integral of f(zeta)/(z - zeta) dA at every grid node."""
         g = self.grid
         fhat = np.fft.fft(np.asarray(fvals, dtype=complex), axis=1)
-        tables = self._get_mode_tables()
-        if tables is not False:
-            prod = np.einsum("jmt,mt->jt", tables, fhat)
-        else:
-            prod = np.empty(g.shape, dtype=complex)
-            for rows, blk in self._kernel_blocks():
-                prod[rows] = np.einsum("jmt,mt->jt", blk, fhat)
+        prod = np.zeros(g.shape, dtype=complex)
+        for k, tbl in enumerate(self._tables):
+            prod += tbl * fhat[self._start + k]
+        # far field: inside[i] sums rings m <= i scaled to ring i, outside[i]
+        # rings m >= i; only rings some window leaves out are swept
+        inside = self._w_in * fhat
+        for i in range(1, self._below.max() + 1):
+            inside[i] += self._step_in[i - 1] * inside[i - 1]
+        outside = self._w_out * fhat
+        for i in range(g.n_r - 2, self._above.min() - 1, -1):
+            outside[i] += self._step_out[i] * outside[i + 1]
+        prod += self._jump_in * inside[self._below] + self._jump_out * outside[self._above]
         phase = np.exp(-1j * g.theta)[None, :]
         return np.fft.ifft(prod, axis=1) * phase / math.pi
 
@@ -341,22 +385,20 @@ class CauchyKernelTable:
         return out * phase / math.pi
 
 
-_TABLE_CACHE: "OrderedDict[tuple, CauchyKernelTable]" = OrderedDict()
-_TABLE_CACHE_SIZE = 3
+def _binomials(x: np.ndarray) -> np.ndarray:
+    """Generalized binomial coefficients C(x, p), p = 0..3, as rows."""
+    return np.stack([np.ones_like(x), x, x * (x - 1) / 2, x * (x - 1) * (x - 2) / 6])
 
 
 def kernel_table(grid: PolarGrid) -> CauchyKernelTable:
-    d = grid.domain
-    key = (d.kind, d.r_inner, d.r_outer, d.center, grid.n_r, grid.n_theta)
-    tbl = _TABLE_CACHE.get(key)
-    if tbl is None:
-        tbl = CauchyKernelTable(grid)
-        _TABLE_CACHE[key] = tbl
-        while len(_TABLE_CACHE) > _TABLE_CACHE_SIZE:
-            _TABLE_CACHE.popitem(last=False)
-    else:
-        _TABLE_CACHE.move_to_end(key)
-    return tbl
+    """The kernel table of `grid`, shared by every grid of the same shape
+    on the same domain (the three most recently used are kept)."""
+    return _cached_table(grid.domain, grid.n_r, grid.n_theta)
+
+
+@functools.lru_cache(maxsize=3)
+def _cached_table(domain: Domain, n_r: int, n_theta: int) -> CauchyKernelTable:
+    return CauchyKernelTable(PolarGrid(domain, n_r, n_theta))
 
 
 def _require_type01(omega: OneForm, what: str) -> None:

@@ -330,11 +330,12 @@ def _poly_field(grid: PolarGrid, coeffs, conjugate: bool) -> np.ndarray:
 
 # series controls: a term below SERIES_TOL times the first term ends the
 # sum (relative, so the accuracy does not depend on the seed's scale); a
-# ratio of successive term norms at or above CONTRACTION_LIMIT, or
-# MAX_TERMS terms without meeting the stop, is refused
+# ratio of successive term norms at or above CONTRACTION_LIMIT is refused.
+# The limit is the ratio that meets the stop in MAX_TERMS terms, so a
+# series whose every ratio stays below it stops within the cap.
 SERIES_TOL = 1e-12
 MAX_TERMS = 200
-CONTRACTION_LIMIT = 0.9
+CONTRACTION_LIMIT = SERIES_TOL ** (1 / (MAX_TERMS - 1))
 
 
 def _l2(grid: PolarGrid, v: np.ndarray) -> float:
@@ -359,7 +360,8 @@ def neumann_cgo(
     of successive term norms is S's gain along the series; the largest
     ratio seen is ``contraction_estimate`` (0.0 when the first term
     vanishes).  Raises ContractionError when a ratio reaches
-    CONTRACTION_LIMIT or when MAX_TERMS terms do not meet the stop.
+    CONTRACTION_LIMIT; below it, term k is under CONTRACTION_LIMIT^k
+    times the first, so the stop is met within MAX_TERMS terms.
     ``residuals`` holds the relative residual of the equation the series
     solves; y is defined by the other equation, which holds exactly.
     """
@@ -390,26 +392,21 @@ def neumann_cgo(
     used = 1
     prev = scale
     est = 0.0
-    while used < MAX_TERMS:
+    while True:
         term = outer(inner(term))
         x = x + term
         used += 1
         norm = _l2(g, term)
         ratio = norm / prev
         est = max(est, ratio)
-        if ratio >= CONTRACTION_LIMIT:
+        if not ratio < CONTRACTION_LIMIT:  # also refuses a NaN ratio
             raise ContractionError(
-                f"series term ratio {ratio:.3f} >= {CONTRACTION_LIMIT} at term {used - 1}; "
+                f"series term ratio {ratio:.3f} >= {CONTRACTION_LIMIT:.4f} at term {used - 1}; "
                 "decrease h or the potential size"
             )
         if norm < SERIES_TOL * scale:
             break
         prev = norm
-    else:
-        raise ContractionError(
-            f"series reached the {MAX_TERMS}-term cap at term {used - 1} without meeting "
-            f"the relative stop {SERIES_TOL:g}; largest term ratio {est:.3f}"
-        )
     y = -inner(x)
     res = _l2(g, x + outer(c + y))
 

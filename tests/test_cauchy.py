@@ -113,8 +113,10 @@ def test_sector_integral_splits_in_angle(case, frac):
         (geo.annulus(0.5, 1.2), 20, 32, 4),
         (geo.disk(1.0), 16, 16, 5),  # the center patch covers 10 of 16 rings
         (geo.annulus(0.05, 1.0), 16, 16, 6),  # ring 0's +-8 window spans the circle
+        (geo.disk(1.0), 64, 64, 7),  # 1344 of 4096 ring pairs in the far field
+        (geo.annulus(0.1, 1.0), 48, 64, 8),  # 576 of 2304 ring pairs in the far field
     ],
-    ids=["disk", "annulus", "disk-16", "annulus-full-circle-window"],
+    ids=["disk", "annulus", "disk-16", "annulus-full-circle-window", "disk-far", "annulus-far"],
 )
 def test_fast_path_matches_direct_sum(domain, n_r, n_theta, seed):
     g = geo.PolarGrid(domain, n_r, n_theta)
@@ -140,24 +142,32 @@ def test_window_wider_than_circle_corrects_each_cell_once():
     assert np.max(np.abs(tbl.apply(np.ones(g.shape)) - want)) < 1e-2
 
 
-@pytest.mark.parametrize(
-    "domain, n_r, n_theta",
-    [(geo.disk(1.0), 24, 32), (geo.annulus(0.5, 1.2), 20, 32)],
-    ids=["disk", "annulus"],
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(st.just(0.0), st.floats(0.05, 0.8)),
+    st.integers(8, 64),
+    st.sampled_from([8, 16, 32, 64, 128, 256]),
+    st.data(),
 )
-def test_streamed_apply_matches_cached(monkeypatch, domain, n_r, n_theta):
+def test_far_field_modes_are_separable(r_inner, n_r, n_theta, data):
+    """Beyond a target ring's window, each angular mode of the product rule
+    is the source ring's far-field weight times a power of the radius ratio:
+    (r_m/r_j)^(q+1) with q = -n mod n_theta inside the target circle,
+    (r_j/r_m)^s with s = (n - 1) mod n_theta outside it."""
+    domain = geo.annulus(r_inner, 1.0) if r_inner else geo.disk(1.0)
     g = geo.PolarGrid(domain, n_r, n_theta)
-    rng = np.random.default_rng(6)
-    f = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
-    cached = cau.CauchyKernelTable(g)
-    want = cached.apply(f)
-    assert isinstance(cached._mode_tables, np.ndarray)
-    # a budget below n_r^2 n_theta streams, here in blocks of 2 target rings
-    monkeypatch.setattr(cau, "_CACHE_BUDGET", 16 * n_r * n_theta)
-    streamed = cau.CauchyKernelTable(g)
-    got = streamed.apply(f)
-    assert streamed._mode_tables is False
-    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    tbl = cau.CauchyKernelTable(g)
+    j = data.draw(st.integers(0, n_r - 1))
+    start, stop = tbl._start[j], tbl._start[j] + len(tbl._tables)
+    n = np.arange(n_theta)
+    r = g.r
+    for m in [*range(start), *range(stop, n_r)]:
+        got = n_theta * np.fft.ifft(tbl._product_rule(r[j], m, g.theta))
+        if m < j:
+            want = tbl._w_in[m] * (r[m] / r[j]) ** ((-n) % n_theta + 1)
+        else:
+            want = tbl._w_out[m] * (r[j] / r[m]) ** ((n - 1) % n_theta)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 # -- dbar_inverse -----------------------------------------------------------------

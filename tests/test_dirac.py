@@ -210,9 +210,9 @@ def test_cgo_contraction_refusal(grid):
 
 @pytest.mark.parametrize("kind", ["a", "b"])
 def test_cgo_refusal_boundary(small_diag, kind):
-    """Scaling the potential by s scales S by s^2.  s = 5 converges.  At
+    """Scaling the potential by s scales S by s^2.  s = 5 converges.  From
     s = 7.05 the terms shrink too slowly to meet the stop within the term
-    cap, and from s = 7.2 a term ratio reaches the limit; both are refused."""
+    cap, so a term ratio reaches the limit and the series is refused."""
     base = ph.base_phase(0.0)
 
     def scaled(s):
