@@ -221,8 +221,7 @@ class CauchyKernelTable:
             self._patch_tgt = 0
             self._patch_src = 0
 
-        self._near = self._build_near_field()
-        self._build_window_tables()
+        self._build_window_tables(self._build_near_field())
         self._build_far_field()
 
     # -- quadrature pieces ----------------------------------------------------
@@ -285,10 +284,10 @@ class CauchyKernelTable:
             parts.append((np.full(m.size, j), m, dk % n_t, exact - naive))
         return np.rec.fromarrays([np.concatenate(c) for c in zip(*parts)], dtype=_NEAR_DTYPE)
 
-    def _build_window_tables(self) -> None:
+    def _build_window_tables(self, near: np.ndarray) -> None:
         """Window of source rings per target ring and its mode tables.
 
-        Ring j's window holds every source ring of its near-field entries
+        Ring j's window holds every source ring of its entries in `near`
         and every ring m with |ln(r_m/r_j)| <= L/n_theta, L = -ln(eps);
         outside it (r_m/r_j)^(+-n_theta) < eps, so the aliased modes of the
         sampled kernel are below roundoff.  All windows share the widest
@@ -297,7 +296,6 @@ class CauchyKernelTable:
         n_r, n_t = g.shape
         r = g.r
         reach = math.exp(-math.log(np.finfo(float).eps) / n_t)
-        near = self._near
         lo = np.searchsorted(r, r / reach)
         hi = np.searchsorted(r, r * reach, side="right") - 1
         np.minimum.at(lo, near["tgt"], near["src"])
@@ -308,7 +306,7 @@ class CauchyKernelTable:
         bounds = np.searchsorted(near["tgt"], np.arange(n_r + 1))
         for j, s0 in enumerate(self._start):
             ker = self._product_rule(r[j], np.arange(s0, s0 + width)[:, None], g.theta)
-            ker[j - s0, 0] = 0.0  # singular self entry; its cell is in _near
+            ker[j - s0, 0] = 0.0  # singular self entry; its cell is in `near`
             nj = near[bounds[j] : bounds[j + 1]]
             np.add.at(ker, (nj["src"] - s0, nj["off"]), nj["val"])
             # correlation sum_k F_k g_{k-l} has Fourier symbol fhat_m * ghat_{-m}
@@ -368,7 +366,7 @@ class CauchyKernelTable:
 
     def apply_direct(self, fvals: np.ndarray) -> np.ndarray:
         """Reference: the product-rule double sum plus the near-field list,
-        one roll per entry; small grids only."""
+        one roll per entry, with the list rebuilt; small grids only."""
         g = self.grid
         n_r, n_t = g.shape
         f = np.asarray(fvals, dtype=complex)
@@ -379,7 +377,7 @@ class CauchyKernelTable:
             for l in range(n_t):
                 rolled = np.roll(f, -l, axis=1)
                 out[j, l] = np.sum(naive * rolled)
-        for j, m, k, v in self._near:
+        for j, m, k, v in self._build_near_field():
             out[j] += v * np.roll(f[m], -k)
         phase = np.exp(-1j * g.theta)[None, :]
         return out * phase / math.pi

@@ -43,6 +43,7 @@ from .geometry import (
     inner_l2,
     norm_l2,
     project,
+    wedge,
     wirtinger,
 )
 from .cauchy import (
@@ -248,7 +249,6 @@ def difference_potential(red1: ReductionData, red2: ReductionData) -> DiagonalPo
     (|F2|^{-2} Q2/2 - |F1|^{-2} Q1/2, |F1|^2 - |F2|^2)."""
     d1 = diagonalize(red1)
     d2 = diagonalize(red2)
-    g = d1.Qtilde.grid
     return DiagonalPotential(
         Qtilde=d2.Qtilde - d1.Qtilde,
         Ftilde=d2.Ftilde - d1.Ftilde,
@@ -529,8 +529,6 @@ def auxiliary_functional(
         A2 = OneForm(g, np.zeros(g.shape), wirtinger(F2, "dzbar").c01 / (1j * F2.values))
     G = F2.values / F1.values
     lam = OneForm(g, np.zeros(g.shape), G * a.values * (A2.c01 - A1.c01))
-    from .geometry import wedge
-
     two = wedge(lam, hodge_star(b.conj()))
     interior = 1j * two.integrate()
 

@@ -78,8 +78,16 @@ class ExperimentConfig:
     cgo_n_theta: int = 1024
 
     def __post_init__(self):
-        if self.domain_kind not in ("disk", "annulus"):
-            raise ValueError(f"domain kind must be 'disk' or 'annulus', not {self.domain_kind!r}")
+        # the domain and both grids are checked by geometry's own rules
+        self.domain()
+        for keys, grid in (("n_r, n_theta", self.grid), ("cgo_n_r, cgo_n_theta", self.cgo_grid)):
+            try:
+                grid()
+            except geo.GridError as exc:
+                raise ValueError(f"{keys}: {exc}") from None
+        for name in ("h_list", "cgo_h_list", "delta_list", "t_list"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must not be empty")
         for name in ("h_list", "cgo_h_list"):
             hs = getattr(self, name)
             if any(h <= 0 for h in hs):
@@ -115,12 +123,14 @@ class ExperimentConfig:
             return cls.from_dict(json.load(fh))
 
     def domain(self) -> geo.Domain:
-        if self.domain_kind == "disk":
-            return geo.disk(self.r_outer)
-        return geo.annulus(self.r_inner, self.r_outer)
+        return geo.Domain(self.domain_kind, float(self.r_inner), float(self.r_outer))
 
     def grid(self) -> geo.PolarGrid:
         return geo.PolarGrid(self.domain(), self.n_r, self.n_theta)
+
+    def cgo_grid(self) -> geo.PolarGrid:
+        """Grid of the CGO decay study: the disk of half the outer radius."""
+        return geo.PolarGrid(geo.disk(0.5 * self.r_outer), self.cgo_n_r, self.cgo_n_theta)
 
     def canonical(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
@@ -343,13 +353,6 @@ def run_gauge_check(cfg: ExperimentConfig, out="out") -> dict:
     return results
 
 
-def _scalar_and_system_dtn(pot, F, order):
-    """DtN and diagonalized-system matrices from one operator, which is
-    freed on return."""
-    op = fw.assemble(pot)
-    return fw.dtn(pot, order, operator=op), fw.diagonalized_system_dtn(pot, F, order, operator=op)
-
-
 def run_stability_sweep(cfg: ExperimentConfig, out="out") -> list[StabilityRecord]:
     """Perturbation sweep: boundary-data distances against the interior
     differences they control, plus the pointwise and identity checks."""
@@ -357,7 +360,7 @@ def run_stability_sweep(cfg: ExperimentConfig, out="out") -> list[StabilityRecor
     g = cfg.grid()
     fam = default_potentials(cfg, g)
     pot1, red1 = fam.reduction(0.0)
-    d1, dsys1 = _scalar_and_system_dtn(pot1, red1.F, cfg.order)
+    d1, dsys1 = fw.dtn_and_diagonalized_system_dtn(pot1, red1.F, cfg.order)
     base = ph.base_phase(0.0 + 0.0j)
     delta = cfg.delta_list[-1]
     excl = ph.exclusion_set(base, delta)
@@ -369,7 +372,7 @@ def run_stability_sweep(cfg: ExperimentConfig, out="out") -> list[StabilityRecor
     syst_ratios = []
     for t in cfg.t_list:
         pot2, red2 = fam.reduction(t)
-        d2, dsys2 = _scalar_and_system_dtn(pot2, red2.F, cfg.order)
+        d2, dsys2 = fw.dtn_and_diagonalized_system_dtn(pot2, red2.F, cfg.order)
         d_sur = me.ensemble_distance(d1, d2)
         d_si = me.ensemble_distance(d1, d2, mode="sup_inf")
         qd = geo.norm_l2(pot1.q - pot2.q)
@@ -465,8 +468,7 @@ def run_cgo_decay(cfg: ExperimentConfig, out="out") -> dict:
     """Remainder decay of the Neumann-series CGO solutions for two
     potential pairs, with the dense-solve cross-check left to the tests."""
     outdir = _outdir(out)
-    dom = geo.disk(0.5 * cfg.r_outer)
-    g = geo.PolarGrid(dom, cfg.cgo_n_r, cfg.cgo_n_theta)
+    g = cfg.cgo_grid()
     base = ph.base_phase(0.0 + 0.0j)
     fam = default_potentials(cfg, g)
     rows = []

@@ -14,9 +14,10 @@ Discretization: spectral collocation in the angle, second-order finite
 differences in the radius, direct block-tridiagonal elimination with
 dense angular blocks and diagonal radial couplings.  On a disk the
 center value is one extra unknown, closed by the mean-value relation and
-eliminated by a rank-one Schur complement whose center column is solved
-once, at factorization.  A solve is one sweep over K boundary data and
-leaves no state behind; each DtN builder post-maps one such sweep.
+eliminated into ring 0's diagonal block (a rank-one update) before
+factoring, so disk and annulus share one factorization and one sweep.  A
+solve is one sweep over K boundary data and leaves no state behind; each
+DtN builder post-maps the boundary jet of one such sweep.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .geometry import (
     project,
     wirtinger,
 )
-from .metrics import BoundaryTrace
+from .metrics import BoundaryTrace, trace_from_samples
 
 __all__ = [
     "PotentialPair",
@@ -59,6 +60,7 @@ __all__ = [
     "dtn",
     "system_dtn",
     "diagonalized_system_dtn",
+    "dtn_and_diagonalized_system_dtn",
     "gauge_transform",
     "manufactured_potential",
     "save_dtn_csv",
@@ -177,17 +179,6 @@ def magnetic_apply_factored(pot: PotentialPair, u: ScalarField, F: ScalarField) 
 # ---------------------------------------------------------------------------
 
 
-def _theta_derivative_matrices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Dense spectral differentiation matrices for d/dtheta and d^2/dtheta^2."""
-    m = np.fft.fftfreq(n, 1.0 / n)
-    ik = 1j * np.where(np.abs(m) == n // 2, 0.0, m)
-    mk2 = -(m**2)
-    F = np.fft.fft(np.eye(n), axis=0)
-    D1 = np.fft.ifft(ik[:, None] * F, axis=0)
-    D2 = np.fft.ifft(mk2[:, None] * F, axis=0)
-    return D1, D2
-
-
 class MagneticOperator:
     """Factorized interior collocation operator for one potential pair."""
 
@@ -203,7 +194,6 @@ class MagneticOperator:
             self.int_rings = np.arange(0, n_r - 1)
         else:
             self.int_rings = np.arange(1, n_r - 1)
-        J = len(self.int_rings)
         self.n_theta = n_t
 
         eit = np.exp(1j * g.theta)
@@ -212,18 +202,16 @@ class MagneticOperator:
 
         # per-ring blocks: the dense diagonal block is rebuilt from these
         # vectors by `_block`; diagonal off-couplings
-        self._D1t, self._D2t = _theta_derivative_matrices(n_t)
-        self._t_over_r = np.empty((J, n_t), dtype=complex)
+        eye = np.eye(n_t)
+        self._D1t = g.diff_theta(eye).T
+        self._D2t = g.diff_theta(eye, order=2).T
         self._zeroth = zeroth[self.int_rings]
-        self.lo = np.empty((J, n_t), dtype=complex)
-        self.hi = np.empty((J, n_t), dtype=complex)
-        for a, j in enumerate(self.int_rings):
-            r = g.r[j]
-            P = X.c01[j] * np.conj(eit) + X.c10[j] * eit  # X(d/dr)
-            T = 1j * (X.c10[j] * eit - X.c01[j] * np.conj(eit))  # X(d/dtheta)/r
-            self._t_over_r[a] = T / r
-            self.lo[a] = -1.0 / dr**2 + 1.0 / (2 * dr * r) + 1j * P / dr
-            self.hi[a] = -1.0 / dr**2 - 1.0 / (2 * dr * r) - 1j * P / dr
+        r = g.r[self.int_rings][:, None]
+        X10, X01 = X.c10[self.int_rings], X.c01[self.int_rings]
+        P = X01 * np.conj(eit) + X10 * eit  # X(d/dr)
+        self._t_over_r = 1j * (X10 * eit - X01 * np.conj(eit)) / r  # X(d/dtheta)/r
+        self.lo = -1.0 / dr**2 + 1.0 / (2 * dr * r) + 1j * P / dr
+        self.hi = -1.0 / dr**2 - 1.0 / (2 * dr * r) - 1j * P / dr
 
         # disk center closure: mean-value Laplacian + first-order derivatives
         self.kind = kind
@@ -251,23 +239,21 @@ class MagneticOperator:
         return B
 
     def _factor(self, condition_limit: float) -> None:
-        J, n_t = len(self.int_rings), self.n_theta
+        n_t = self.n_theta
         self.lus = []
-        D = self._block(0)
-        for a in range(J):
+        for a in range(len(self.int_rings)):
+            D = self._block(a)
             if a > 0:
-                S = lu_solve(self.lus[a - 1], np.diag(self.hi[a - 1]).astype(complex))
-                D = self._block(a) - self.lo[a][:, None] * S
+                D -= self.lo[a][:, None] * lu_solve(
+                    self.lus[a - 1], np.diag(self.hi[a - 1]).astype(complex)
+                )
+            elif self.kind == "disk":
+                # ring 0 couples to the center through the `lo` slot; the
+                # center equation gives u_c = -center_row . u[0] / center_diag
+                D -= np.outer(self.lo[0], self.center_row) / self.center_diag
             self.lus.append(lu_factor(D))
-        if self.kind == "disk":
-            # ring-0 unknowns couple to the center through the `lo` slot; the
-            # interior response to that column is the same for every solve
-            col = np.zeros((J, n_t, 1), dtype=complex)
-            col[0, :, 0] = self.lo[0]
-            self._center_response = self._solve_tridiag(col)
-            self._schur = self.center_diag - self.center_row @ self._center_response[0, :, 0]
         # inverse-norm probe: a resonance amplifies the solve of random
-        # boundary data (run through the full bordered system)
+        # boundary data
         rng = np.random.default_rng(0)
         boundary = np.stack([
             rng.standard_normal(n_t) + 1j * rng.standard_normal(n_t)
@@ -284,17 +270,6 @@ class MagneticOperator:
                 "is likely -- perturb q"
             )
 
-    def _solve_tridiag(self, x: np.ndarray) -> np.ndarray:
-        """Interior solve in place: x of shape (J, n_theta, K) holds the
-        right-hand sides on entry and the solution on return."""
-        J = len(self.int_rings)
-        for a in range(1, J):
-            x[a] -= self.lo[a][:, None] * lu_solve(self.lus[a - 1], x[a - 1])
-        x[J - 1] = lu_solve(self.lus[J - 1], x[J - 1])
-        for a in range(J - 2, -1, -1):
-            x[a] = lu_solve(self.lus[a], x[a] - self.hi[a][:, None] * x[a + 1])
-        return x
-
     def _solve_batched(self, boundary: np.ndarray) -> np.ndarray:
         """K Dirichlet solves in one sweep: boundary samples of shape
         (n_boundary_rings, n_theta, K), ordered as `grid.boundary_rings`,
@@ -307,13 +282,12 @@ class MagneticOperator:
         if self.kind == "annulus":
             u[0] = f[0]
             x[0] -= self.lo[0][:, None] * f[0]
-        self._solve_tridiag(x)
-        if self.kind == "disk":
-            # bordered system with the center unknowns, corrected ring by
-            # ring so that no second array of the size of u is held
-            u_c = -(self.center_row @ x[0]) / self._schur
-            for xa, ca in zip(x, self._center_response):
-                xa -= ca * u_c
+        J = len(x)
+        for a in range(1, J):
+            x[a] -= self.lo[a][:, None] * lu_solve(self.lus[a - 1], x[a - 1])
+        x[J - 1] = lu_solve(self.lus[J - 1], x[J - 1])
+        for a in range(J - 2, -1, -1):
+            x[a] = lu_solve(self.lus[a], x[a] - self.hi[a][:, None] * x[a + 1])
         return u
 
     def solve(self, boundary: dict[int, np.ndarray]) -> ScalarField:
@@ -437,8 +411,6 @@ def neumann_data(pot: PotentialPair, u: ScalarField) -> dict[int, np.ndarray]:
 
 def _trace_from_samples(g: PolarGrid, samples_by_ring: dict[int, np.ndarray], order: int) -> BoundaryTrace:
     rows = np.stack([samples_by_ring[ring] for ring in g.boundary_rings])
-    from .metrics import trace_from_samples
-
     return trace_from_samples(rows, order)
 
 
@@ -489,11 +461,24 @@ def _dtn_matrix(g: PolarGrid, order: int, matrix: np.ndarray) -> DtnMatrix:
     return DtnMatrix(order=order, circles=radii, matrix=matrix)
 
 
+def _dtn_of_jet(pot: PotentialPair, order: int, jet) -> DtnMatrix:
+    rows = _magnetic_normal(pot, *jet)
+    return _dtn_matrix(pot.grid, order, _fourier_rows(rows, order))
+
+
+def _diagonalized_of_jet(pot: PotentialPair, F: ScalarField, order: int, jet) -> DtnMatrix:
+    g = pot.grid
+    trace, d_r = jet
+    F_b = F.values[list(g.boundary_rings)][:, :, None]
+    Fm = _fourier_rows(F_b * trace, order)
+    G = _fourier_rows(_omega01_pullback(pot, trace, d_r) / np.conj(F_b), order)
+    return _dtn_matrix(g, order, G @ np.linalg.inv(Fm))
+
+
 def dtn(pot: PotentialPair, order: int, operator: MagneticOperator | None = None) -> DtnMatrix:
     """Truncated DtN matrix: the magnetic Neumann data of the unit Fourier
     response."""
-    rows = _magnetic_normal(pot, *_unit_fourier_response(pot, order, operator))
-    return _dtn_matrix(pot.grid, order, _fourier_rows(rows, order))
+    return _dtn_of_jet(pot, order, _unit_fourier_response(pot, order, operator))
 
 
 def system_dtn(pot: PotentialPair, order: int, operator: MagneticOperator | None = None) -> DtnMatrix:
@@ -516,12 +501,19 @@ def diagonalized_system_dtn(
     omega)); in truncated Fourier space the graph map is G Fm^{-1} with Fm
     the boundary multiplication by F and G the transformed Neumann-side
     columns."""
-    g = pot.grid
-    trace, d_r = _unit_fourier_response(pot, order, operator)
-    F_b = F.values[list(g.boundary_rings)][:, :, None]
-    Fm = _fourier_rows(F_b * trace, order)
-    G = _fourier_rows(_omega01_pullback(pot, trace, d_r) / np.conj(F_b), order)
-    return _dtn_matrix(g, order, G @ np.linalg.inv(Fm))
+    return _diagonalized_of_jet(pot, F, order, _unit_fourier_response(pot, order, operator))
+
+
+def dtn_and_diagonalized_system_dtn(
+    pot: PotentialPair,
+    F: ScalarField,
+    order: int,
+    operator: MagneticOperator | None = None,
+) -> tuple[DtnMatrix, DtnMatrix]:
+    """`dtn` and `diagonalized_system_dtn` from one solve of the unit
+    Fourier data."""
+    jet = _unit_fourier_response(pot, order, operator)
+    return _dtn_of_jet(pot, order, jet), _diagonalized_of_jet(pot, F, order, jet)
 
 
 def gauge_transform(

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import ScalarField
+
 __all__ = [
     "BoundaryTrace",
     "SobolevNorm",
@@ -222,6 +224,4 @@ def holo_project(t: BoundaryTrace, grid=None, radius: float = 1.0, center: compl
 
     if grid is None:
         return ptrace, G
-    from .geometry import ScalarField
-
     return ptrace, ScalarField(grid, G(grid.nodes))

@@ -287,10 +287,10 @@ def _locate_critical_point(psi: ScalarField, support_mask: np.ndarray, phase=Non
                     pts.append(complex(z))
 
     def hess(p):
-        interp_g2 = Interpolator(g, dz.c10)
+        # only called on pts, which are found only once interp_g is built
         eps = 1e-5 * g.domain.r_outer
         # |psi''| as modulus of d_z(d_z psi); psi = Im Phi gives |Phi''|/2
-        return abs((interp_g2(p + eps) - interp_g2(p - eps)) / (2 * eps))
+        return abs((interp_g(p + eps) - interp_g(p - eps)) / (2 * eps))
 
     return pts, hess
 

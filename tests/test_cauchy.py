@@ -134,7 +134,7 @@ def test_window_wider_than_circle_corrects_each_cell_once():
     g = geo.PolarGrid(geo.annulus(r_in, 1.0), 12, 8)
     tbl = cau.CauchyKernelTable(g)
     assert 2 * tbl.win_t[0] > g.n_theta
-    near = tbl._near
+    near = tbl._build_near_field()
     keys = near["tgt"] * g.n_r * g.n_theta + near["src"] * g.n_theta + near["off"]
     assert len(np.unique(keys)) == len(keys)
     # C(1)(z) = conj(z) - r_in^2 / z on the annulus
@@ -383,8 +383,8 @@ def test_lp_boundedness_battery(grid):
 
 def test_self_cell_correction_is_exact_sector(grid):
     tbl = cau.kernel_table(grid)
+    near = tbl._build_near_field()
     for j in (tbl._patch_tgt + 2, grid.n_r // 2, grid.n_r - 1):
-        near = tbl._near
         (got,) = near["val"][(near["tgt"] == j) & (near["src"] == j) & (near["off"] == 0)]
         want = cau.sector_cauchy_integral(
             grid.r[j],

@@ -40,6 +40,15 @@ def test_config_validation():
     with pytest.raises(ValueError, match="order 8 needs n_theta >= 17, got 16"):
         ex.ExperimentConfig(n_theta=16, order=8)
     assert ex.ExperimentConfig(n_theta=16, order=7).order == 7
+    for key in ("h_list", "cgo_h_list", "t_list", "delta_list"):
+        with pytest.raises(ValueError, match=f"{key} must not be empty"):
+            ex.ExperimentConfig.from_dict({key: []})
+    with pytest.raises(ValueError, match="n_r, n_theta: n_theta must be a power of two"):
+        ex.ExperimentConfig.from_dict({"n_theta": 100})
+    with pytest.raises(ValueError, match="cgo_n_r, cgo_n_theta: n_theta must be a power of two"):
+        ex.ExperimentConfig.from_dict({"cgo_n_theta": 100})
+    with pytest.raises(ValueError, match="annulus requires r_inner > 0"):
+        ex.ExperimentConfig.from_dict({"domain": {"kind": "annulus"}})
     # every field is a valid key
     cfg = ex.ExperimentConfig.from_dict(json.loads(ex.ExperimentConfig().canonical()))
     assert cfg == ex.ExperimentConfig()

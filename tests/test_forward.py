@@ -126,6 +126,52 @@ def test_residual_independent_of_later_solves():
     assert op.residual(u1) < 1e-8
 
 
+@pytest.mark.parametrize("domain", [geo.disk(1.0), geo.annulus(0.5, 1.5)], ids=["disk", "annulus"])
+def test_solve_matches_dense_system(domain):
+    """The block sweep against a dense solve of the unreduced interior
+    equations (on a disk with the center unknown and its equation), and
+    the one-solve pair builder against the two single builders."""
+    g = geo.PolarGrid(domain, 10, 16)
+    X, alpha = smooth_real_connection(g)
+    q = geo.ScalarField(g, 0.3 * np.exp(-2 * np.abs(g.nodes - 0.2) ** 2))
+    pot = fw.PotentialPair(X, q)
+    op = fw.assemble(pot)
+    n_t, J = g.n_theta, len(op.int_rings)
+    rng = np.random.default_rng(3)
+    f = {r: rng.standard_normal(n_t) + 1j * rng.standard_normal(n_t) for r in g.boundary_rings}
+
+    disk = domain.kind == "disk"
+    c = 1 if disk else 0  # dense index of ring block a starts at c + a n_t
+    A = np.zeros((c + J * n_t,) * 2, dtype=complex)
+    b = np.zeros(c + J * n_t, dtype=complex)
+    for a in range(J):
+        rows = slice(c + a * n_t, c + (a + 1) * n_t)
+        A[rows, rows] = op._block(a)
+        if a > 0:
+            A[rows, c + (a - 1) * n_t : c + a * n_t] = np.diag(op.lo[a])
+        elif disk:
+            A[rows, 0] = op.lo[0]
+        else:
+            b[rows] -= op.lo[0] * f[0]
+        if a < J - 1:
+            A[rows, c + (a + 1) * n_t : c + (a + 2) * n_t] = np.diag(op.hi[a])
+        else:
+            b[rows] -= op.hi[a] * f[g.n_r - 1]
+    if disk:
+        A[0, 0] = op.center_diag
+        A[0, 1 : 1 + n_t] = op.center_row
+    want = np.linalg.solve(A, b)[c:].reshape(J, n_t)
+    got = op.solve(f).values
+    assert np.max(np.abs(got[op.int_rings] - want)) <= 1e-12 * np.max(np.abs(want))
+    for r in g.boundary_rings:
+        assert np.array_equal(got[r], f[r])
+
+    F = geo.ScalarField(g, np.exp(1j * alpha))
+    d, dsys = fw.dtn_and_diagonalized_system_dtn(pot, F, 4, operator=op)
+    assert np.array_equal(d.matrix, fw.dtn(pot, 4, operator=op).matrix)
+    assert np.array_equal(dsys.matrix, fw.diagonalized_system_dtn(pot, F, 4, operator=op).matrix)
+
+
 def test_solve_annulus_harmonic():
     g = geo.PolarGrid(geo.annulus(0.5, 1.5), 96, 64)
     z = np.zeros(g.shape)
