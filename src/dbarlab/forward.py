@@ -505,14 +505,11 @@ def diagonalized_system_dtn(
 
 
 def dtn_and_diagonalized_system_dtn(
-    pot: PotentialPair,
-    F: ScalarField,
-    order: int,
-    operator: MagneticOperator | None = None,
+    pot: PotentialPair, F: ScalarField, order: int
 ) -> tuple[DtnMatrix, DtnMatrix]:
     """`dtn` and `diagonalized_system_dtn` from one solve of the unit
     Fourier data."""
-    jet = _unit_fourier_response(pot, order, operator)
+    jet = _unit_fourier_response(pot, order, None)
     return _dtn_of_jet(pot, order, jet), _diagonalized_of_jet(pot, F, order, jet)
 
 

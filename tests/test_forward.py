@@ -167,7 +167,7 @@ def test_solve_matches_dense_system(domain):
         assert np.array_equal(got[r], f[r])
 
     F = geo.ScalarField(g, np.exp(1j * alpha))
-    d, dsys = fw.dtn_and_diagonalized_system_dtn(pot, F, 4, operator=op)
+    d, dsys = fw.dtn_and_diagonalized_system_dtn(pot, F, 4)
     assert np.array_equal(d.matrix, fw.dtn(pot, 4, operator=op).matrix)
     assert np.array_equal(dsys.matrix, fw.diagonalized_system_dtn(pot, F, 4, operator=op).matrix)
 
