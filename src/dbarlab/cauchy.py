@@ -37,10 +37,10 @@ Comput. 13 (1992) 1418-1432): a source weight times a power of the radius
 ratio.  The far field is then two radial recurrences, outward over the
 rings inside the target circle and inward over those outside, stepped by
 ratio powers so nothing overflows.  An apply is FFT, the window
-contraction, the two sweeps and the inverse FFT: O(n_r n_theta width)
-work and memory, where width is the widest window, after an
-O(n_r n_theta width log n_theta) setup.  It matches the direct double sum
-to roundoff.
+contraction, the two sweeps and the inverse FFT: O(n_theta sum_j width_j)
+work and memory, where width_j is ring j's own window, after an
+O(n_theta log n_theta sum_j width_j) setup.  It matches the direct double
+sum to roundoff.
 
 Normalization is calibrated so the right-inverse identities hold exactly
 in the continuum: ``dbar(dbar_inverse(omega)) = omega`` and
@@ -179,11 +179,12 @@ class CauchyKernelTable:
     (target ring, source ring, angular offset) whose cell the product rule
     misses, the difference between the accurate cell integral and the
     product-rule term.  Target ring j reads the source rings
-    [start_j, start_j + width) through exact mode tables, the angular FFT
-    of the product rule plus this list, stored as (width, n_r, n_theta);
-    the rings outside its window are summed by the two far-field sweeps,
-    whose per-ring weights and ratio-power steps depend only on the grid.
-    Everything is built here, once.
+    [start_j, start_j + width_j) through exact mode tables, the angular FFT
+    of the product rule plus this list.  They are stored per window offset
+    k: one (rows_k, n_theta) array for the slice of target rings whose
+    window reaches offset k.  The rings outside a ring's window are summed
+    by the two far-field sweeps, whose per-ring weights and ratio-power
+    steps depend only on the grid.  Everything is built here, once.
     """
 
     def __init__(self, grid: PolarGrid):
@@ -223,6 +224,12 @@ class CauchyKernelTable:
 
         self._build_window_tables(self._build_near_field())
         self._build_far_field()
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the arrays the table holds."""
+        arrays = [v for v in vars(self).values() if isinstance(v, np.ndarray)]
+        return sum(a.nbytes for a in arrays) + sum(t.nbytes for t in self._tables)
 
     # -- quadrature pieces ----------------------------------------------------
 
@@ -290,8 +297,11 @@ class CauchyKernelTable:
         Ring j's window holds every source ring of its entries in `near`
         and every ring m with |ln(r_m/r_j)| <= L/n_theta, L = -ln(eps);
         outside it (r_m/r_j)^(+-n_theta) < eps, so the aliased modes of the
-        sampled kernel are below roundoff.  All windows share the widest
-        span, shifted inward where they would pass the outer ring."""
+        sampled kernel are below roundoff.  The widths are raised to the
+        smallest profile that rises and then falls in j, and windows are
+        shifted inward where they would pass the outer ring.  The rings
+        whose window has an offset k then form one slice [a_k, b_k), and
+        offset k's tables are one (b_k - a_k, n_theta) array."""
         g = self.grid
         n_r, n_t = g.shape
         r = g.r
@@ -300,17 +310,26 @@ class CauchyKernelTable:
         hi = np.searchsorted(r, r * reach, side="right") - 1
         np.minimum.at(lo, near["tgt"], near["src"])
         np.maximum.at(hi, near["tgt"], near["src"])
-        width = int(np.max(hi - lo + 1))
+        need = hi - lo + 1
+        width = np.minimum(np.maximum.accumulate(need), np.maximum.accumulate(need[::-1])[::-1])
+        self._width = width
         self._start = np.minimum(lo, n_r - width)
-        self._tables = np.empty((width, n_r, n_t), dtype=complex)
+        # rows [a_k, b_k) of the rings whose window reaches offset k
+        self._rows = np.array(
+            [np.flatnonzero(width > k)[[0, -1]] + [0, 1] for k in range(width.max())]
+        )
+        sizes = self._rows[:, 1] - self._rows[:, 0]
+        self._tables = np.split(np.empty((sizes.sum(), n_t), dtype=complex), np.cumsum(sizes)[:-1])
         bounds = np.searchsorted(near["tgt"], np.arange(n_r + 1))
-        for j, s0 in enumerate(self._start):
-            ker = self._product_rule(r[j], np.arange(s0, s0 + width)[:, None], g.theta)
+        for j, (s0, w) in enumerate(zip(self._start, width)):
+            ker = self._product_rule(r[j], np.arange(s0, s0 + w)[:, None], g.theta)
             ker[j - s0, 0] = 0.0  # singular self entry; its cell is in `near`
             nj = near[bounds[j] : bounds[j + 1]]
             np.add.at(ker, (nj["src"] - s0, nj["off"]), nj["val"])
             # correlation sum_k F_k g_{k-l} has Fourier symbol fhat_m * ghat_{-m}
-            self._tables[:, j] = n_t * np.fft.ifft(ker, axis=1)
+            tab = n_t * np.fft.ifft(ker, axis=1)
+            for k in range(w):
+                self._tables[k][j - self._rows[k, 0]] = tab[k]
 
     def _build_far_field(self) -> None:
         """Weights and ratio-power steps of the far-field sweeps.
@@ -337,7 +356,7 @@ class CauchyKernelTable:
         self._step_out = ratio**e_out
         # jumps from the last ring below a window and the first ring above
         # it to the target; zero where the window reaches the grid's edge
-        end = self._start + len(self._tables)
+        end = self._start + self._width
         self._below = np.maximum(self._start - 1, 0)
         self._above = np.minimum(end, n_r - 1)
         self._jump_in = (r[self._below] / r)[:, None] ** e_in * (self._start > 0)[:, None]
@@ -350,8 +369,8 @@ class CauchyKernelTable:
         g = self.grid
         fhat = np.fft.fft(np.asarray(fvals, dtype=complex), axis=1)
         prod = np.zeros(g.shape, dtype=complex)
-        for k, tbl in enumerate(self._tables):
-            prod += tbl * fhat[self._start + k]
+        for k, ((a, b), tbl) in enumerate(zip(self._rows, self._tables)):
+            prod[a:b] += tbl * fhat[self._start[a:b] + k]
         # far field: inside[i] sums rings m <= i scaled to ring i, outside[i]
         # rings m >= i; only rings some window leaves out are swept
         inside = self._w_in * fhat

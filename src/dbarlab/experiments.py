@@ -516,10 +516,11 @@ def run_stationary_phase(cfg: ExperimentConfig, out="out") -> dict:
     u = geo.ScalarField(
         g, np.exp(-6 * np.abs(Z - (0.15 + 0.08j) * cfg.r_outer) ** 2 / cfg.r_outer**2)
     ) * win
+    osc = ph.OscillatoryIntegral(u, psi)
     rows = []
     ints, resids = [], []
     for h in cfg.h_list:
-        r = ph.stationary_phase_eval(u, psi, h, mode="leading")
+        r = osc.eval(h, mode="leading")
         rows.append(
             [
                 h,

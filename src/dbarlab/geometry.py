@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.interpolate import RectBivariateSpline
 
 __all__ = [
@@ -139,6 +140,10 @@ def _fornberg_weights(x0: float, x: np.ndarray, m: int) -> np.ndarray:
     return c[:, m]
 
 
+# grid nodes per block of the radial-derivative stencil gather
+_DIFF_R_BLOCK = 8192
+
+
 # 4th-order Gregory end corrections for the composite trapezoid rule;
 # exact through cubic integrands.
 _GREGORY_EDGE = np.array([3.0 / 8.0, 7.0 / 6.0, 23.0 / 24.0])
@@ -204,8 +209,7 @@ class PolarGrid:
         self._ik1 = 1j * np.where(np.abs(m) == n_theta // 2, 0.0, m)
         self._mk2 = -(m**2)
 
-        self._d1 = None
-        self._d2 = None
+        self._stencils = None
         for a in (self.r, self.theta, self.nodes, self.weights):
             a.setflags(write=False)
 
@@ -246,9 +250,12 @@ class PolarGrid:
         rolled = np.roll(values[:n_ghost], self.n_theta // 2, axis=1)
         return np.concatenate([rolled[::-1], values], axis=0)
 
-    def _radial_matrices(self):
-        if self._d1 is not None:
-            return self._d1, self._d2
+    def _radial_stencils(self):
+        """6-point radial stencils: the first ring of each node's stencil
+        (counting the ghost rings of a disk) and its weights for the first
+        and second derivative, (n_r, 6) each."""
+        if self._stencils is not None:
+            return self._stencils
         if self.domain.kind == "disk":
             x = np.concatenate([-self.r[3::-1], self.r])
             off = 4
@@ -257,21 +264,30 @@ class PolarGrid:
             off = 0
         n = self.n_r
         width = 6
-        d1 = np.zeros((n, len(x)))
-        d2 = np.zeros((n, len(x)))
+        j = np.arange(n) + off
+        lo = np.clip(j - width // 2, 0, len(x) - width)
+        d1 = np.empty((n, width))
+        d2 = np.empty((n, width))
         for i in range(n):
-            j = i + off
-            lo = min(max(j - width // 2, 0), len(x) - width)
-            sel = np.arange(lo, lo + width)
-            d1[i, sel] = _fornberg_weights(x[j], x[sel], 1)
-            d2[i, sel] = _fornberg_weights(x[j], x[sel], 2)
-        self._d1, self._d2 = d1, d2
-        return d1, d2
+            sel = x[lo[i] : lo[i] + width]
+            d1[i] = _fornberg_weights(x[j[i]], sel, 1)
+            d2[i] = _fornberg_weights(x[j[i]], sel, 2)
+        self._stencils = lo, d1, d2
+        return self._stencils
 
     def diff_r(self, values: np.ndarray, order: int = 1) -> np.ndarray:
-        d1, d2 = self._radial_matrices()
+        lo, d1, d2 = self._radial_stencils()
+        w = d1 if order == 1 else d2
         v = self._ghost_extend(values) if self.domain.kind == "disk" else values
-        return (d1 if order == 1 else d2) @ v
+        rows = sliding_window_view(v, w.shape[1], axis=0)
+        out = np.empty(self.shape, dtype=np.result_type(v, w))
+        # gather the (rings, n_theta, 6) stencil rows a block of rings at a
+        # time, so the temporary stays small whatever the grid
+        step = max(1, _DIFF_R_BLOCK // self.n_theta)
+        for a in range(0, self.n_r, step):
+            s = slice(a, a + step)
+            out[s] = (rows[lo[s]] @ w[s, :, None])[..., 0]
+        return out
 
     def diff_theta(self, values: np.ndarray, order: int = 1) -> np.ndarray:
         vhat = np.fft.fft(values, axis=1)

@@ -16,6 +16,7 @@ frozen below.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -37,6 +38,7 @@ __all__ = [
     "squared_phase",
     "exclusion_set",
     "StationaryPhaseResult",
+    "OscillatoryIntegral",
     "stationary_phase_eval",
     "bump_window",
     "LEADING_COEFFICIENT",
@@ -301,6 +303,82 @@ def _inside_support(grid: PolarGrid, p: complex, mask: np.ndarray) -> bool:
     return bool(mask[j])
 
 
+class OscillatoryIntegral:
+    """Oscillatory integral of u e^{2 i psi / h} over the domain, for any h.
+
+    Holds the work that does not depend on h: the support checks, the
+    critical point and its Hessian, and the W^{2,inf}-type amplitude size
+    of the envelope.  The amplitude must vanish at the boundary (compact
+    support) and its support must contain exactly one critical point of
+    psi.  The samples u(z_hat) and psi(z_hat) of the leading term are
+    interpolated on the first ``mode='leading'`` evaluation.
+    """
+
+    def __init__(
+        self,
+        u: ScalarField,
+        psi: ScalarField,
+        phase: HolomorphicPhase | None = None,
+        support_tol: float = 1e-6,
+    ):
+        g = u.grid
+        g.check_same(psi.grid)
+        amax = u.max_abs()
+        if amax > 0:
+            edge = np.abs(u.values[g.boundary_rings, :]).max()
+            if edge > 1e-4 * amax:
+                raise ValueError("amplitude is not compactly supported in the interior")
+        support = np.abs(u.values) > support_tol * max(amax, 1e-300)
+
+        pts, hess_of = _locate_critical_point(psi, support, phase)
+        if len(pts) != 1:
+            raise ValueError(
+                f"support must contain exactly one critical point of psi, found {len(pts)}"
+            )
+        self.z_hat = pts[0]
+        self.hessian = hess_of(self.z_hat)
+        if self.hessian <= 0:
+            raise ValueError("critical point of psi is degenerate")
+
+        # W^{2,inf}-type amplitude size for the envelope report
+        du = wirtinger(u, "dz")
+        d2 = wirtinger(ScalarField(g, du.c10), "dz")
+        self.w2 = max(amax, 2 * np.abs(du.c10).max(), 4 * np.abs(d2.c10).max())
+        self.u, self.psi = u, psi
+
+    @functools.cached_property
+    def _leading_samples(self) -> tuple[complex, float]:
+        g = self.u.grid
+        u_at = Interpolator(g, self.u.values)(self.z_hat)
+        psi_at = Interpolator(g, self.psi.values.real)(self.z_hat).real
+        return u_at, psi_at
+
+    def eval(self, h: float, mode: str = "bound") -> StationaryPhaseResult:
+        """``mode='bound'`` returns the integral together with the
+        first-order envelope C h / delta_eff; ``mode='leading'`` also
+        returns the calibrated leading term and the measured residual after
+        subtracting it."""
+        if h <= 0:
+            raise ValueError("h must be positive")
+        g = self.u.grid
+        integrand = self.u.values * np.exp(2j * self.psi.values.real / h)
+        integral = complex(np.sum(g.weights * integrand))
+        delta_eff = math.sqrt(self.hessian)
+        bound = BOUND_COEFFICIENT * h / delta_eff * self.w2
+
+        if mode == "bound":
+            return StationaryPhaseResult(integral, h, self.z_hat, self.hessian, bound)
+        if mode != "leading":
+            raise ValueError(f"mode must be 'bound' or 'leading', got {mode!r}")
+
+        u_at, psi_at = self._leading_samples
+        leading = LEADING_COEFFICIENT * h * u_at * cmath.exp(2j * psi_at / h) / self.hessian
+        residual = abs(integral - leading)
+        return StationaryPhaseResult(
+            integral, h, self.z_hat, self.hessian, bound, leading, residual
+        )
+
+
 def stationary_phase_eval(
     u: ScalarField,
     psi: ScalarField,
@@ -309,55 +387,11 @@ def stationary_phase_eval(
     phase: HolomorphicPhase | None = None,
     support_tol: float = 1e-6,
 ) -> StationaryPhaseResult:
-    """Oscillatory integral of u e^{2 i psi / h} over the domain.
-
-    ``mode='bound'`` returns the integral together with the first-order
-    envelope C h / delta_eff; ``mode='leading'`` also returns the
-    calibrated leading term and the measured residual after subtracting
-    it.  The amplitude must vanish at the boundary (compact support) and
-    its support must contain exactly one critical point of psi.
-    """
+    """Oscillatory integral of u e^{2 i psi / h} over the domain at one h;
+    see `OscillatoryIntegral` for the modes and the requirements on u."""
     if h <= 0:
         raise ValueError("h must be positive")
-    g = u.grid
-    g.check_same(psi.grid)
-    amax = u.max_abs()
-    if amax > 0:
-        edge = np.abs(u.values[g.boundary_rings, :]).max()
-        if edge > 1e-4 * amax:
-            raise ValueError("amplitude is not compactly supported in the interior")
-    support = np.abs(u.values) > support_tol * max(amax, 1e-300)
-
-    pts, hess_of = _locate_critical_point(psi, support, phase)
-    if len(pts) != 1:
-        raise ValueError(
-            f"support must contain exactly one critical point of psi, found {len(pts)}"
-        )
-    z_hat = pts[0]
-    hess = hess_of(z_hat)
-    if hess <= 0:
-        raise ValueError("critical point of psi is degenerate")
-
-    integrand = u.values * np.exp(2j * psi.values.real / h)
-    integral = complex(np.sum(g.weights * integrand))
-
-    # W^{2,inf}-type amplitude size for the envelope report
-    du = wirtinger(u, "dz")
-    d2 = wirtinger(ScalarField(g, du.c10), "dz")
-    w2 = max(amax, 2 * np.abs(du.c10).max(), 4 * np.abs(d2.c10).max())
-    delta_eff = math.sqrt(hess)
-    bound = BOUND_COEFFICIENT * h / delta_eff * w2
-
-    if mode == "bound":
-        return StationaryPhaseResult(integral, h, z_hat, hess, bound)
-    if mode != "leading":
-        raise ValueError(f"mode must be 'bound' or 'leading', got {mode!r}")
-
-    u_at = Interpolator(g, u.values)(z_hat)
-    psi_at = Interpolator(g, psi.values.real)(z_hat).real
-    leading = LEADING_COEFFICIENT * h * u_at * cmath.exp(2j * psi_at / h) / hess
-    residual = abs(integral - leading)
-    return StationaryPhaseResult(integral, h, z_hat, hess, bound, leading, residual)
+    return OscillatoryIntegral(u, psi, phase, support_tol).eval(h, mode)
 
 
 def fit_loglog_slope(x: np.ndarray, y: np.ndarray) -> float:

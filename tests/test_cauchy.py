@@ -158,7 +158,7 @@ def test_far_field_modes_are_separable(r_inner, n_r, n_theta, data):
     g = geo.PolarGrid(domain, n_r, n_theta)
     tbl = cau.CauchyKernelTable(g)
     j = data.draw(st.integers(0, n_r - 1))
-    start, stop = tbl._start[j], tbl._start[j] + len(tbl._tables)
+    start, stop = tbl._start[j], tbl._start[j] + tbl._width[j]
     n = np.arange(n_theta)
     r = g.r
     for m in [*range(start), *range(stop, n_r)]:
@@ -168,6 +168,50 @@ def test_far_field_modes_are_separable(r_inner, n_r, n_theta, data):
         else:
             want = tbl._w_out[m] * (r[j] / r[m]) ** ((n - 1) % n_theta)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(st.just(0.0), st.floats(0.05, 0.8)),
+    st.integers(8, 96),
+    st.sampled_from([8, 16, 32, 64, 128, 256]),
+)
+def test_window_covers_ratio_range_and_near_field(r_inner, n_r, n_theta):
+    """Each target ring's own window holds every source ring within a radius
+    ratio of e^(+-L/n_theta), L = -ln(eps), and every source ring of its
+    near-field corrections; offset k's table has one row per ring whose
+    window reaches offset k, so the table holds sum_j width_j * n_theta
+    entries."""
+    domain = geo.annulus(r_inner, 1.0) if r_inner else geo.disk(1.0)
+    g = geo.PolarGrid(domain, n_r, n_theta)
+    tbl = cau.CauchyKernelTable(g)
+    start, stop = tbl._start, tbl._start + tbl._width
+    assert np.all(start >= 0) and np.all(stop <= n_r)
+    m = np.arange(n_r)
+    inside = (m >= start[:, None]) & (m < stop[:, None])
+    log_ratio = np.abs(np.log(g.r[None, :] / g.r[:, None]))
+    assert np.all(inside[log_ratio <= -np.log(np.finfo(float).eps) / n_theta])
+    near = tbl._build_near_field()
+    assert np.all(inside[near["tgt"], near["src"]])
+    for k, ((a, b), t) in enumerate(zip(tbl._rows, tbl._tables)):
+        assert np.array_equal(np.flatnonzero(tbl._width > k), np.arange(a, b))
+        assert t.shape == (b - a, n_theta)
+    assert sum(t.size for t in tbl._tables) == tbl._width.sum() * n_theta
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        geo.PolarGrid(geo.disk(1.0), 352, 256),  # the widest grid of the right-inverse ladder
+        cau.extend_grid(geo.PolarGrid(geo.disk(0.5), 144, 1024))[0],  # criterion 4's CGO grid
+    ],
+    ids=["352x256", "152x1024"],
+)
+def test_table_bytes_held(grid):
+    """Per-ring windows keep these tables under 75 MiB (about 124 and 140 MiB
+    when every ring stored the widest window)."""
+    tbl = cau.kernel_table(grid)
+    assert sum(t.nbytes for t in tbl._tables) < tbl.nbytes <= 75 * 2**20
 
 
 # -- dbar_inverse -----------------------------------------------------------------

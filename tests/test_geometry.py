@@ -63,6 +63,43 @@ def test_fornberg_weights_exact_on_polynomials(ks, h, k0, m, data):
     assert abs(terms.sum() - want) <= 1e-12 * max(np.abs(terms).sum(), 1.0)
 
 
+def _dense_diff_r(g, values, order):
+    """Reference radial derivative: a dense (n_r x n_nodes) matrix of the
+    6-point Fornberg stencils, on the disk over the rings continued through
+    the center, value at (-r, t) = value at (r, t + pi)."""
+    if g.domain.kind == "disk":
+        x = np.concatenate([-g.r[3::-1], g.r])
+        ghosts = np.roll(values[3::-1], g.n_theta // 2, axis=1)
+        values = np.concatenate([ghosts, values])
+    else:
+        x = g.r
+    off = len(x) - g.n_r
+    mat = np.zeros((g.n_r, len(x)))
+    for i in range(g.n_r):
+        lo = min(max(i + off - 3, 0), len(x) - 6)
+        mat[i, lo : lo + 6] = geo._fornberg_weights(x[i + off], x[lo : lo + 6], order)
+    return mat @ values
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(st.just(0.0), st.floats(0.05, 0.8)),
+    st.integers(6, 300),
+    st.sampled_from([8, 16, 32]),
+    st.sampled_from([1, 2]),
+    st.integers(0, 2**32 - 1),
+)
+def test_banded_diff_r_matches_dense_stencils(r_inner, n_r, n_theta, order, seed):
+    domain = geo.annulus(r_inner, 1.0) if r_inner else geo.disk(1.0)
+    g = geo.PolarGrid(domain, n_r, n_theta)
+    rng = np.random.default_rng(seed)
+    f = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+    want = _dense_diff_r(g, f, order)
+    got = g.diff_r(f, order)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("dom", [geo.disk(1.0), geo.annulus(0.5, 1.5), geo.disk(0.7, 0.3 + 0.1j)])
 def test_quadrature_weights_match_area(dom):
     g = geo.PolarGrid(dom, 256, 256)

@@ -173,6 +173,27 @@ def test_slopes_on_reference_phase():
     assert 1.7 <= ph.fit_loglog_slope(hs, resids) <= 2.3
 
 
+@pytest.mark.parametrize("phase", [False, True], ids=["located", "phase-object"])
+def test_oscillatory_integral_matches_single_eval(phase):
+    """One OscillatoryIntegral serves every h and gives bit for bit what
+    stationary_phase_eval gives for each h on its own."""
+    g = geo.PolarGrid(geo.disk(1.0), 128, 128)
+    base = ph.base_phase(0.0)
+    psi = base.im_field(g)
+    win = ph.bump_window(g, 0.0, 0.6)
+    u = geo.ScalarField(g, np.exp(-6 * np.abs(g.nodes - 0.15 - 0.08j) ** 2)) * win
+    kw = {"phase": base} if phase else {}
+    osc = ph.OscillatoryIntegral(u, psi, **kw)
+    for h in (0.2, 0.1, 0.05, 0.025):
+        for mode in ("bound", "leading"):
+            want = ph.stationary_phase_eval(u, psi, h, mode, **kw)
+            assert repr(osc.eval(h, mode)) == repr(want)
+    with pytest.raises(ValueError):
+        osc.eval(0.0)
+    with pytest.raises(ValueError):
+        osc.eval(0.1, mode="exact")
+
+
 def test_located_critical_point_matches_phase_object():
     g = geo.PolarGrid(geo.disk(1.0), 256, 256)
     b = ph.base_phase(0.0)
