@@ -105,6 +105,13 @@ def _edge_segment(w, p, q):
     return np.conj(e) + np.where(degenerate, 0.0, log_term)
 
 
+def _log1p(z):
+    """log(1 + z) for complex z, accurate as |z| -> 0 (numpy's complex
+    log1p forms 1 + z and loses the low digits of small z)."""
+    x, y = z.real, z.imag
+    return 0.5 * np.log1p(x * (2.0 + x) + y * y) + 1j * np.arctan2(y, 1.0 + x)
+
+
 def _edge_arc(w, rho, t_a, t_b):
     """Contribution of the circular arc rho*e^{i t}, t from t_a to t_b, to
     the contour integral of (zeta_bar - w_bar)/(zeta - w) dzeta; broadcasts
@@ -125,6 +132,12 @@ def _edge_arc(w, rho, t_a, t_b):
         turn = np.where((np.abs(w) < rho) & past_chord, 2j * np.pi * np.sign(t_b - t_a), 0.0)
         has_log = np.abs(B) > 1e-13 * rho * (np.abs(w) + rho)
         total = np.where(has_log, total + B * (np.log((zb - w) / (za - w)) + turn), total)
+        # A and B ~ rho^2/w cancel as |w| << rho.  There the continuous log
+        # is i (t_b - t_a) + log1p(-w/zb) - log1p(-w/za), the last two one
+        # log1p of w (zb - za) / (zb (za - w)); with A + B = -w_bar, B times
+        # that log1p stays O(rho)
+        near = -np.conj(w) * 1j * (t_b - t_a) + B * _log1p(w * (zb - za) / (zb * (za - w)))
+        total = np.where(2.0 * np.abs(w) < rho, near, total)
         return np.where(at_center, rho**2 * (1.0 / za - 1.0 / zb), total)
 
 

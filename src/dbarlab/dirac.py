@@ -479,14 +479,19 @@ def boundary_pairing(U: SigmaSection, Up: SigmaSection) -> complex:
     g = U.grid
     g.check_same(Up.grid)
     eit = np.exp(1j * g.theta)
+    return _boundary_sum(
+        g,
+        lambda ring: U.u.values[ring] * np.conj(Up.omega.c01[ring]) * eit
+        - U.omega.c01[ring] * np.conj(eit) * np.conj(Up.u.values[ring]),
+    )
+
+
+def _boundary_sum(g: PolarGrid, integrand) -> complex:
+    """Sum over the boundary circles, with their orientation, of the
+    rectangle rule R dtheta sum(integrand(ring)) on each circle."""
     total = 0.0 + 0.0j
     for ring, sign in zip(g.boundary_rings, g.boundary_signs()):
-        R = g.r[ring]
-        integrand = (
-            U.u.values[ring] * np.conj(Up.omega.c01[ring]) * eit
-            - U.omega.c01[ring] * np.conj(eit) * np.conj(Up.u.values[ring])
-        )
-        total += sign * R * g.dtheta * np.sum(integrand)
+        total += sign * g.r[ring] * g.dtheta * np.sum(integrand(ring))
     return complex(total)
 
 
@@ -533,13 +538,9 @@ def auxiliary_functional(
     interior = 1j * two.integrate()
 
     eit = np.exp(1j * g.theta)
-    boundary = 0.0 + 0.0j
-    for ring, sign in zip(g.boundary_rings, g.boundary_signs()):
-        R = g.r[ring]
-        vals = G[ring] * a.values[ring] * np.conj(b.c01[ring]) * eit
-        boundary += sign * R * g.dtheta * np.sum(vals)
+    boundary = _boundary_sum(g, lambda ring: G[ring] * a.values[ring] * np.conj(b.c01[ring]) * eit)
     return {
         "interior": complex(interior),
-        "boundary": complex(boundary),
-        "difference": abs(complex(interior) - complex(boundary)),
+        "boundary": boundary,
+        "difference": abs(complex(interior) - boundary),
     }

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
@@ -34,7 +34,6 @@ from .geometry import (
     OneForm,
     PolarGrid,
     ScalarField,
-    _fornberg_weights,
     codiff,
     dbar_star,
     exterior_d,
@@ -130,14 +129,6 @@ class DtnMatrix:
     order: int
     circles: tuple
     matrix: np.ndarray
-
-    @property
-    def n_modes(self) -> int:
-        return 2 * self.order + 1
-
-    def block(self, ci: int, cj: int) -> np.ndarray:
-        m = self.n_modes
-        return self.matrix[ci * m : (ci + 1) * m, cj * m : (cj + 1) * m]
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +314,6 @@ def assemble(pot: PotentialPair, condition_limit: float = 1e12) -> MagneticOpera
 def solve_dirichlet(
     pot: PotentialPair,
     f: np.ndarray | dict[int, np.ndarray],
-    operator: MagneticOperator | None = None,
     allow_perturbation: bool = True,
 ) -> ScalarField:
     """Solve L u = 0 with Dirichlet data f (samples per boundary circle).
@@ -334,7 +324,7 @@ def solve_dirichlet(
     g = pot.grid
     boundary = _boundary_dict(g, f)
     try:
-        op = operator if operator is not None else assemble(pot)
+        op = assemble(pot)
     except EigenvalueCollision as exc:
         if not allow_perturbation:
             raise
@@ -360,22 +350,6 @@ def _boundary_dict(g: PolarGrid, f) -> dict[int, np.ndarray]:
 # boundary data
 # ---------------------------------------------------------------------------
 
-_DERIV_STENCIL_WIDTH = 6
-
-
-def _boundary_jet(g: PolarGrid, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Trace and one-sided high-order radial derivative of values (n_r,
-    n_theta, K) on the boundary circles, each of shape (n_circles, n_theta, K)."""
-    n_r = g.n_r
-    w = min(_DERIV_STENCIL_WIDTH, n_r)
-    d_r = []
-    for ring in g.boundary_rings:
-        sel = np.arange(n_r - w, n_r) if ring == n_r - 1 else np.arange(0, w)
-        wts = _fornberg_weights(g.r[ring], g.r[sel], 1)
-        d_r.append(np.tensordot(wts, values[sel], axes=1))
-    return values[list(g.boundary_rings)], np.stack(d_r)
-
-
 def _magnetic_normal(pot: PotentialPair, trace: np.ndarray, d_r: np.ndarray) -> np.ndarray:
     """d_nu u + i X(nu) u on the boundary circles from the jet of u."""
     g = pot.grid
@@ -389,8 +363,8 @@ def _magnetic_normal(pot: PotentialPair, trace: np.ndarray, d_r: np.ndarray) -> 
 def _omega01_pullback(pot: PotentialPair, trace: np.ndarray, d_r: np.ndarray) -> np.ndarray:
     """Arclength-normalized pullback of star omega on the boundary circles,
     omega_01 e^{-i theta} with omega_01 = d_zbar u + i A_01 u, from the jet
-    of u.  On grids of six or more rings this is `PolarGrid.d_zbar`: its
-    radial stencil at a boundary circle is the jet's one-sided stencil."""
+    of u: the boundary rows of `PolarGrid.d_zbar` u + i A_01 u, since the
+    jet's radial derivative is the boundary row of `diff_r`."""
     g = pot.grid
     rings = list(g.boundary_rings)
     A01 = project(pot.X, "p01").c01[rings][:, :, None]
@@ -405,103 +379,80 @@ def neumann_data(pot: PotentialPair, u: ScalarField) -> dict[int, np.ndarray]:
     """Magnetic normal derivative d_nu u + i X(nu) u on each boundary circle,
     with the outward normal (inner circle of an annulus points inward)."""
     g = pot.grid
-    rows = _magnetic_normal(pot, *_boundary_jet(g, u.values[:, :, None]))
+    rows = _magnetic_normal(pot, *g.boundary_jet(u.values[:, :, None]))
     return dict(zip(g.boundary_rings, rows[:, :, 0]))
 
 
-def _trace_from_samples(g: PolarGrid, samples_by_ring: dict[int, np.ndarray], order: int) -> BoundaryTrace:
-    rows = np.stack([samples_by_ring[ring] for ring in g.boundary_rings])
-    return trace_from_samples(rows, order)
-
-
-def cauchy_pair(
-    pot: PotentialPair,
-    f,
-    order: int,
-    operator: MagneticOperator | None = None,
-) -> CauchyPair:
+def cauchy_pair(pot: PotentialPair, f, order: int) -> CauchyPair:
     """Solve with Dirichlet data f and package (f, magnetic Neumann data)
     as truncated Fourier traces."""
-    g = pot.grid
-    boundary = _boundary_dict(g, f)
-    u = solve_dirichlet(pot, boundary, operator=operator)
-    gdata = neumann_data(pot, u)
+    rings = pot.grid.boundary_rings
+    boundary = _boundary_dict(pot.grid, f)
+    gdata = neumann_data(pot, solve_dirichlet(pot, boundary))
     return CauchyPair(
-        f=_trace_from_samples(g, boundary, order),
-        g=_trace_from_samples(g, gdata, order),
+        f=trace_from_samples(np.stack([boundary[r] for r in rings]), order),
+        g=trace_from_samples(np.stack([gdata[r] for r in rings]), order),
     )
 
 
-def _unit_fourier_response(
-    pot: PotentialPair, order: int, operator: MagneticOperator | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Boundary jet (`_boundary_jet`) of the solutions for the unit Fourier
-    data, all from one batched solve: column cj * (2 order + 1) + k holds
-    datum e^{i n theta}, n = k - order, on circle cj (zero on the others)."""
+def _unit_fourier_response(pot: PotentialPair, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Boundary jet (`PolarGrid.boundary_jet`) of the solutions for the unit
+    Fourier data, all from one batched solve: column cj * (2 order + 1) + k
+    holds datum e^{i n theta}, n = k - order, on circle cj (zero on the
+    others)."""
     g = pot.grid
     if 2 * order + 1 > g.n_theta:
         raise ValueError("order exceeds the sample bandwidth")
-    op = operator if operator is not None else assemble(pot)
+    op = assemble(pot)
     n_c = len(g.boundary_rings)
     waves = np.exp(1j * np.outer(g.theta, np.arange(-order, order + 1)))
     data = np.kron(np.eye(n_c), waves).reshape(n_c, g.n_theta, -1)
-    return _boundary_jet(g, op._solve_batched(data))
+    return g.boundary_jet(op._solve_batched(data))
 
 
-def _fourier_rows(samples: np.ndarray, order: int) -> np.ndarray:
-    """Coefficients m = -order..order of boundary samples (n_circles,
-    n_theta, K), stacked by circle into rows: shape (n_circles (2 order + 1), K)."""
-    n_t = samples.shape[1]
-    coeffs = np.fft.fft(samples, axis=1) / n_t
-    return coeffs[:, np.arange(-order, order + 1) % n_t].reshape(-1, samples.shape[2])
-
-
-def _dtn_matrix(g: PolarGrid, order: int, matrix: np.ndarray) -> DtnMatrix:
+def _dtn_matrix(g: PolarGrid, order: int, rows: np.ndarray) -> DtnMatrix:
+    """Matrix whose column k stacks, circle by circle, the modes
+    -order..order of the boundary samples rows[:, :, k]."""
     radii = tuple(float(g.r[r]) for r in g.boundary_rings)
-    return DtnMatrix(order=order, circles=radii, matrix=matrix)
+    coeffs = trace_from_samples(rows, order).coeffs
+    return DtnMatrix(order=order, circles=radii, matrix=coeffs.reshape(-1, rows.shape[2]))
 
 
 def _dtn_of_jet(pot: PotentialPair, order: int, jet) -> DtnMatrix:
-    rows = _magnetic_normal(pot, *jet)
-    return _dtn_matrix(pot.grid, order, _fourier_rows(rows, order))
+    return _dtn_matrix(pot.grid, order, _magnetic_normal(pot, *jet))
 
 
 def _diagonalized_of_jet(pot: PotentialPair, F: ScalarField, order: int, jet) -> DtnMatrix:
     g = pot.grid
     trace, d_r = jet
     F_b = F.values[list(g.boundary_rings)][:, :, None]
-    Fm = _fourier_rows(F_b * trace, order)
-    G = _fourier_rows(_omega01_pullback(pot, trace, d_r) / np.conj(F_b), order)
-    return _dtn_matrix(g, order, G @ np.linalg.inv(Fm))
+    Fm = _dtn_matrix(g, order, F_b * trace).matrix
+    G = _dtn_matrix(g, order, _omega01_pullback(pot, trace, d_r) / np.conj(F_b))
+    return replace(G, matrix=G.matrix @ np.linalg.inv(Fm))
 
 
-def dtn(pot: PotentialPair, order: int, operator: MagneticOperator | None = None) -> DtnMatrix:
+def dtn(pot: PotentialPair, order: int) -> DtnMatrix:
     """Truncated DtN matrix: the magnetic Neumann data of the unit Fourier
     response."""
-    return _dtn_of_jet(pot, order, _unit_fourier_response(pot, order, operator))
+    return _dtn_of_jet(pot, order, _unit_fourier_response(pot, order))
 
 
-def system_dtn(pot: PotentialPair, order: int, operator: MagneticOperator | None = None) -> DtnMatrix:
+def system_dtn(pot: PotentialPair, order: int) -> DtnMatrix:
     """Trace matrix of the first-order-system boundary data: for Dirichlet
     datum e^{i n theta} the row data is the arclength-normalized pullback
     of star omega, with omega = (dbar + iA) u the system's second component."""
-    rows = _omega01_pullback(pot, *_unit_fourier_response(pot, order, operator))
-    return _dtn_matrix(pot.grid, order, _fourier_rows(rows, order))
+    rows = _omega01_pullback(pot, *_unit_fourier_response(pot, order))
+    return _dtn_matrix(pot.grid, order, rows)
 
 
-def diagonalized_system_dtn(
-    pot: PotentialPair,
-    F: ScalarField,
-    order: int,
-    operator: MagneticOperator | None = None,
-) -> DtnMatrix:
+def diagonalized_system_dtn(pot: PotentialPair, F: ScalarField, order: int) -> DtnMatrix:
     """Graph map of the diagonalized system's Cauchy data.
 
     The conjugated sections carry traces (F u, pullback of star(conj(F)^{-1}
     omega)); in truncated Fourier space the graph map is G Fm^{-1} with Fm
     the boundary multiplication by F and G the transformed Neumann-side
     columns."""
-    return _diagonalized_of_jet(pot, F, order, _unit_fourier_response(pot, order, operator))
+    return _diagonalized_of_jet(pot, F, order, _unit_fourier_response(pot, order))
 
 
 def dtn_and_diagonalized_system_dtn(
@@ -509,7 +460,7 @@ def dtn_and_diagonalized_system_dtn(
 ) -> tuple[DtnMatrix, DtnMatrix]:
     """`dtn` and `diagonalized_system_dtn` from one solve of the unit
     Fourier data."""
-    jet = _unit_fourier_response(pot, order, None)
+    jet = _unit_fourier_response(pot, order)
     return _dtn_of_jet(pot, order, jet), _diagonalized_of_jet(pot, F, order, jet)
 
 

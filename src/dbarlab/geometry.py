@@ -289,6 +289,19 @@ class PolarGrid:
             out[s] = (rows[lo[s]] @ w[s, :, None])[..., 0]
         return out
 
+    def boundary_jet(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Trace and radial derivative of values (n_r, n_theta, ...) on the
+        boundary circles, each of shape (n_boundary, n_theta, ...): the
+        boundary rows of `diff_r`'s first-derivative stencils."""
+        lo, d1, _ = self._radial_stencils()
+        rings = list(self.boundary_rings)
+        v, first = values, lo[rings] - (4 if self.domain.kind == "disk" else 0)
+        if first.min() < 0:  # a disk of fewer than six rings: through the centre
+            v, first = self._ghost_extend(values), lo[rings]
+        width = d1.shape[1]
+        d_r = [np.tensordot(d1[i], v[a : a + width], axes=1) for i, a in zip(rings, first)]
+        return values[rings], np.stack(d_r)
+
     def diff_theta(self, values: np.ndarray, order: int = 1) -> np.ndarray:
         vhat = np.fft.fft(values, axis=1)
         vhat *= self._ik1 if order == 1 else self._mk2
@@ -332,10 +345,6 @@ class ScalarField:
 
     def __post_init__(self):
         object.__setattr__(self, "values", _as_values(self.grid, self.values))
-
-    @classmethod
-    def from_function(cls, grid: PolarGrid, fn) -> "ScalarField":
-        return cls(grid, fn(grid.nodes))
 
     def conj(self) -> "ScalarField":
         return ScalarField(self.grid, np.conj(self.values))
@@ -443,7 +452,6 @@ class Loop:
     """Closed, ordered polyline of complex sample points."""
 
     samples: np.ndarray
-    closed: bool = True
 
     def __post_init__(self):
         s = np.asarray(self.samples, dtype=complex).copy()
@@ -455,7 +463,6 @@ class Loop:
         s[-1] = s[0]
         s.setflags(write=False)
         object.__setattr__(self, "samples", s)
-        object.__setattr__(self, "closed", True)
 
     @property
     def length(self) -> float:

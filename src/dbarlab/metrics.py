@@ -28,7 +28,6 @@ __all__ = [
     "boundary_norm",
     "pair_distance",
     "ensemble_distance",
-    "system_distance",
     "holomorphic_defect",
     "holo_project",
     "trace_from_samples",
@@ -37,7 +36,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BoundaryTrace:
-    """Fourier coefficients (circles x modes), modes ordered n = -N..N."""
+    """Fourier coefficients (circles x modes), modes ordered n = -N..N.
+    Trailing axes, if any, index a batch of traces."""
 
     order: int
     coeffs: np.ndarray
@@ -55,10 +55,6 @@ class BoundaryTrace:
     @property
     def n_circles(self) -> int:
         return self.coeffs.shape[0]
-
-    @property
-    def modes(self) -> np.ndarray:
-        return np.arange(-self.order, self.order + 1)
 
     def __sub__(self, other: "BoundaryTrace") -> "BoundaryTrace":
         if other.order != self.order or other.n_circles != self.n_circles:
@@ -80,7 +76,8 @@ class BoundaryTrace:
 
 
 def trace_from_samples(samples: np.ndarray, order: int) -> BoundaryTrace:
-    """Truncated Fourier coefficients of per-circle angular samples."""
+    """Truncated Fourier coefficients of per-circle angular samples
+    (circles x angles, then any trailing axes)."""
     s = np.asarray(samples, dtype=complex)
     if s.ndim == 1:
         s = s[None, :]
@@ -88,8 +85,7 @@ def trace_from_samples(samples: np.ndarray, order: int) -> BoundaryTrace:
     if 2 * order + 1 > n:
         raise ValueError("order exceeds the sample bandwidth")
     full = np.fft.fft(s, axis=1) / n
-    cols = [full[:, m % n] for m in range(-order, order + 1)]
-    return BoundaryTrace(order, np.stack(cols, axis=1))
+    return BoundaryTrace(order, full[:, np.arange(-order, order + 1) % n])
 
 
 @dataclass(frozen=True)
@@ -176,12 +172,6 @@ def ensemble_distance(dtn1, dtn2, mode: str = "surrogate") -> float:
     if mode == "sup_inf":
         return max(_sup_inf_one_sided(dtn1, dtn2), _sup_inf_one_sided(dtn2, dtn1))
     raise ValueError(f"unknown mode {mode!r}")
-
-
-def system_distance(sys1, sys2, mode: str = "surrogate") -> float:
-    """Same construction on the first-order-system trace matrices
-    (f, pullback of star omega); accepts DtnMatrix-shaped objects."""
-    return ensemble_distance(sys1, sys2, mode=mode)
 
 
 # ---------------------------------------------------------------------------

@@ -73,9 +73,11 @@ def _cell_and_point(draw):
     r_hi = r_lo + draw(st.floats(0.01, 1.0))
     t_lo = draw(st.floats(-4.0, 4.0))
     dt = draw(st.floats(0.01, 3.0))
-    # the arc terms lose about log10(r_hi/|w|) digits to cancellation as w
-    # nears the center, so |w| >= 1e-3 r_hi unless w is the center
-    s = draw(st.one_of(st.just(0.0), st.floats(1e-3, 2.0)))
+    # |w| down to 1e-300 r_hi: the arc terms pair their ~r_hi^2/|w| parts
+    # through log1p, so no digits go to cancellation near the center
+    s = draw(
+        st.one_of(st.just(0.0), st.floats(1e-3, 2.0), st.floats(-300.0, -3.0).map(lambda e: 10.0**e))
+    )
     w = s * r_hi * np.exp(1j * (t_lo + draw(st.floats(-0.5, 1.5)) * dt))
     return w, r_lo, r_hi, t_lo, t_lo + dt
 
@@ -104,6 +106,27 @@ def test_sector_integral_splits_in_angle(case, frac):
         w, np.array([r_lo, r_lo]), r_hi, np.array([t_lo, t_mid]), np.array([t_mid, t_hi])
     )
     assert abs(parts.sum() - whole) <= 1e-9 * (1.0 + abs(whole))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.floats(0.01, 1.0),
+    st.floats(0.01, 1.0),
+    st.floats(-4.0, 4.0),
+    st.floats(0.01, 3.0),
+    st.floats(0.0, 2.0 * np.pi),
+)
+def test_sector_integral_is_lipschitz_at_the_center(r_lo, width, t_lo, dt, phase):
+    """A cell away from the origin: I(w) - I(0) = O(|w|) down to |w| = 1e-300,
+    with the constant area / (r_lo - |w|)^2 bounding |dI/dw| (the first
+    test point; 1.8e167 at w = 3.3e-184 before the arc terms used log1p)."""
+    r_hi = r_lo + width
+    at_zero = cau.sector_cauchy_integral(0.0, r_lo, r_hi, t_lo, t_lo + dt)
+    lipschitz = 0.5 * (r_hi**2 - r_lo**2) * dt / (r_lo - 1e-3) ** 2
+    for e in (3, 5, 8, 10, 16, 30, 50, 100, 184, 250, 300):
+        w = 10.0**-e * np.exp(1j * phase)
+        got = cau.sector_cauchy_integral(w, r_lo, r_hi, t_lo, t_lo + dt)
+        assert abs(got - at_zero) <= lipschitz * abs(w) + 1e-14 * r_hi
 
 
 @pytest.mark.parametrize(

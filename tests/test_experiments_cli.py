@@ -1,3 +1,4 @@
+import importlib
 import json
 import platform
 
@@ -227,3 +228,14 @@ def test_cli_holonomy_loop_file(tmp_path):
     assert code == 0
     rep = json.loads((tmp_path / "holonomy_report.json").read_text())
     assert rep["nearest_k"] == 1
+
+
+@pytest.mark.parametrize(
+    "module",
+    ["cauchy", "cli", "dirac", "experiments", "forward", "geometry", "holonomy", "metrics", "phases"],
+)
+def test_public_names_exist(module):
+    mod = importlib.import_module(f"dbarlab.{module}")
+    names = getattr(mod, "__all__", ())
+    assert len(set(names)) == len(names)
+    assert [n for n in names if not hasattr(mod, n)] == []

@@ -168,8 +168,8 @@ def test_solve_matches_dense_system(domain):
 
     F = geo.ScalarField(g, np.exp(1j * alpha))
     d, dsys = fw.dtn_and_diagonalized_system_dtn(pot, F, 4)
-    assert np.array_equal(d.matrix, fw.dtn(pot, 4, operator=op).matrix)
-    assert np.array_equal(dsys.matrix, fw.diagonalized_system_dtn(pot, F, 4, operator=op).matrix)
+    assert np.array_equal(d.matrix, fw.dtn(pot, 4).matrix)
+    assert np.array_equal(dsys.matrix, fw.diagonalized_system_dtn(pot, F, 4).matrix)
 
 
 def test_solve_annulus_harmonic():
@@ -309,9 +309,9 @@ def test_dtn_builders_match_column_oracle(domain):
     op = fw.assemble(pot)
     order = 4
     built = (
-        fw.dtn(pot, order, operator=op),
-        fw.system_dtn(pot, order, operator=op),
-        fw.diagonalized_system_dtn(pot, F, order, operator=op),
+        fw.dtn(pot, order),
+        fw.system_dtn(pot, order),
+        fw.diagonalized_system_dtn(pot, F, order),
     )
     for d, ref in zip(built, _oracle_matrices(pot, F, order, op)):
         assert d.matrix.shape == ref.shape == (len(g.boundary_rings) * 9,) * 2

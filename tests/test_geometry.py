@@ -100,6 +100,28 @@ def test_banded_diff_r_matches_dense_stencils(r_inner, n_r, n_theta, order, seed
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(st.just(0.0), st.floats(0.05, 0.8)),
+    st.integers(4, 200),
+    st.sampled_from([8, 16, 32]),
+    st.sampled_from([1, 5]),
+    st.integers(0, 2**32 - 1),
+)
+def test_boundary_jet_matches_diff_r(r_inner, n_r, n_theta, batch, seed):
+    """Disks of 4-5 rings take the through-centre stencil, like `diff_r`."""
+    domain = geo.annulus(r_inner, 1.0) if r_inner else geo.disk(1.0)
+    g = geo.PolarGrid(domain, max(n_r, 6) if r_inner else n_r, n_theta)
+    rng = np.random.default_rng(seed)
+    f = rng.standard_normal(g.shape + (batch,)) + 1j * rng.standard_normal(g.shape + (batch,))
+    trace, d_r = g.boundary_jet(f)
+    rings = list(g.boundary_rings)
+    assert np.array_equal(trace, f[rings])
+    want = np.stack([g.diff_r(f[:, :, k])[rings] for k in range(batch)], axis=-1)
+    assert d_r.shape == want.shape == (len(rings), n_theta, batch)
+    assert np.max(np.abs(d_r - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("dom", [geo.disk(1.0), geo.annulus(0.5, 1.5), geo.disk(0.7, 0.3 + 0.1j)])
 def test_quadrature_weights_match_area(dom):
     g = geo.PolarGrid(dom, 256, 256)
