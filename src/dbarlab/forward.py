@@ -15,9 +15,12 @@ differences in the radius, direct block-tridiagonal elimination with
 dense angular blocks and diagonal radial couplings.  On a disk the
 center value is one extra unknown, closed by the mean-value relation and
 eliminated into ring 0's diagonal block (a rank-one update) before
-factoring, so disk and annulus share one factorization and one sweep.  A
-solve is one sweep over K boundary data and leaves no state behind; each
-DtN builder post-maps the boundary jet of one such sweep.
+factoring, so disk and annulus share one factorization and one sweep.
+Each ring's Schur update solves the previous ring's diagonal coupling
+in place (LAPACK `getrs`) before the ring's `getrf`.  A solve is one
+sweep over K boundary data, leaves no state behind, and eliminates
+forward only the span of columns with inner-circle data (none on a
+disk); each DtN builder post-maps the boundary jet of one such sweep.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import get_lapack_funcs
 
 from .geometry import (
     Interpolator,
@@ -43,6 +46,8 @@ from .geometry import (
     wirtinger,
 )
 from .metrics import BoundaryTrace, trace_from_samples
+
+_getrf, _getrs = get_lapack_funcs(("getrf", "getrs"), dtype=np.complex128)
 
 __all__ = [
     "PotentialPair",
@@ -203,6 +208,7 @@ class MagneticOperator:
         self._t_over_r = 1j * (X10 * eit - X01 * np.conj(eit)) / r  # X(d/dtheta)/r
         self.lo = -1.0 / dr**2 + 1.0 / (2 * dr * r) + 1j * P / dr
         self.hi = -1.0 / dr**2 - 1.0 / (2 * dr * r) - 1j * P / dr
+        coeffs = [self._zeroth, self._t_over_r, self.lo, self.hi]
 
         # disk center closure: mean-value Laplacian + first-order derivatives
         self.kind = kind
@@ -217,32 +223,39 @@ class MagneticOperator:
                 -(4.0 / dr**2) * mean_w
                 - (4j / dr) * (x1 * np.conj(eit) + x0 * eit) * mean_w
             )
+            coeffs += [self.center_row, self.center_diag]
+        if not all(np.isfinite(c).all() for c in coeffs):
+            raise ValueError("assembled operator coefficients must be finite")
 
         self._factor(condition_limit)
 
     def _block(self, a: int) -> np.ndarray:
         """Dense diagonal block of interior ring a (index into int_rings)."""
         r = self.grid.r[self.int_rings[a]]
-        B = (2.0 / self.grid.dr**2) * np.eye(self.n_theta, dtype=complex)
-        B -= self._D2t / r**2
-        B -= 2j * self._t_over_r[a][:, None] * self._D1t
-        B += np.diag(self._zeroth[a])
+        B = (-2j * self._t_over_r[a])[:, None] * self._D1t
+        B -= self._D2t * (1.0 / r**2)
+        B.flat[:: self.n_theta + 1] += 2.0 / self.grid.dr**2 + self._zeroth[a]
         return B
 
     def _factor(self, condition_limit: float) -> None:
         n_t = self.n_theta
         self.lus = []
+        S = np.empty((n_t, n_t), dtype=complex, order="F")
         for a in range(len(self.int_rings)):
             D = self._block(a)
             if a > 0:
-                D -= self.lo[a][:, None] * lu_solve(
-                    self.lus[a - 1], np.diag(self.hi[a - 1]).astype(complex)
-                )
+                S.fill(0.0)
+                S.flat[:: n_t + 1] = self.hi[a - 1]
+                S = _getrs(*self.lus[a - 1], S, overwrite_b=True)[0]
+                D -= np.multiply(self.lo[a][:, None], S, out=S)
             elif self.kind == "disk":
                 # ring 0 couples to the center through the `lo` slot; the
                 # center equation gives u_c = -center_row . u[0] / center_diag
                 D -= np.outer(self.lo[0], self.center_row) / self.center_diag
-            self.lus.append(lu_factor(D))
+            lu, piv, info = _getrf(D, overwrite_a=True)
+            if info > 0:
+                raise EigenvalueCollision(f"exactly singular block at interior ring {a}")
+            self.lus.append((lu, piv))
         # inverse-norm probe: a resonance amplifies the solve of random
         # boundary data
         rng = np.random.default_rng(0)
@@ -264,8 +277,9 @@ class MagneticOperator:
     def _solve_batched(self, boundary: np.ndarray) -> np.ndarray:
         """K Dirichlet solves in one sweep: boundary samples of shape
         (n_boundary_rings, n_theta, K), ordered as `grid.boundary_rings`,
-        to values of shape (n_r, n_theta, K)."""
-        f = np.asarray(boundary, dtype=complex)
+        to values of shape (n_r, n_theta, K).  The forward elimination
+        carries only the span of columns with nonzero inner-circle data."""
+        f = np.asarray_chkfinite(boundary, dtype=complex)
         u = np.zeros((self.grid.n_r,) + f.shape[1:], dtype=complex)
         u[-1] = f[-1]
         x = u[self.int_rings[0] : self.int_rings[-1] + 1]  # a view: solved in place
@@ -274,11 +288,14 @@ class MagneticOperator:
             u[0] = f[0]
             x[0] -= self.lo[0][:, None] * f[0]
         J = len(x)
-        for a in range(1, J):
-            x[a] -= self.lo[a][:, None] * lu_solve(self.lus[a - 1], x[a - 1])
-        x[J - 1] = lu_solve(self.lus[J - 1], x[J - 1])
+        cols = np.flatnonzero(np.any(x[0] != 0, axis=0))
+        if cols.size:
+            y = x[:, :, cols[0] : cols[-1] + 1]  # a view; zero columns in it stay zero
+            for a in range(1, J):
+                y[a] -= self.lo[a][:, None] * _getrs(*self.lus[a - 1], y[a - 1])[0]
+        x[J - 1] = _getrs(*self.lus[J - 1], x[J - 1])[0]
         for a in range(J - 2, -1, -1):
-            x[a] = lu_solve(self.lus[a], x[a] - self.hi[a][:, None] * x[a + 1])
+            x[a] = _getrs(*self.lus[a], x[a] - self.hi[a][:, None] * x[a + 1])[0]
         return u
 
     def solve(self, boundary: dict[int, np.ndarray]) -> ScalarField:

@@ -414,3 +414,103 @@ def test_cauchy_pair_packaging(grid, zero_pot):
     assert np.sum(np.abs(f.coeffs) > 1e-10) == 1
     # harmonic extension r^2 e^{2 i theta}: normal derivative 2 e^{2 i theta}
     assert abs(g.coeffs[0, 6 + 2] - 2.0) < 1e-4
+
+
+def _small_pot(domain):
+    g = geo.PolarGrid(domain, 10, 16)
+    X, _ = smooth_real_connection(g)
+    q = geo.ScalarField(g, 0.3 * np.exp(-2 * np.abs(g.nodes - 0.2) ** 2))
+    return fw.PotentialPair(X, q)
+
+
+def _dense_solve(op, f):
+    """Interior values from a dense solve of the unreduced interior
+    equations (on a disk with the center unknown and its equation) for the
+    boundary samples f of shape (n_boundary_rings, n_theta)."""
+    g = op.grid
+    n_t, J = g.n_theta, len(op.int_rings)
+    disk = g.domain.kind == "disk"
+    c = 1 if disk else 0
+    A = np.zeros((c + J * n_t,) * 2, dtype=complex)
+    b = np.zeros(c + J * n_t, dtype=complex)
+    for a in range(J):
+        rows = slice(c + a * n_t, c + (a + 1) * n_t)
+        A[rows, rows] = op._block(a)
+        if a > 0:
+            A[rows, c + (a - 1) * n_t : c + a * n_t] = np.diag(op.lo[a])
+        elif disk:
+            A[rows, 0] = op.lo[0]
+        else:
+            b[rows] -= op.lo[0] * f[0]
+        if a < J - 1:
+            A[rows, c + (a + 1) * n_t : c + (a + 2) * n_t] = np.diag(op.hi[a])
+        else:
+            b[rows] -= op.hi[a] * f[-1]
+    if disk:
+        A[0, 0] = op.center_diag
+        A[0, 1 : 1 + n_t] = op.center_row
+    return np.linalg.solve(A, b)[c:].reshape(J, n_t)
+
+
+@pytest.mark.parametrize("domain", [geo.disk(1.0), geo.annulus(0.5, 1.5)], ids=["disk", "annulus"])
+def test_batched_solve_columns_match_dense_system(domain):
+    """The forward elimination carries only the columns with inner-circle
+    data; every column of a mixed batch still matches its own dense solve.
+    The disk batch holds the condition probe's random column."""
+    pot = _small_pot(domain)
+    g = pot.grid
+    op = fw.assemble(pot)
+    n_t = g.n_theta
+    rng = np.random.default_rng(0)
+    probe = np.stack([
+        rng.standard_normal(n_t) + 1j * rng.standard_normal(n_t) for _ in g.boundary_rings
+    ])
+    if domain.kind == "disk":
+        cols = [probe, np.exp(2j * g.theta)[None], np.ones((1, n_t))]
+    else:
+        inner, outer = np.exp(-1j * g.theta), 1.0 + np.cos(3 * g.theta)
+        zero = np.zeros(n_t)
+        cols = [np.stack([inner, zero]), np.stack([zero, outer]), probe]
+    f = np.stack(cols, axis=-1).astype(complex)
+    got = op._solve_batched(f)
+    for k in range(f.shape[-1]):
+        want = _dense_solve(op, f[:, :, k])
+        assert np.max(np.abs(got[op.int_rings, :, k] - want)) <= 1e-12 * np.max(np.abs(want))
+        assert np.array_equal(got[list(g.boundary_rings), :, k], f[:, :, k])
+
+
+def test_singular_block_names_its_ring(monkeypatch):
+    """An exactly singular ring block is refused by name, not left to the
+    condition probe.  Ring 0 of an annulus carries no Schur or center term,
+    so a zero row there makes its factor singular."""
+    pot = _small_pot(geo.annulus(0.5, 1.5))
+    block = fw.MagneticOperator._block
+
+    def zero_row(self, a):
+        B = block(self, a)
+        if a == 0:
+            B[3] = 0.0
+        return B
+
+    monkeypatch.setattr(fw.MagneticOperator, "_block", zero_row)
+    with pytest.raises(fw.EigenvalueCollision, match="singular block at interior ring 0"):
+        fw.assemble(pot)
+
+
+@pytest.mark.parametrize("domain", [geo.disk(1.0), geo.annulus(0.5, 1.5)], ids=["disk", "annulus"])
+def test_assemble_rejects_overflowing_coefficients(domain):
+    """|X|^2 overflows for X = 1e200; the assembled coefficients are refused."""
+    g = geo.PolarGrid(domain, 10, 16)
+    X = geo.OneForm(g, np.full(g.shape, 1e200 + 0j), np.full(g.shape, 1e200 + 0j))
+    pot = fw.PotentialPair(X, geo.ScalarField(g, np.zeros(g.shape)))
+    with pytest.raises(ValueError):
+        fw.assemble(pot)
+
+
+def test_solve_rejects_nonfinite_boundary_data():
+    pot = _small_pot(geo.annulus(0.5, 1.5))
+    op = fw.assemble(pot)
+    f = {r: np.ones(pot.grid.n_theta) for r in pot.grid.boundary_rings}
+    f[0][5] = np.nan
+    with pytest.raises(ValueError):
+        op.solve(f)
