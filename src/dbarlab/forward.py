@@ -16,11 +16,15 @@ dense angular blocks and diagonal radial couplings.  On a disk the
 center value is one extra unknown, closed by the mean-value relation and
 eliminated into ring 0's diagonal block (a rank-one update) before
 factoring, so disk and annulus share one factorization and one sweep.
-Each ring's Schur update solves the previous ring's diagonal coupling
-in place (LAPACK `getrs`) before the ring's `getrf`.  A solve is one
-sweep over K boundary data, leaves no state behind, and eliminates
-forward only the span of columns with inner-circle data (none on a
-disk); each DtN builder post-maps the boundary jet of one such sweep.
+The factorization keeps the explicit inverse of each ring's Schur
+complement (LAPACK `getrf` then `getri`, in place): block LU with
+explicit diagonal inverses, the block-Thomas scheme, which is stable for
+block-diagonally-dominant systems such as these ring blocks.  The Schur
+term of the next ring is then a diagonal scaling of the previous inverse,
+and a solve is one sweep of matrix products over K boundary data; it
+leaves no state behind and eliminates forward only the span of columns
+with inner-circle data (none on a disk).  Each DtN builder post-maps the
+boundary jet of one such sweep.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs
 
 from .geometry import (
-    Interpolator,
     OneForm,
     PolarGrid,
     ScalarField,
@@ -47,7 +50,7 @@ from .geometry import (
 )
 from .metrics import BoundaryTrace, trace_from_samples
 
-_getrf, _getrs = get_lapack_funcs(("getrf", "getrs"), dtype=np.complex128)
+_getrf, _getri = get_lapack_funcs(("getrf", "getri"), dtype=np.complex128)
 
 __all__ = [
     "PotentialPair",
@@ -213,10 +216,7 @@ class MagneticOperator:
         # disk center closure: mean-value Laplacian + first-order derivatives
         self.kind = kind
         if kind == "disk":
-            c = g.domain.center
-            x0 = Interpolator(g, X.c10)(c)
-            x1 = Interpolator(g, X.c01)(c)
-            s0 = Interpolator(g, zeroth)(c)
+            x0, x1, s0 = g.center_value(np.stack([X.c10, X.c01, zeroth], axis=-1))
             self.center_diag = 4.0 / dr**2 + s0
             mean_w = np.full(n_t, 1.0 / n_t)
             self.center_row = (
@@ -239,14 +239,13 @@ class MagneticOperator:
 
     def _factor(self, condition_limit: float) -> None:
         n_t = self.n_theta
-        self.lus = []
+        self.inv = []
         S = np.empty((n_t, n_t), dtype=complex, order="F")
         for a in range(len(self.int_rings)):
             D = self._block(a)
             if a > 0:
-                S.fill(0.0)
-                S.flat[:: n_t + 1] = self.hi[a - 1]
-                S = _getrs(*self.lus[a - 1], S, overwrite_b=True)[0]
+                # Schur term lo[a] inv[a-1] hi[a-1] of the diagonal couplings
+                np.multiply(self.inv[a - 1], self.hi[a - 1], out=S)
                 D -= np.multiply(self.lo[a][:, None], S, out=S)
             elif self.kind == "disk":
                 # ring 0 couples to the center through the `lo` slot; the
@@ -255,7 +254,8 @@ class MagneticOperator:
             lu, piv, info = _getrf(D, overwrite_a=True)
             if info > 0:
                 raise EigenvalueCollision(f"exactly singular block at interior ring {a}")
-            self.lus.append((lu, piv))
+            # a work size of n_theta is as fast as LAPACK's optimal one here
+            self.inv.append(_getri(lu, piv, lwork=n_t, overwrite_lu=True)[0])
         # inverse-norm probe: a resonance amplifies the solve of random
         # boundary data
         rng = np.random.default_rng(0)
@@ -292,10 +292,10 @@ class MagneticOperator:
         if cols.size:
             y = x[:, :, cols[0] : cols[-1] + 1]  # a view; zero columns in it stay zero
             for a in range(1, J):
-                y[a] -= self.lo[a][:, None] * _getrs(*self.lus[a - 1], y[a - 1])[0]
-        x[J - 1] = _getrs(*self.lus[J - 1], x[J - 1])[0]
+                y[a] -= self.lo[a][:, None] * (self.inv[a - 1] @ y[a - 1])
+        x[J - 1] = self.inv[J - 1] @ x[J - 1]
         for a in range(J - 2, -1, -1):
-            x[a] = _getrs(*self.lus[a], x[a] - self.hi[a][:, None] * x[a + 1])[0]
+            x[a] = self.inv[a] @ (x[a] - self.hi[a][:, None] * x[a + 1])
         return u
 
     def solve(self, boundary: dict[int, np.ndarray]) -> ScalarField:

@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.interpolate import RectBivariateSpline
+from scipy.interpolate import RectBivariateSpline, make_interp_spline
 
 __all__ = [
     "Domain",
@@ -250,6 +250,22 @@ class PolarGrid:
         rolled = np.roll(values[:n_ghost], self.n_theta // 2, axis=1)
         return np.concatenate([rolled[::-1], values], axis=0)
 
+    def _ghost_radii(self) -> np.ndarray:
+        """Signed radii of the rings of `_ghost_extend(values, 4)`."""
+        return np.concatenate([-self.r[3::-1], self.r])
+
+    def center_value(self, values: np.ndarray) -> np.ndarray:
+        """Value at the disk center of each field in values (n_r, n_theta,
+        ...): the not-a-knot cubic spline through the theta = 0 / pi radial
+        line, extended through the center, read at r = 0.  theta = 0 is a
+        node, so this is the bicubic `Interpolator`'s value there."""
+        if self.domain.kind != "disk":
+            raise GridError("the center is a point of the domain only on a disk")
+        # the theta = 0 column of `_ghost_extend(values, 4)`, without
+        # copying the other columns: the value at (-r, 0) is that at (r, pi)
+        line = np.concatenate([values[3::-1, self.n_theta // 2], values[:, 0]])
+        return make_interp_spline(self._ghost_radii(), line, k=3)(0.0)
+
     def _radial_stencils(self):
         """6-point radial stencils: the first ring of each node's stencil
         (counting the ghost rings of a disk) and its weights for the first
@@ -257,7 +273,7 @@ class PolarGrid:
         if self._stencils is not None:
             return self._stencils
         if self.domain.kind == "disk":
-            x = np.concatenate([-self.r[3::-1], self.r])
+            x = self._ghost_radii()
             off = 4
         else:
             x = self.r
@@ -617,7 +633,7 @@ class Interpolator:
         r = grid.r
         if grid.domain.kind == "disk":
             v = grid._ghost_extend(v, 4)
-            r = np.concatenate([-grid.r[3::-1], r])
+            r = grid._ghost_radii()
         theta_ext = np.concatenate(
             [grid.theta[-w:] - 2 * math.pi, grid.theta, grid.theta[:w] + 2 * math.pi]
         )

@@ -136,31 +136,10 @@ def test_solve_matches_dense_system(domain):
     q = geo.ScalarField(g, 0.3 * np.exp(-2 * np.abs(g.nodes - 0.2) ** 2))
     pot = fw.PotentialPair(X, q)
     op = fw.assemble(pot)
-    n_t, J = g.n_theta, len(op.int_rings)
+    n_t = g.n_theta
     rng = np.random.default_rng(3)
     f = {r: rng.standard_normal(n_t) + 1j * rng.standard_normal(n_t) for r in g.boundary_rings}
-
-    disk = domain.kind == "disk"
-    c = 1 if disk else 0  # dense index of ring block a starts at c + a n_t
-    A = np.zeros((c + J * n_t,) * 2, dtype=complex)
-    b = np.zeros(c + J * n_t, dtype=complex)
-    for a in range(J):
-        rows = slice(c + a * n_t, c + (a + 1) * n_t)
-        A[rows, rows] = op._block(a)
-        if a > 0:
-            A[rows, c + (a - 1) * n_t : c + a * n_t] = np.diag(op.lo[a])
-        elif disk:
-            A[rows, 0] = op.lo[0]
-        else:
-            b[rows] -= op.lo[0] * f[0]
-        if a < J - 1:
-            A[rows, c + (a + 1) * n_t : c + (a + 2) * n_t] = np.diag(op.hi[a])
-        else:
-            b[rows] -= op.hi[a] * f[g.n_r - 1]
-    if disk:
-        A[0, 0] = op.center_diag
-        A[0, 1 : 1 + n_t] = op.center_row
-    want = np.linalg.solve(A, b)[c:].reshape(J, n_t)
+    want = _dense_solve(op, np.stack([f[r] for r in g.boundary_rings]))
     got = op.solve(f).values
     assert np.max(np.abs(got[op.int_rings] - want)) <= 1e-12 * np.max(np.abs(want))
     for r in g.boundary_rings:
@@ -430,7 +409,7 @@ def _dense_solve(op, f):
     g = op.grid
     n_t, J = g.n_theta, len(op.int_rings)
     disk = g.domain.kind == "disk"
-    c = 1 if disk else 0
+    c = 1 if disk else 0  # dense index of ring block a starts at c + a n_t
     A = np.zeros((c + J * n_t,) * 2, dtype=complex)
     b = np.zeros(c + J * n_t, dtype=complex)
     for a in range(J):
@@ -477,6 +456,30 @@ def test_batched_solve_columns_match_dense_system(domain):
         want = _dense_solve(op, f[:, :, k])
         assert np.max(np.abs(got[op.int_rings, :, k] - want)) <= 1e-12 * np.max(np.abs(want))
         assert np.array_equal(got[list(g.boundary_rings), :, k], f[:, :, k])
+
+
+@pytest.mark.parametrize(
+    "domain, scale",
+    [(geo.disk(1.0), 1.0), (geo.annulus(0.5, 1.5), 3.3)],
+    ids=["disk", "annulus"],
+)
+def test_sweep_matches_dense_near_resonance(domain, scale):
+    """The sweep on explicit ring inverses stays accurate on a q = -lambda
+    ladder through the first Dirichlet eigenvalue (j_{0,1}^2 = 5.7832 on
+    the unit disk)."""
+    g = geo.PolarGrid(domain, 24, 32)
+    X, _ = smooth_real_connection(g, scale=0.05)
+    rng = np.random.default_rng(5)
+    n_c = len(g.boundary_rings)
+    f = rng.standard_normal((n_c, g.n_theta, 3)) + 1j * rng.standard_normal((n_c, g.n_theta, 3))
+    for lam in (0.0, 3.0, 5.0, 5.7, 5.78, 5.7832, 6.5):
+        q = geo.ScalarField(g, np.full(g.shape, -lam * scale))
+        op = fw.assemble(fw.PotentialPair(X, q), condition_limit=np.inf)
+        got = op._solve_batched(f)
+        for k in range(f.shape[-1]):
+            want = _dense_solve(op, f[:, :, k])
+            err = np.max(np.abs(got[op.int_rings, :, k] - want))
+            assert err <= 1e-10 * np.max(np.abs(want)), (lam, k)
 
 
 def test_singular_block_names_its_ring(monkeypatch):

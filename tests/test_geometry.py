@@ -122,6 +122,27 @@ def test_boundary_jet_matches_diff_r(r_inner, n_r, n_theta, batch, seed):
     assert np.max(np.abs(d_r - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(8, 200),
+    st.sampled_from([8, 16, 64, 128]),
+    st.sampled_from([geo.disk(1.0), geo.disk(0.7, 0.3 + 0.1j)]),
+    st.integers(0, 2**32 - 1),
+)
+def test_center_value_matches_interpolator(n_r, n_theta, domain, seed):
+    """The one-line spline at the center equals the bicubic interpolant
+    there, for each of a stack of fields."""
+    g = geo.PolarGrid(domain, n_r, n_theta)
+    rng = np.random.default_rng(seed)
+    f = rng.standard_normal(g.shape + (3,)) + 1j * rng.standard_normal(g.shape + (3,))
+    got = g.center_value(f)
+    want = [geo.Interpolator(g, f[:, :, k])(domain.center) for k in range(3)]
+    assert got.shape == (3,)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(f))
+    with pytest.raises(geo.GridError):
+        geo.PolarGrid(geo.annulus(0.5, 1.0), n_r, n_theta).center_value(f)
+
+
 @pytest.mark.parametrize("dom", [geo.disk(1.0), geo.annulus(0.5, 1.5), geo.disk(0.7, 0.3 + 0.1j)])
 def test_quadrature_weights_match_area(dom):
     g = geo.PolarGrid(dom, 256, 256)
