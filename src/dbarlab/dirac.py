@@ -184,13 +184,6 @@ class ReductionData:
     F: ScalarField
     Q: ScalarField
 
-    def norms(self) -> dict:
-        return {
-            "F_sup": self.F.max_abs(),
-            "F_inv_sup": float(np.max(1.0 / np.abs(self.F.values))),
-            "alpha_sup": self.alpha.max_abs(),
-        }
-
 
 def reduce_schrodinger(pot, alpha: ScalarField | None = None):
     """Rewrite L = Delta^X + q as the first-order system (D + V) U = 0.

@@ -20,11 +20,14 @@ The factorization keeps the explicit inverse of each ring's Schur
 complement (LAPACK `getrf` then `getri`, in place): block LU with
 explicit diagonal inverses, the block-Thomas scheme, which is stable for
 block-diagonally-dominant systems such as these ring blocks.  The Schur
-term of the next ring is then a diagonal scaling of the previous inverse,
-and a solve is one sweep of matrix products over K boundary data; it
-leaves no state behind and eliminates forward only the span of columns
-with inner-circle data (none on a disk).  Each DtN builder post-maps the
-boundary jet of one such sweep.
+term of the next ring is then a diagonal scaling of the previous inverse.
+
+Boundary data has one layout, samples of shape (n_boundary_rings,
+n_theta, ...) ordered as `PolarGrid.boundary_rings`: `MagneticOperator.solve`
+runs all trailing (batch) columns in one sweep of matrix products, leaves
+no state behind and eliminates forward only the span of columns with
+inner-circle data (none on a disk).  Neumann data, Cauchy pairs and the
+boundary jets that the DtN builders post-map share that layout.
 """
 
 from __future__ import annotations
@@ -258,12 +261,9 @@ class MagneticOperator:
             self.inv.append(_getri(lu, piv, lwork=n_t, overwrite_lu=True)[0])
         # inverse-norm probe: a resonance amplifies the solve of random
         # boundary data
-        rng = np.random.default_rng(0)
-        boundary = np.stack([
-            rng.standard_normal(n_t) + 1j * rng.standard_normal(n_t)
-            for _ in self.grid.boundary_rings
-        ])[:, :, None]
-        u = self._solve_batched(boundary)
+        z = np.random.default_rng(0).standard_normal((len(self.grid.boundary_rings), 2, n_t))
+        boundary = z[:, 0] + 1j * z[:, 1]
+        u = self.solve(boundary)
         amp = float(np.max(np.abs(u)) / np.max(np.abs(boundary)))
         op_scale = 4.0 / self.grid.dr**2
         self.condition_estimate = amp * op_scale
@@ -274,12 +274,18 @@ class MagneticOperator:
                 "is likely -- perturb q"
             )
 
-    def _solve_batched(self, boundary: np.ndarray) -> np.ndarray:
-        """K Dirichlet solves in one sweep: boundary samples of shape
-        (n_boundary_rings, n_theta, K), ordered as `grid.boundary_rings`,
-        to values of shape (n_r, n_theta, K).  The forward elimination
-        carries only the span of columns with nonzero inner-circle data."""
-        f = np.asarray_chkfinite(boundary, dtype=complex)
+    def solve(self, f: np.ndarray) -> np.ndarray:
+        """Dirichlet solves in one sweep: boundary samples of shape
+        (n_boundary_rings, n_theta, ...), ordered as `grid.boundary_rings`
+        (a disk also takes (n_theta,)), to values of shape (n_r, n_theta, ...).
+        The forward elimination carries only the span of columns with
+        nonzero inner-circle data."""
+        f = np.atleast_2d(np.asarray_chkfinite(f, dtype=complex))
+        want = (len(self.grid.boundary_rings), self.n_theta)
+        if f.shape[:2] != want:
+            raise ValueError(f"boundary samples must have shape {want} + (batch...), got {f.shape}")
+        batch = f.shape[2:]
+        f = f.reshape(want + (-1,))
         u = np.zeros((self.grid.n_r,) + f.shape[1:], dtype=complex)
         u[-1] = f[-1]
         x = u[self.int_rings[0] : self.int_rings[-1] + 1]  # a view: solved in place
@@ -296,19 +302,12 @@ class MagneticOperator:
         x[J - 1] = self.inv[J - 1] @ x[J - 1]
         for a in range(J - 2, -1, -1):
             x[a] = self.inv[a] @ (x[a] - self.hi[a][:, None] * x[a + 1])
-        return u
+        return u.reshape(u.shape[:2] + batch)
 
-    def solve(self, boundary: dict[int, np.ndarray]) -> ScalarField:
-        """Dirichlet solve; `boundary` maps boundary ring index to samples."""
-        g = self.grid
-        f = np.stack([np.asarray(boundary[r], dtype=complex) for r in g.boundary_rings])
-        return ScalarField(g, self._solve_batched(f[:, :, None])[:, :, 0])
-
-    def residual(self, u: ScalarField) -> float:
-        """Relative residual of the discrete interior equations.  On a disk
-        the center value comes from the center equation
-        center_diag * u_c + center_row . u[0] = 0, which every solve meets."""
-        vals = u.values
+    def residual(self, vals: np.ndarray) -> float:
+        """Relative residual of the discrete interior equations for values
+        (n_r, n_theta).  On a disk the center value comes from the center
+        equation center_diag * u_c + center_row . u[0] = 0, met by `solve`."""
         if self.kind == "disk":
             u_c = -(self.center_row @ vals[0]) / self.center_diag
         res = 0.0
@@ -329,38 +328,22 @@ def assemble(pot: PotentialPair, condition_limit: float = 1e12) -> MagneticOpera
 
 
 def solve_dirichlet(
-    pot: PotentialPair,
-    f: np.ndarray | dict[int, np.ndarray],
-    allow_perturbation: bool = True,
+    pot: PotentialPair, f: np.ndarray, allow_perturbation: bool = True
 ) -> ScalarField:
-    """Solve L u = 0 with Dirichlet data f (samples per boundary circle).
+    """Solve L u = 0 with Dirichlet samples f in the layout of
+    `MagneticOperator.solve`.
 
     On an eigenvalue collision the potential is retried once with
     q + 1e-6 i, which moves the spectrum off the real axis.
     """
-    g = pot.grid
-    boundary = _boundary_dict(g, f)
     try:
         op = assemble(pot)
     except EigenvalueCollision as exc:
         if not allow_perturbation:
             raise
         logging.getLogger("dbarlab").warning("%s; retrying once with q + 1e-6i", exc)
-        shifted = PotentialPair(pot.X, pot.q + 1e-6j)
-        op = assemble(shifted)
-    return op.solve(boundary)
-
-
-def _boundary_dict(g: PolarGrid, f) -> dict[int, np.ndarray]:
-    if isinstance(f, dict):
-        return {k: np.asarray(v, dtype=complex) for k, v in f.items()}
-    f = np.asarray(f, dtype=complex)
-    rings = g.boundary_rings
-    if g.domain.kind == "disk":
-        return {rings[-1]: f}
-    if f.ndim == 1:
-        return {rings[0]: np.zeros_like(f), rings[-1]: f}
-    return {rings[0]: f[0], rings[-1]: f[1]}
+        op = assemble(PotentialPair(pot.X, pot.q + 1e-6j))
+    return ScalarField(pot.grid, op.solve(f))
 
 
 # ---------------------------------------------------------------------------
@@ -392,24 +375,19 @@ def _omega01_pullback(pot: PotentialPair, trace: np.ndarray, d_r: np.ndarray) ->
     return om01 * np.conj(eit)
 
 
-def neumann_data(pot: PotentialPair, u: ScalarField) -> dict[int, np.ndarray]:
-    """Magnetic normal derivative d_nu u + i X(nu) u on each boundary circle,
-    with the outward normal (inner circle of an annulus points inward)."""
-    g = pot.grid
-    rows = _magnetic_normal(pot, *g.boundary_jet(u.values[:, :, None]))
-    return dict(zip(g.boundary_rings, rows[:, :, 0]))
+def neumann_data(pot: PotentialPair, u: ScalarField) -> np.ndarray:
+    """Magnetic normal derivative d_nu u + i X(nu) u on the boundary circles,
+    shape (n_boundary_rings, n_theta), with the outward normal (inner
+    circle of an annulus points inward)."""
+    jet = pot.grid.boundary_jet(u.values[:, :, None])
+    return _magnetic_normal(pot, *jet)[:, :, 0]
 
 
-def cauchy_pair(pot: PotentialPair, f, order: int) -> CauchyPair:
-    """Solve with Dirichlet data f and package (f, magnetic Neumann data)
+def cauchy_pair(pot: PotentialPair, f: np.ndarray, order: int) -> CauchyPair:
+    """Solve with Dirichlet samples f and package (f, magnetic Neumann data)
     as truncated Fourier traces."""
-    rings = pot.grid.boundary_rings
-    boundary = _boundary_dict(pot.grid, f)
-    gdata = neumann_data(pot, solve_dirichlet(pot, boundary))
-    return CauchyPair(
-        f=trace_from_samples(np.stack([boundary[r] for r in rings]), order),
-        g=trace_from_samples(np.stack([gdata[r] for r in rings]), order),
-    )
+    gdata = neumann_data(pot, solve_dirichlet(pot, f))
+    return CauchyPair(f=trace_from_samples(f, order), g=trace_from_samples(gdata, order))
 
 
 def _unit_fourier_response(pot: PotentialPair, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -424,7 +402,7 @@ def _unit_fourier_response(pot: PotentialPair, order: int) -> tuple[np.ndarray, 
     n_c = len(g.boundary_rings)
     waves = np.exp(1j * np.outer(g.theta, np.arange(-order, order + 1)))
     data = np.kron(np.eye(n_c), waves).reshape(n_c, g.n_theta, -1)
-    return g.boundary_jet(op._solve_batched(data))
+    return g.boundary_jet(op.solve(data))
 
 
 def _dtn_matrix(g: PolarGrid, order: int, rows: np.ndarray) -> DtnMatrix:

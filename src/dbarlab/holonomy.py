@@ -77,18 +77,18 @@ def theta_decomposition(theta_ratio: ScalarField) -> tuple[ScalarField, float]:
     return f, float(np.max(np.abs(pert)))
 
 
-def winding_integral(theta_ratio: ScalarField, gamma: Loop, max_refine: int = 12) -> dict:
+def winding_integral(theta_ratio: ScalarField, gamma: Loop) -> dict:
     """Integral of d(ratio)/ratio along a closed loop.
 
     Computed as the telescoping sum of principal-branch log increments of
-    interpolated samples; the loop is refined until every increment is
-    below pi/2, so the result is an exact multiple of 2 pi i up to
-    interpolation error.
+    interpolated samples; the loop is doubled (at most 12 times) until
+    every increment is below pi/2, so the result is an exact multiple of
+    2 pi i up to interpolation error.
     """
     g = theta_ratio.grid
     interp = Interpolator(g, theta_ratio.values)
     loop = gamma
-    for _ in range(max_refine):
+    for _ in range(12):
         vals = interp(loop.samples)
         if float(np.min(np.abs(vals))) < 1e-6:
             raise ValueError("ratio field vanishes near the loop")

@@ -134,9 +134,10 @@ def _surrogate(d1, d2) -> float:
     return float(np.linalg.svd(diff, compute_uv=False)[0])
 
 
-def _sup_inf_one_sided(d1, d2, reg: float = 1e-12) -> float:
+def _sup_inf_one_sided(d1, d2) -> float:
     """sup over basis data of ensemble 1 of the inf over the span of
-    ensemble 2, evaluated through the normal equations.  Row k of F2 holds
+    ensemble 2, evaluated through the normal equations (diagonal shifted by
+    1e-12).  Row k of F2 holds
     the least-squares span coefficients for basis datum k; the matched-data
     candidate f2 = f1 bounds each inf from above."""
     wp = _stacked_weights(d1, 0.5)
@@ -145,7 +146,7 @@ def _sup_inf_one_sided(d1, d2, reg: float = 1e-12) -> float:
     Wm = wm**2
     L1, L2 = d1.matrix, d2.matrix
     A = np.diag(W1) + L2.conj().T @ (Wm[:, None] * L2)
-    A += reg * np.eye(A.shape[0])
+    A += 1e-12 * np.eye(A.shape[0])
     # one basis datum per row; contiguous rows keep numpy's pairwise sums
     F2 = np.linalg.solve(A, np.diag(W1) + L2.conj().T @ (Wm[:, None] * L1)).T.copy()
     G1, H2 = L1.T.copy(), L2.T.copy()

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cauchy import quintic_cutoff
 from .geometry import (
     Interpolator,
     PolarGrid,
@@ -232,8 +233,7 @@ def squared_phase(base: HolomorphicPhase, p_hat: complex, delta: float) -> Holom
 def bump_window(grid: PolarGrid, center: complex, radius: float) -> ScalarField:
     """C^2 window equal to 1 inside half the radius, 0 outside the radius."""
     d = np.abs(grid.nodes - center)
-    t = np.clip((d - 0.5 * radius) / (0.5 * radius), 0.0, 1.0)
-    w = 1.0 - t**3 * (10.0 - 15.0 * t + 6.0 * t**2)
+    w = quintic_cutoff((d - 0.5 * radius) / (0.5 * radius))
     return ScalarField(grid, w.astype(complex))
 
 
@@ -309,18 +309,13 @@ class OscillatoryIntegral:
     Holds the work that does not depend on h: the support checks, the
     critical point and its Hessian, and the W^{2,inf}-type amplitude size
     of the envelope.  The amplitude must vanish at the boundary (compact
-    support) and its support must contain exactly one critical point of
-    psi.  The samples u(z_hat) and psi(z_hat) of the leading term are
-    interpolated on the first ``mode='leading'`` evaluation.
+    support) and its support, where |u| exceeds 1e-6 of its maximum, must
+    contain exactly one critical point of psi.  The samples u(z_hat) and
+    psi(z_hat) of the leading term are interpolated on the first
+    ``mode='leading'`` evaluation.
     """
 
-    def __init__(
-        self,
-        u: ScalarField,
-        psi: ScalarField,
-        phase: HolomorphicPhase | None = None,
-        support_tol: float = 1e-6,
-    ):
+    def __init__(self, u: ScalarField, psi: ScalarField, phase: HolomorphicPhase | None = None):
         g = u.grid
         g.check_same(psi.grid)
         amax = u.max_abs()
@@ -328,7 +323,7 @@ class OscillatoryIntegral:
             edge = np.abs(u.values[g.boundary_rings, :]).max()
             if edge > 1e-4 * amax:
                 raise ValueError("amplitude is not compactly supported in the interior")
-        support = np.abs(u.values) > support_tol * max(amax, 1e-300)
+        support = np.abs(u.values) > 1e-6 * max(amax, 1e-300)
 
         pts, hess_of = _locate_critical_point(psi, support, phase)
         if len(pts) != 1:
@@ -385,13 +380,12 @@ def stationary_phase_eval(
     h: float,
     mode: str = "bound",
     phase: HolomorphicPhase | None = None,
-    support_tol: float = 1e-6,
 ) -> StationaryPhaseResult:
     """Oscillatory integral of u e^{2 i psi / h} over the domain at one h;
     see `OscillatoryIntegral` for the modes and the requirements on u."""
     if h <= 0:
         raise ValueError("h must be positive")
-    return OscillatoryIntegral(u, psi, phase, support_tol).eval(h, mode)
+    return OscillatoryIntegral(u, psi, phase).eval(h, mode)
 
 
 def fit_loglog_slope(x: np.ndarray, y: np.ndarray) -> float:

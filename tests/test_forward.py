@@ -110,7 +110,7 @@ def test_discrete_residual_small(grid):
     q = geo.ScalarField(grid, 0.2 * np.exp(-np.abs(grid.nodes) ** 2))
     pot = fw.PotentialPair(X, q)
     op = fw.assemble(pot)
-    u = op.solve({grid.n_r - 1: np.exp(1j * grid.theta)})
+    u = op.solve(np.exp(1j * grid.theta))
     assert op.residual(u) < 1e-8
 
 
@@ -121,8 +121,8 @@ def test_residual_independent_of_later_solves():
     X, _ = smooth_real_connection(g)
     q = geo.ScalarField(g, 0.2 * np.exp(-np.abs(g.nodes) ** 2))
     op = fw.assemble(fw.PotentialPair(X, q))
-    u1 = op.solve({g.n_r - 1: np.exp(1j * g.theta)})
-    op.solve({g.n_r - 1: 3.0 + np.cos(3 * g.theta)})
+    u1 = op.solve(np.exp(1j * g.theta))
+    op.solve(3.0 + np.cos(3 * g.theta))
     assert op.residual(u1) < 1e-8
 
 
@@ -138,12 +138,14 @@ def test_solve_matches_dense_system(domain):
     op = fw.assemble(pot)
     n_t = g.n_theta
     rng = np.random.default_rng(3)
-    f = {r: rng.standard_normal(n_t) + 1j * rng.standard_normal(n_t) for r in g.boundary_rings}
-    want = _dense_solve(op, np.stack([f[r] for r in g.boundary_rings]))
-    got = op.solve(f).values
+    f = np.stack([
+        rng.standard_normal(n_t) + 1j * rng.standard_normal(n_t) for _ in g.boundary_rings
+    ])
+    want = _dense_solve(op, f)
+    got = op.solve(f)
     assert np.max(np.abs(got[op.int_rings] - want)) <= 1e-12 * np.max(np.abs(want))
-    for r in g.boundary_rings:
-        assert np.array_equal(got[r], f[r])
+    for i, r in enumerate(g.boundary_rings):
+        assert np.array_equal(got[r], f[i])
 
     F = geo.ScalarField(g, np.exp(1j * alpha))
     d, dsys = fw.dtn_and_diagonalized_system_dtn(pot, F, 4)
@@ -158,14 +160,14 @@ def test_solve_annulus_harmonic():
     # harmonic log|z| scaled: boundary data log(r)
     f_in = np.full(g.n_theta, np.log(0.5), dtype=complex)
     f_out = np.full(g.n_theta, np.log(1.5), dtype=complex)
-    u = fw.solve_dirichlet(pot, {0: f_in, g.n_r - 1: f_out})
+    u = fw.solve_dirichlet(pot, np.stack([f_in, f_out]))
     assert np.max(np.abs(u.values - np.log(np.abs(g.nodes)))) < 1e-5
 
 
 def test_neumann_data_trivial(grid, zero_pot):
     u = fw.solve_dirichlet(zero_pot, np.ones(grid.n_theta))
     nd = fw.neumann_data(zero_pot, u)
-    assert np.max(np.abs(nd[grid.n_r - 1])) < 1e-8
+    assert np.max(np.abs(nd[-1])) < 1e-8
 
 
 def test_neumann_dtheta_connection_on_annulus():
@@ -175,10 +177,10 @@ def test_neumann_dtheta_connection_on_annulus():
     Z = g.nodes
     dth = geo.OneForm(g, 1 / (2j * Z), -1 / (2j * np.conj(Z)))
     pot = fw.PotentialPair(dth, geo.ScalarField(g, np.zeros(g.shape)))
-    u = fw.solve_dirichlet(pot, {0: np.ones(g.n_theta), g.n_r - 1: np.ones(g.n_theta)})
+    u = fw.solve_dirichlet(pot, np.ones((2, g.n_theta)))
     nd = fw.neumann_data(pot, u)
-    for ring in g.boundary_rings:
-        assert np.max(np.abs(nd[ring].imag)) < 1e-8
+    for row in nd:
+        assert np.max(np.abs(row.imag)) < 1e-8
 
 
 def test_dtn_diagonal_zero_potential():
@@ -262,15 +264,15 @@ def _oracle_matrices(pot, F, order, op):
         return np.concatenate([[ci[m % n_t] for m in range(-order, order + 1)] for ci in c])
 
     cols = {"dtn": [], "system": [], "F": [], "G": []}
-    for ring_j in rings:
+    for j in range(len(rings)):
         for n in range(-order, order + 1):
-            boundary = {r: np.zeros(n_t, dtype=complex) for r in rings}
-            boundary[ring_j] = np.exp(1j * n * g.theta)
-            u = op.solve(boundary)
+            boundary = np.zeros((len(rings), n_t), dtype=complex)
+            boundary[j] = np.exp(1j * n * g.theta)
+            u = geo.ScalarField(g, op.solve(boundary))
             nd = fw.neumann_data(pot, u)
             om01 = g.d_zbar(u.values) + 1j * A01 * u.values
             lam = [om01[r] * np.conj(eit) for r in rings]
-            cols["dtn"].append(column([nd[r] for r in rings]))
+            cols["dtn"].append(column(nd))
             cols["system"].append(column(lam))
             cols["F"].append(column([F.values[r] * u.values[r] for r in rings]))
             cols["G"].append(column([x / np.conj(F.values[r]) for x, r in zip(lam, rings)]))
@@ -367,7 +369,7 @@ def test_eigenvalue_collision_perturbation(caplog):
     # the secant method on its reciprocal converges in a few steps
     def inv_value(lam):
         op = fw.assemble(pot_at(lam), condition_limit=np.inf)
-        return 1.0 / op.solve({g.n_r - 1: np.ones(g.n_theta)}).values[0, 0].real
+        return 1.0 / op.solve(np.ones(g.n_theta))[0, 0].real
 
     a, b = lam, lam + 1e-3
     fa = inv_value(a)
@@ -451,7 +453,7 @@ def test_batched_solve_columns_match_dense_system(domain):
         zero = np.zeros(n_t)
         cols = [np.stack([inner, zero]), np.stack([zero, outer]), probe]
     f = np.stack(cols, axis=-1).astype(complex)
-    got = op._solve_batched(f)
+    got = op.solve(f)
     for k in range(f.shape[-1]):
         want = _dense_solve(op, f[:, :, k])
         assert np.max(np.abs(got[op.int_rings, :, k] - want)) <= 1e-12 * np.max(np.abs(want))
@@ -475,7 +477,7 @@ def test_sweep_matches_dense_near_resonance(domain, scale):
     for lam in (0.0, 3.0, 5.0, 5.7, 5.78, 5.7832, 6.5):
         q = geo.ScalarField(g, np.full(g.shape, -lam * scale))
         op = fw.assemble(fw.PotentialPair(X, q), condition_limit=np.inf)
-        got = op._solve_batched(f)
+        got = op.solve(f)
         for k in range(f.shape[-1]):
             want = _dense_solve(op, f[:, :, k])
             err = np.max(np.abs(got[op.int_rings, :, k] - want))
@@ -513,7 +515,25 @@ def test_assemble_rejects_overflowing_coefficients(domain):
 def test_solve_rejects_nonfinite_boundary_data():
     pot = _small_pot(geo.annulus(0.5, 1.5))
     op = fw.assemble(pot)
-    f = {r: np.ones(pot.grid.n_theta) for r in pot.grid.boundary_rings}
-    f[0][5] = np.nan
+    f = np.ones((2, pot.grid.n_theta))
+    f[0, 5] = np.nan
     with pytest.raises(ValueError):
         op.solve(f)
+
+
+@pytest.mark.parametrize("domain", [geo.disk(1.0), geo.annulus(0.5, 1.5)], ids=["disk", "annulus"])
+def test_solve_rejects_misshapen_boundary_data(domain):
+    """Boundary samples must have one row per boundary circle and n_theta
+    columns; anything else is refused by shape, not broadcast or dropped."""
+    pot = _small_pot(domain)
+    op = fw.assemble(pot)
+    n_t = pot.grid.n_theta
+    if domain.kind == "disk":
+        bad = [np.ones((2, n_t)), np.ones(n_t - 4)]
+    else:
+        bad = [np.ones((1, n_t)), np.ones((3, n_t)), np.ones(n_t), np.ones((2, n_t - 4))]
+    for f in bad:
+        with pytest.raises(ValueError, match="boundary samples must have shape"):
+            op.solve(f)
+        with pytest.raises(ValueError, match="boundary samples must have shape"):
+            fw.solve_dirichlet(pot, f)
