@@ -17,9 +17,10 @@ fast for any product rule, are re-integrated on the exact polar geometry:
 by the closed-form integral of the kernel over the polar cell (its edge
 terms) within 6 cell scales of the target, and by subdivided 2x2 Gauss
 farther out.  Near the center of a disk, where whole rings are close to
-the target, the corrected zone covers all angles.  Every correction is
-stored once, as (target ring, source ring, angular offset, accurate
-integral minus product-rule term).
+the target, the corrected zone covers all angles.  Each target ring's
+corrections, accurate integral minus product-rule term for every cell it
+re-integrates, are added into that ring's mode tables (below) as they are
+computed and are not kept.
 
 Because the kernel restricted to a pair of rings depends on the angle
 difference only (up to a unimodular factor), the node-to-node sum is a
@@ -88,8 +89,6 @@ _WIN_R = 4
 _WIN_T_MAX = 8
 # corrected zone reaches out to this many local cell scales
 _NEAR_REACH = 2.5
-# one near-field correction: target ring, source ring, offset mod n_theta
-_NEAR_DTYPE = np.dtype([("tgt", np.intp), ("src", np.intp), ("off", np.intp), ("val", complex)])
 
 
 def _edge_segment(w, p, q):
@@ -188,16 +187,16 @@ def _cell_integrals_batch(
 class CauchyKernelTable:
     """Per-grid quadrature data for the solid Cauchy transform.
 
-    Holds the radial cell moments and the near-field list: for every
-    (target ring, source ring, angular offset) whose cell the product rule
-    misses, the difference between the accurate cell integral and the
-    product-rule term.  Target ring j reads the source rings
-    [start_j, start_j + width_j) through exact mode tables, the angular FFT
-    of the product rule plus this list.  They are stored per window offset
-    k: one (rows_k, n_theta) array for the slice of target rings whose
-    window reaches offset k.  The rings outside a ring's window are summed
-    by the two far-field sweeps, whose per-ring weights and ratio-power
-    steps depend only on the grid.  Everything is built here, once.
+    Holds the radial cell moments and, per target ring j, exact mode tables
+    for the source rings [start_j, start_j + width_j): the angular FFT of
+    the product rule plus ring j's corrections (accurate cell integral minus
+    product-rule term for every cell the product rule misses), which enter
+    the tables as they are built and are not kept.  The tables are stored
+    per window offset k: one (rows_k, n_theta) array for the slice of
+    target rings whose window reaches offset k.  The rings outside a ring's
+    window are summed by the two far-field sweeps, whose per-ring weights
+    and ratio-power steps depend only on the grid.  Everything is built
+    here, once.
     """
 
     def __init__(self, grid: PolarGrid):
@@ -232,10 +231,9 @@ class CauchyKernelTable:
             self._patch_tgt = min(max(need, 4), n_r - 1)
             self._patch_src = min(self._patch_tgt + _WIN_R + 2, n_r)
         else:
-            self._patch_tgt = 0
-            self._patch_src = 0
+            self._patch_tgt = self._patch_src = 0
 
-        self._build_window_tables(self._build_near_field())
+        self._build_window_tables()
         self._build_far_field()
 
     @property
@@ -267,63 +265,63 @@ class CauchyKernelTable:
                 self.m0[m] * G + (self.m1[m] + (self.m2[m] + self.m3[m] * t) * t) * G1
             )
 
-    def _build_near_field(self) -> np.ndarray:
-        """Corrections (accurate cell integral minus product-rule term) as a
-        flat list sorted by target ring.  Rows in the disk center patch take
-        every source ring m < _patch_src at every angle; other rows take the
-        rings within _WIN_R at offsets within their window win_t.  Each
-        (target ring, source ring, offset) appears at most once.  The
-        accurate integral is the exact sector integral within 6 cell scales
-        of the target and Gauss subdivision farther out."""
-        g = self.grid
-        n_r, n_t = g.shape
-        dth = self.dtheta
-        full = np.arange(-(n_t // 2), n_t // 2)
-        parts = []
-        for j in range(n_r):
-            if j < self._patch_tgt:
-                srcs, dks = np.arange(self._patch_src), full
-            else:
-                kt = int(self.win_t[j])
-                srcs = np.arange(max(j - _WIN_R, 0), min(j + _WIN_R + 1, n_r))
-                # a window that would wrap takes the full circle, so that
-                # no cell is corrected twice
-                dks = np.arange(-kt, kt + 1) if 2 * kt < n_t else full
-            m, dk = (a.ravel() for a in np.meshgrid(srcs, dks, indexing="ij"))
-            z_t, tc = g.r[j], dk * dth
-            lo, hi, rm = self.cell_lo[m], self.cell_hi[m], g.r[m]
-            near = np.abs(z_t - rm * np.exp(1j * tc)) <= 6.0 * np.maximum(hi - lo, rm * dth)
-            far = ~near
-            exact = np.empty(m.size, dtype=complex)
-            exact[near] = sector_cauchy_integral(
-                z_t, lo[near], hi[near], tc[near] - 0.5 * dth, tc[near] + 0.5 * dth
-            )
-            exact[far] = _cell_integrals_batch(z_t, lo[far], hi[far], tc[far], dth)
-            naive = self._product_rule(z_t, m, tc)
-            naive[(m == j) & (dk == 0)] = 0.0  # the kernel's self entry is zero
-            parts.append((np.full(m.size, j), m, dk % n_t, exact - naive))
-        return np.rec.fromarrays([np.concatenate(c) for c in zip(*parts)], dtype=_NEAR_DTYPE)
+    def _near_rings(self, j: int) -> tuple[int, int]:
+        """Source rings [lo, hi) that target ring j corrects: all below
+        _patch_src in the disk center patch, those within _WIN_R elsewhere."""
+        if j < self._patch_tgt:
+            return 0, self._patch_src
+        return max(j - _WIN_R, 0), min(j + _WIN_R + 1, self.grid.n_r)
 
-    def _build_window_tables(self, near: np.ndarray) -> None:
+    def _near_field(self, j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Corrections of target ring j: source rings, offsets mod n_theta
+        and accurate cell integral minus product-rule term, each (source
+        ring, offset) at most once.  Rows in the disk center patch, and rows
+        whose window win_t would wrap, take every angle; the others take the
+        offsets within win_t.  The accurate integral is the exact sector
+        integral within 6 cell scales of the target and Gauss subdivision
+        farther out."""
+        g = self.grid
+        n_t = g.n_theta
+        dth = self.dtheta
+        kt = int(self.win_t[j])
+        if j < self._patch_tgt or 2 * kt >= n_t:
+            dks = np.arange(-(n_t // 2), n_t // 2)
+        else:
+            dks = np.arange(-kt, kt + 1)
+        srcs = np.arange(*self._near_rings(j))
+        m, dk = (a.ravel() for a in np.meshgrid(srcs, dks, indexing="ij"))
+        z_t, tc = g.r[j], dk * dth
+        lo, hi, rm = self.cell_lo[m], self.cell_hi[m], g.r[m]
+        near = np.abs(z_t - rm * np.exp(1j * tc)) <= 6.0 * np.maximum(hi - lo, rm * dth)
+        far = ~near
+        exact = np.empty(m.size, dtype=complex)
+        exact[near] = sector_cauchy_integral(
+            z_t, lo[near], hi[near], tc[near] - 0.5 * dth, tc[near] + 0.5 * dth
+        )
+        exact[far] = _cell_integrals_batch(z_t, lo[far], hi[far], tc[far], dth)
+        naive = self._product_rule(z_t, m, tc)
+        naive[(m == j) & (dk == 0)] = 0.0  # the kernel's self entry is zero
+        return m, dk % n_t, exact - naive
+
+    def _build_window_tables(self) -> None:
         """Window of source rings per target ring and its mode tables.
 
-        Ring j's window holds every source ring of its entries in `near`
-        and every ring m with |ln(r_m/r_j)| <= L/n_theta, L = -ln(eps);
-        outside it (r_m/r_j)^(+-n_theta) < eps, so the aliased modes of the
-        sampled kernel are below roundoff.  The widths are raised to the
-        smallest profile that rises and then falls in j, and windows are
-        shifted inward where they would pass the outer ring.  The rings
-        whose window has an offset k then form one slice [a_k, b_k), and
-        offset k's tables are one (b_k - a_k, n_theta) array."""
+        Ring j's window holds every source ring it corrects and every ring
+        m with |ln(r_m/r_j)| <= L/n_theta, L = -ln(eps); outside it
+        (r_m/r_j)^(+-n_theta) < eps, so the aliased modes of the sampled
+        kernel are below roundoff.  The widths are raised to the smallest
+        profile that rises and then falls in j, and windows are shifted
+        inward where they would pass the outer ring.  The rings whose
+        window has an offset k then form one slice [a_k, b_k), and offset
+        k's tables are one (b_k - a_k, n_theta) array."""
         g = self.grid
         n_r, n_t = g.shape
         r = g.r
         reach = math.exp(-math.log(np.finfo(float).eps) / n_t)
-        lo = np.searchsorted(r, r / reach)
-        hi = np.searchsorted(r, r * reach, side="right") - 1
-        np.minimum.at(lo, near["tgt"], near["src"])
-        np.maximum.at(hi, near["tgt"], near["src"])
-        need = hi - lo + 1
+        near_lo, near_hi = np.array([self._near_rings(j) for j in range(n_r)]).T
+        lo = np.minimum(np.searchsorted(r, r / reach), near_lo)
+        hi = np.maximum(np.searchsorted(r, r * reach, side="right"), near_hi)
+        need = hi - lo
         width = np.minimum(np.maximum.accumulate(need), np.maximum.accumulate(need[::-1])[::-1])
         self._width = width
         self._start = np.minimum(lo, n_r - width)
@@ -333,12 +331,11 @@ class CauchyKernelTable:
         )
         sizes = self._rows[:, 1] - self._rows[:, 0]
         self._tables = np.split(np.empty((sizes.sum(), n_t), dtype=complex), np.cumsum(sizes)[:-1])
-        bounds = np.searchsorted(near["tgt"], np.arange(n_r + 1))
         for j, (s0, w) in enumerate(zip(self._start, width)):
             ker = self._product_rule(r[j], np.arange(s0, s0 + w)[:, None], g.theta)
-            ker[j - s0, 0] = 0.0  # singular self entry; its cell is in `near`
-            nj = near[bounds[j] : bounds[j + 1]]
-            np.add.at(ker, (nj["src"] - s0, nj["off"]), nj["val"])
+            ker[j - s0, 0] = 0.0  # singular self entry; its cell is corrected
+            m, off, val = self._near_field(j)
+            ker[m - s0, off] += val  # each (m, off) once, so no index repeats
             # correlation sum_k F_k g_{k-l} has Fourier symbol fhat_m * ghat_{-m}
             tab = n_t * np.fft.ifft(ker, axis=1)
             for k in range(w):
@@ -397,8 +394,8 @@ class CauchyKernelTable:
         return np.fft.ifft(prod, axis=1) * phase / math.pi
 
     def apply_direct(self, fvals: np.ndarray) -> np.ndarray:
-        """Reference: the product-rule double sum plus the near-field list,
-        one roll per entry, with the list rebuilt; small grids only."""
+        """Reference: the product-rule double sum plus each ring's
+        corrections, one roll per correction; small grids only."""
         g = self.grid
         n_r, n_t = g.shape
         f = np.asarray(fvals, dtype=complex)
@@ -409,8 +406,8 @@ class CauchyKernelTable:
             for l in range(n_t):
                 rolled = np.roll(f, -l, axis=1)
                 out[j, l] = np.sum(naive * rolled)
-        for j, m, k, v in self._build_near_field():
-            out[j] += v * np.roll(f[m], -k)
+            for m, k, v in zip(*self._near_field(j)):
+                out[j] += v * np.roll(f[m], -k)
         phase = np.exp(-1j * g.theta)[None, :]
         return out * phase / math.pi
 
@@ -551,17 +548,13 @@ def reflect_extend(
     out[rows] = values
     lo, hi = rows.start, rows.stop
     n_out = n_big - hi
-    for k in range(n_out):
-        src = min(k + 1, n_in - 1)
-        mirror = values[n_in - 1 - src]
-        out[hi + k] = (2.0 * values[n_in - 1] - mirror) if mode == "c1" else mirror
-    for k in range(lo):
-        src = min(k + 1, n_in - 1)
-        mirror = values[src]
-        out[lo - 1 - k] = (2.0 * values[0] - mirror) if mode == "c1" else mirror
-    taper = np.ones(n_big)
-    if n_out > 0:
-        taper[hi:] = quintic_cutoff(np.arange(1, n_out + 1) / n_out)
-    if lo > 0:
-        taper[lo - 1 :: -1] = quintic_cutoff(np.arange(1, lo + 1) / lo)
-    return out * taper[:, None]
+    # pad ring k = 1, 2, ... past an edge mirrors ring k in from the edge
+    # ring (clamped to the grid) and is tapered by quintic_cutoff(k / pad)
+    k = np.arange(1, max(n_out, lo) + 1)
+    src = np.minimum(k, n_in - 1)
+    above, below = values[n_in - 1 - src[:n_out]], values[src[:lo]]
+    if mode == "c1":
+        above, below = 2.0 * values[n_in - 1] - above, 2.0 * values[0] - below
+    out[hi:] = above * quintic_cutoff(k[:n_out] / n_out)[:, None]
+    out[:lo] = (below * quintic_cutoff(k[:lo] / lo)[:, None])[::-1]
+    return out

@@ -280,12 +280,9 @@ class MagneticOperator:
         (a disk also takes (n_theta,)), to values of shape (n_r, n_theta, ...).
         The forward elimination carries only the span of columns with
         nonzero inner-circle data."""
-        f = np.atleast_2d(np.asarray_chkfinite(f, dtype=complex))
-        want = (len(self.grid.boundary_rings), self.n_theta)
-        if f.shape[:2] != want:
-            raise ValueError(f"boundary samples must have shape {want} + (batch...), got {f.shape}")
+        f = _boundary_samples(self.grid, f)
         batch = f.shape[2:]
-        f = f.reshape(want + (-1,))
+        f = f.reshape(f.shape[:2] + (-1,))
         u = np.zeros((self.grid.n_r,) + f.shape[1:], dtype=complex)
         u[-1] = f[-1]
         x = u[self.int_rings[0] : self.int_rings[-1] + 1]  # a view: solved in place
@@ -321,6 +318,15 @@ class MagneticOperator:
         return math.sqrt(res) / max(math.sqrt(norm), 1e-300)
 
 
+def _boundary_samples(g: PolarGrid, f: np.ndarray) -> np.ndarray:
+    """f as finite boundary samples of shape (n_boundary_rings, n_theta, ...)."""
+    f = np.atleast_2d(np.asarray_chkfinite(f, dtype=complex))
+    want = (len(g.boundary_rings), g.n_theta)
+    if f.shape[:2] != want:
+        raise ValueError(f"boundary samples must have shape {want} + (batch...), got {f.shape}")
+    return f
+
+
 def assemble(pot: PotentialPair, condition_limit: float = 1e12) -> MagneticOperator:
     """Factorized discrete operator; raises EigenvalueCollision when the
     discretization sits on a Dirichlet eigenvalue."""
@@ -336,6 +342,7 @@ def solve_dirichlet(
     On an eigenvalue collision the potential is retried once with
     q + 1e-6 i, which moves the spectrum off the real axis.
     """
+    f = _boundary_samples(pot.grid, f)  # refuse bad data before factoring
     try:
         op = assemble(pot)
     except EigenvalueCollision as exc:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -157,9 +159,10 @@ def test_window_wider_than_circle_corrects_each_cell_once():
     g = geo.PolarGrid(geo.annulus(r_in, 1.0), 12, 8)
     tbl = cau.CauchyKernelTable(g)
     assert 2 * tbl.win_t[0] > g.n_theta
-    near = tbl._build_near_field()
-    keys = near["tgt"] * g.n_r * g.n_theta + near["src"] * g.n_theta + near["off"]
-    assert len(np.unique(keys)) == len(keys)
+    for j in range(g.n_r):
+        src, off, _ = tbl._near_field(j)
+        keys = src * g.n_theta + off
+        assert len(np.unique(keys)) == len(keys)
     # C(1)(z) = conj(z) - r_in^2 / z on the annulus
     want = np.conj(g.nodes) - r_in**2 / g.nodes
     assert np.max(np.abs(tbl.apply(np.ones(g.shape)) - want)) < 1e-2
@@ -214,8 +217,8 @@ def test_window_covers_ratio_range_and_near_field(r_inner, n_r, n_theta):
     inside = (m >= start[:, None]) & (m < stop[:, None])
     log_ratio = np.abs(np.log(g.r[None, :] / g.r[:, None]))
     assert np.all(inside[log_ratio <= -np.log(np.finfo(float).eps) / n_theta])
-    near = tbl._build_near_field()
-    assert np.all(inside[near["tgt"], near["src"]])
+    for j in range(n_r):
+        assert np.all(inside[j, tbl._near_field(j)[0]])
     for k, ((a, b), t) in enumerate(zip(tbl._rows, tbl._tables)):
         assert np.array_equal(np.flatnonzero(tbl._width > k), np.arange(a, b))
         assert t.shape == (b - a, n_theta)
@@ -235,6 +238,20 @@ def test_table_bytes_held(grid):
     when every ring stored the widest window)."""
     tbl = cau.kernel_table(grid)
     assert sum(t.nbytes for t in tbl._tables) < tbl.nbytes <= 75 * 2**20
+
+
+def test_table_build_peak():
+    """Each ring's corrections go straight into its own tables, so the build
+    holds little beyond the tables (4.5x nbytes here when a flat list of
+    every correction was built first)."""
+    g = geo.PolarGrid(geo.disk(1.0), 64, 512)
+    tracemalloc.start()
+    try:
+        tbl = cau.CauchyKernelTable(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * tbl.nbytes
 
 
 # -- dbar_inverse -----------------------------------------------------------------
@@ -422,6 +439,27 @@ def test_reflect_extend_supported_in_pad(grid):
     assert np.allclose(out[-1], 0.0)
 
 
+@pytest.mark.parametrize("mode", ["even", "c1"])
+@pytest.mark.parametrize(
+    "domain, n_r, pad",
+    [(geo.disk(1.0), 6, 8), (geo.annulus(0.5, 1.0), 32, 3)],
+    ids=["disk-clamped", "annulus-both-sides"],
+)
+def test_reflect_extend_mirrors_each_pad_ring(domain, n_r, pad, mode):
+    """Pad ring k past an edge holds ring min(k, n_r - 1) in from that edge
+    (for c1, twice the edge ring minus it), tapered by quintic_cutoff(k / pad)."""
+    g = geo.PolarGrid(domain, n_r, 16)
+    big, rows = cau.extend_grid(g, pad)
+    vals = np.random.default_rng(0).standard_normal(g.shape)
+    out = cau.reflect_extend(big, rows, vals, mode)
+    assert np.array_equal(out[rows], vals)
+    for edge, step, n_pad in ((rows.stop - 1, 1, big.n_r - rows.stop), (rows.start, -1, rows.start)):
+        for k in range(1, n_pad + 1):
+            mirror = out[edge - step * min(k, n_r - 1)]
+            want = 2.0 * out[edge] - mirror if mode == "c1" else mirror
+            assert np.allclose(out[edge + step * k], want * cau.quintic_cutoff(k / n_pad))
+
+
 def test_lp_boundedness_battery(grid):
     """W^{1,p}-vs-L^p ratios stay bounded on a fixed battery (p = 3, 4)."""
     Z = grid.nodes
@@ -450,9 +488,9 @@ def test_lp_boundedness_battery(grid):
 
 def test_self_cell_correction_is_exact_sector(grid):
     tbl = cau.kernel_table(grid)
-    near = tbl._build_near_field()
     for j in (tbl._patch_tgt + 2, grid.n_r // 2, grid.n_r - 1):
-        (got,) = near["val"][(near["tgt"] == j) & (near["src"] == j) & (near["off"] == 0)]
+        src, off, val = tbl._near_field(j)
+        (got,) = val[(src == j) & (off == 0)]
         want = cau.sector_cauchy_integral(
             grid.r[j],
             tbl.cell_lo[j],

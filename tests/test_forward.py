@@ -522,11 +522,17 @@ def test_solve_rejects_nonfinite_boundary_data():
 
 
 @pytest.mark.parametrize("domain", [geo.disk(1.0), geo.annulus(0.5, 1.5)], ids=["disk", "annulus"])
-def test_solve_rejects_misshapen_boundary_data(domain):
+def test_solve_rejects_misshapen_boundary_data(domain, monkeypatch):
     """Boundary samples must have one row per boundary circle and n_theta
-    columns; anything else is refused by shape, not broadcast or dropped."""
+    columns; anything else is refused by shape, not broadcast or dropped,
+    and `solve_dirichlet` refuses it before factoring."""
     pot = _small_pot(domain)
     op = fw.assemble(pot)
+
+    def no_factoring(*args, **kwargs):
+        raise AssertionError("factored before the shape check")
+
+    monkeypatch.setattr(fw, "assemble", no_factoring)
     n_t = pot.grid.n_theta
     if domain.kind == "disk":
         bad = [np.ones((2, n_t)), np.ones(n_t - 4)]
