@@ -94,8 +94,10 @@ class ExperimentConfig:
                 raise ValueError(f"{name} values must be positive")
             if list(hs) != sorted(hs, reverse=True):
                 raise ValueError(f"{name} must be descending")
-        if any(d <= 0 for d in self.delta_list) or any(t < 0 for t in self.t_list):
-            raise ValueError("sweep values must be positive")
+        if any(d <= 0 for d in self.delta_list):
+            raise ValueError("delta_list values must be positive")
+        if any(t < 0 for t in self.t_list):
+            raise ValueError("t_list values must be non-negative")
         if 2 * self.order + 1 > self.n_theta:
             need = 2 * self.order + 1
             raise ValueError(f"order {self.order} needs n_theta >= {need}, got {self.n_theta}")
@@ -511,12 +513,11 @@ def run_stationary_phase(cfg: ExperimentConfig, out="out") -> dict:
     outdir = _outdir(out)
     g = geo.PolarGrid(geo.disk(cfg.r_outer), max(cfg.n_r, 256), max(cfg.n_theta, 256))
     Z = g.nodes
-    psi = geo.ScalarField(g, (Z**2).imag + 0j)
     win = ph.bump_window(g, 0.0, 0.6 * cfg.r_outer)
     u = geo.ScalarField(
         g, np.exp(-6 * np.abs(Z - (0.15 + 0.08j) * cfg.r_outer) ** 2 / cfg.r_outer**2)
     ) * win
-    osc = ph.OscillatoryIntegral(u, psi)
+    osc = ph.OscillatoryIntegral(u, ph.base_phase(0.0))
     rows = []
     ints, resids = [], []
     for h in cfg.h_list:

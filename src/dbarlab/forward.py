@@ -98,10 +98,11 @@ class PotentialPair:
     def grid(self) -> PolarGrid:
         return self.X.grid
 
-    def apriori_report(self, p: float = 4.0) -> dict:
-        """Discrete W^{1,p} / W^{2,p} norm sizes against an a-priori bound."""
+    def apriori_report(self) -> dict:
+        """Discrete W^{1,4} / W^{2,4} norm sizes against an a-priori bound."""
         g = self.grid
         w = g.weights
+        p = 4.0
 
         def lp(vals):
             return float(np.sum(w * np.abs(vals) ** p) ** (1.0 / p))

@@ -1,4 +1,4 @@
-"""Morse holomorphic phase functions and numerical stationary phase.
+"""Morse holomorphic phase functions and stationary phase on them.
 
 The workhorse construction: starting from the quadratic base phase
 ``(z - anchor)^2`` (Morse, with one critical point), squaring the shifted
@@ -6,11 +6,14 @@ phase gives a quartic with a prescribed critical point at ``p_hat`` whose
 critical Hessians admit a floor in terms of the distance from ``p_hat``
 to the exclusion balls around the base phase's critical-value preimages.
 
-Oscillatory integrals ``integral of u e^{2 i psi / h} dA`` are evaluated
-by brute quadrature on the field's grid (the amplitude must be compactly
-supported in the domain interior); the leading-order coefficient of the
-one-critical-point expansion is calibrated once on ``psi = Im(z^2)`` and
-frozen below.
+Oscillatory integrals ``integral of u e^{2 i psi / h} dA`` with
+``psi = Im Phi`` take the phase object Phi itself.  It supplies the samples
+of psi, the critical point z_hat inside the amplitude's support and the
+Hessian |psi''(z_hat)| = |Phi''(z_hat)|/2, so nothing about psi is
+recovered from samples.  The integral is brute quadrature on the field's
+grid (the amplitude must be compactly supported in the domain interior);
+the leading-order coefficient of the one-critical-point expansion is
+calibrated once on ``psi = Im(z^2)`` and frozen below.
 """
 
 from __future__ import annotations
@@ -248,55 +251,6 @@ class StationaryPhaseResult:
     residual: float = float("nan")
 
 
-def _locate_critical_point(psi: ScalarField, support_mask: np.ndarray, phase=None):
-    """Critical points of psi inside the support: exact from a phase object
-    when given, otherwise located from the sampled gradient."""
-    g = psi.grid
-    if phase is not None:
-        pts = [p for p in phase.critical_points if _inside_support(g, p, support_mask)]
-        hes = {p: 0.5 * abs(h) for p, h in zip(phase.critical_points, phase.hessians)}
-        return pts, lambda p: hes[p]
-
-    dz = wirtinger(psi, "dz")
-    grad = 2.0 * np.abs(dz.c10)  # |grad psi| = 2 |d_z psi|
-    scale = grad[support_mask].max() if support_mask.any() else grad.max()
-    cand = support_mask & (grad < 0.05 * scale)
-    pts = []
-    if cand.any():
-        # cluster candidate nodes and Newton-polish on the interpolated gradient
-        interp_g = Interpolator(g, dz.c10)
-        nodes = g.nodes[cand]
-        order = np.argsort(np.abs(dz.c10[cand]))
-        for idx in order:
-            z0 = nodes[idx]
-            if any(abs(z0 - p) < 0.15 * g.domain.r_outer for p in pts):
-                continue
-            z = z0
-            for _ in range(30):
-                gz = interp_g(z)
-                eps = 1e-6 * g.domain.r_outer
-                h = (interp_g(z + eps) - interp_g(z - eps)) / (2 * eps)
-                if abs(h) < 1e-14:
-                    break
-                step = gz / h
-                z = z - step
-                if abs(step) < 1e-12:
-                    break
-            if abs(interp_g(z)) < 1e-6 * max(scale, 1e-30) and _inside_support(
-                g, z, support_mask
-            ):
-                if all(abs(z - p) > 1e-6 for p in pts):
-                    pts.append(complex(z))
-
-    def hess(p):
-        # only called on pts, which are found only once interp_g is built
-        eps = 1e-5 * g.domain.r_outer
-        # |psi''| as modulus of d_z(d_z psi); psi = Im Phi gives |Phi''|/2
-        return abs((interp_g(p + eps) - interp_g(p - eps)) / (2 * eps))
-
-    return pts, hess
-
-
 def _inside_support(grid: PolarGrid, p: complex, mask: np.ndarray) -> bool:
     d = np.abs(grid.nodes - p)
     j = np.unravel_index(np.argmin(d), d.shape)
@@ -304,20 +258,24 @@ def _inside_support(grid: PolarGrid, p: complex, mask: np.ndarray) -> bool:
 
 
 class OscillatoryIntegral:
-    """Oscillatory integral of u e^{2 i psi / h} over the domain, for any h.
+    """Oscillatory integral of u e^{2 i psi / h} over the domain, for any h,
+    where psi = Im Phi for a holomorphic phase Phi.
 
-    Holds the work that does not depend on h: the support checks, the
-    critical point and its Hessian, and the W^{2,inf}-type amplitude size
-    of the envelope.  The amplitude must vanish at the boundary (compact
-    support) and its support, where |u| exceeds 1e-6 of its maximum, must
-    contain exactly one critical point of psi.  The samples u(z_hat) and
-    psi(z_hat) of the leading term are interpolated on the first
-    ``mode='leading'`` evaluation.
+    The phase object supplies everything about psi: its samples on the grid,
+    the critical point z_hat (the one critical point of Phi inside the
+    amplitude's support) and the Hessian |psi''(z_hat)| = |Phi''(z_hat)|/2.
+    These, the support checks and the W^{2,inf}-type amplitude size of the
+    envelope are computed once for every h.  The amplitude must vanish at the
+    boundary (compact support) and its support, where |u| exceeds 1e-6 of
+    its maximum, must contain exactly one critical point of Phi.  The
+    leading term's u(z_hat) is interpolated on the first ``mode='leading'``
+    evaluation; psi(z_hat) is the phase's exact value.
     """
 
-    def __init__(self, u: ScalarField, psi: ScalarField, phase: HolomorphicPhase | None = None):
+    def __init__(self, u: ScalarField, phase: HolomorphicPhase):
+        if not isinstance(phase, HolomorphicPhase):
+            raise TypeError(f"phase must be a HolomorphicPhase, got {type(phase).__name__}")
         g = u.grid
-        g.check_same(psi.grid)
         amax = u.max_abs()
         if amax > 0:
             edge = np.abs(u.values[g.boundary_rings, :]).max()
@@ -325,13 +283,17 @@ class OscillatoryIntegral:
                 raise ValueError("amplitude is not compactly supported in the interior")
         support = np.abs(u.values) > 1e-6 * max(amax, 1e-300)
 
-        pts, hess_of = _locate_critical_point(psi, support, phase)
-        if len(pts) != 1:
+        inside = [
+            (p, h)
+            for p, h in zip(phase.critical_points, phase.hessians)
+            if _inside_support(g, p, support)
+        ]
+        if len(inside) != 1:
             raise ValueError(
-                f"support must contain exactly one critical point of psi, found {len(pts)}"
+                f"support must contain exactly one critical point of psi, found {len(inside)}"
             )
-        self.z_hat = pts[0]
-        self.hessian = hess_of(self.z_hat)
+        [(self.z_hat, hess)] = inside
+        self.hessian = 0.5 * abs(hess)
         if self.hessian <= 0:
             raise ValueError("critical point of psi is degenerate")
 
@@ -339,14 +301,12 @@ class OscillatoryIntegral:
         du = wirtinger(u, "dz")
         d2 = wirtinger(ScalarField(g, du.c10), "dz")
         self.w2 = max(amax, 2 * np.abs(du.c10).max(), 4 * np.abs(d2.c10).max())
-        self.u, self.psi = u, psi
+        self.u, self.phase, self.psi = u, phase, phase.im_field(g)
 
     @functools.cached_property
     def _leading_samples(self) -> tuple[complex, float]:
-        g = self.u.grid
-        u_at = Interpolator(g, self.u.values)(self.z_hat)
-        psi_at = Interpolator(g, self.psi.values.real)(self.z_hat).real
-        return u_at, psi_at
+        u_at = Interpolator(self.u.grid, self.u.values)(self.z_hat)
+        return u_at, float(self.phase(self.z_hat).imag)
 
     def eval(self, h: float, mode: str = "bound") -> StationaryPhaseResult:
         """``mode='bound'`` returns the integral together with the
@@ -375,17 +335,13 @@ class OscillatoryIntegral:
 
 
 def stationary_phase_eval(
-    u: ScalarField,
-    psi: ScalarField,
-    h: float,
-    mode: str = "bound",
-    phase: HolomorphicPhase | None = None,
+    u: ScalarField, phase: HolomorphicPhase, h: float, mode: str = "bound"
 ) -> StationaryPhaseResult:
-    """Oscillatory integral of u e^{2 i psi / h} over the domain at one h;
-    see `OscillatoryIntegral` for the modes and the requirements on u."""
+    """Oscillatory integral of u e^{2 i Im(phase) / h} over the domain at one
+    h; see `OscillatoryIntegral` for the modes and the requirements on u."""
     if h <= 0:
         raise ValueError("h must be positive")
-    return OscillatoryIntegral(u, psi, phase).eval(h, mode)
+    return OscillatoryIntegral(u, phase).eval(h, mode)
 
 
 def fit_loglog_slope(x: np.ndarray, y: np.ndarray) -> float:

@@ -80,13 +80,13 @@ def test_criterion_02_stationary_phase():
     t0 = time.time()
     g = geo.PolarGrid(geo.disk(1.0), 384, 512)
     Z = g.nodes
-    psi = geo.ScalarField(g, (Z**2).imag + 0j)
+    phase = ph.base_phase(0.0)
     win = ph.bump_window(g, 0.0, 0.6)
     u = geo.ScalarField(g, np.exp(-6 * np.abs(Z - 0.15 - 0.08j) ** 2)) * win
     hs = [0.2, 0.1, 0.05, 0.025, 0.0125]
     ints, resids = [], []
     for h in hs:
-        r = ph.stationary_phase_eval(u, psi, h, mode="leading")
+        r = ph.stationary_phase_eval(u, phase, h, mode="leading")
         ints.append(abs(r.integral))
         resids.append(r.residual)
     slope_i = ph.fit_loglog_slope(hs, ints)
@@ -96,7 +96,7 @@ def test_criterion_02_stationary_phase():
     # integral is second order (reported; see the decisions ledger for the
     # criterion's internally-crossed clause)
     u0 = geo.ScalarField(g, Z * np.exp(-4 * np.abs(Z - 0.1 - 0.05j) ** 2)) * win
-    v = [abs(ph.stationary_phase_eval(u0, psi, h).integral) for h in hs]
+    v = [abs(ph.stationary_phase_eval(u0, phase, h).integral) for h in hs]
     slope_vanish = ph.fit_loglog_slope(hs, v)
 
     elapsed = time.time() - t0

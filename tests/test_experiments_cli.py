@@ -24,8 +24,13 @@ def small_cfg(**over):
 def test_config_validation():
     with pytest.raises(ValueError):
         ex.ExperimentConfig(h_list=(0.05, 0.1))  # not descending
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="delta_list values must be positive"):
         ex.ExperimentConfig(delta_list=(0.1, -0.2))
+    with pytest.raises(ValueError, match="delta_list values must be positive"):
+        ex.ExperimentConfig(delta_list=(0.0,))
+    with pytest.raises(ValueError, match="t_list values must be non-negative"):
+        ex.ExperimentConfig(t_list=(-0.1,))
+    assert ex.ExperimentConfig.from_dict({"t_list": [0.0, 0.1]}).t_list == (0.0, 0.1)
     with pytest.raises(ValueError, match="cgo_h_list must be descending"):
         ex.ExperimentConfig(cgo_h_list=(0.02, 0.04))
     with pytest.raises(ValueError, match="cgo_h_list values must be positive"):
@@ -138,6 +143,20 @@ def test_stationary_phase_study(tmp_path):
     assert 0.8 <= res["slope_integral"] <= 1.2
     rows = (tmp_path / "stationary_phase.csv").read_text().splitlines()
     assert rows[0].split(",")[:3] == ["h", "delta", "integral_re"]
+
+
+def test_stationary_phase_study_ignores_roundoff_in_diff_r(tmp_path, monkeypatch):
+    """The study's critical point, Hessian and psi(z_hat) come from the
+    phase object, so a last-bit change in the radial derivative leaves its
+    CSV byte-identical."""
+    ex.run_stationary_phase(ex.ExperimentConfig(), out=tmp_path / "a")
+    diff_r = geo.PolarGrid.diff_r
+    monkeypatch.setattr(
+        geo.PolarGrid, "diff_r", lambda self, *a, **k: diff_r(self, *a, **k) * (1 + 4.4e-16)
+    )
+    ex.run_stationary_phase(ex.ExperimentConfig(), out=tmp_path / "b")
+    csv = "stationary_phase.csv"
+    assert (tmp_path / "a" / csv).read_bytes() == (tmp_path / "b" / csv).read_bytes()
 
 
 def test_check_failure_carries_anchor():

@@ -107,39 +107,36 @@ def test_hessian_floor_scaling():
 
 def test_stationary_phase_requires_compact_support():
     g = geo.PolarGrid(geo.disk(1.0), 64, 64)
-    psi = geo.ScalarField(g, (g.nodes**2).imag + 0j)
     u = geo.ScalarField(g, np.ones(g.shape))
     with pytest.raises(ValueError):
-        ph.stationary_phase_eval(u, psi, 0.1)
+        ph.stationary_phase_eval(u, ph.base_phase(0.0), 0.1)
 
 
 def test_stationary_phase_rejects_bad_h():
     g = geo.PolarGrid(geo.disk(1.0), 64, 64)
-    psi = geo.ScalarField(g, (g.nodes**2).imag + 0j)
     u = ph.bump_window(g, 0.0, 0.5)
     with pytest.raises(ValueError):
-        ph.stationary_phase_eval(u, psi, -0.1)
+        ph.stationary_phase_eval(u, ph.base_phase(0.0), -0.1)
 
 
 def test_stationary_phase_refuses_multiple_critical_points():
     g = geo.PolarGrid(geo.disk(1.0), 128, 128)
     b = ph.base_phase(0.0)
     sq = ph.squared_phase(b, 0.45, 0.03)
-    psi = sq.im_field(g)
     u = ph.bump_window(g, 0.0, 0.85)  # support holds all three critical points
     with pytest.raises(ValueError):
-        ph.stationary_phase_eval(u, psi, 0.1, phase=sq)
+        ph.stationary_phase_eval(u, sq, 0.1)
 
 
 def test_stationary_phase_vanishing_amplitude():
     g = geo.PolarGrid(geo.disk(1.0), 256, 256)
     Z = g.nodes
-    psi = geo.ScalarField(g, (Z**2).imag + 0j)
+    base = ph.base_phase(0.0)
     win = ph.bump_window(g, 0.0, 0.6)
     u = geo.ScalarField(g, Z * np.exp(-4 * np.abs(Z - 0.1 - 0.05j) ** 2)) * win
-    r = ph.stationary_phase_eval(u, psi, 0.05, mode="leading")
+    r = ph.stationary_phase_eval(u, base, 0.05, mode="leading")
     assert abs(r.leading) < 1e-8
-    r2 = ph.stationary_phase_eval(u, psi, 0.025, mode="leading")
+    r2 = ph.stationary_phase_eval(u, base, 0.025, mode="leading")
     # integral is second order once the leading term vanishes
     assert abs(r2.integral) < 0.5 * abs(r.integral)
 
@@ -149,23 +146,22 @@ def test_leading_coefficient_calibration():
     h u(0)/|psi''| converges to the frozen constant pi/2."""
     g = geo.PolarGrid(geo.disk(1.0), 384, 512)
     Z = g.nodes
-    psi = geo.ScalarField(g, (Z**2).imag + 0j)
     win = ph.bump_window(g, 0.0, 0.6)
     u = geo.ScalarField(g, np.exp(-4 * np.abs(Z) ** 2)) * win
-    r = ph.stationary_phase_eval(u, psi, 0.005, mode="bound")
+    r = ph.stationary_phase_eval(u, ph.base_phase(0.0), 0.005, mode="bound")
     assert abs(r.integral / 0.005 - ph.LEADING_COEFFICIENT) < 1e-3
 
 
 def test_slopes_on_reference_phase():
     g = geo.PolarGrid(geo.disk(1.0), 384, 512)
     Z = g.nodes
-    psi = geo.ScalarField(g, (Z**2).imag + 0j)
+    base = ph.base_phase(0.0)
     win = ph.bump_window(g, 0.0, 0.6)
     u = geo.ScalarField(g, np.exp(-6 * np.abs(Z - 0.15 - 0.08j) ** 2)) * win
     hs = [0.2, 0.1, 0.05, 0.025]
     ints, resids = [], []
     for h in hs:
-        r = ph.stationary_phase_eval(u, psi, h, mode="leading")
+        r = ph.stationary_phase_eval(u, base, h, mode="leading")
         assert abs(r.integral) <= r.bound
         ints.append(abs(r.integral))
         resids.append(r.residual)
@@ -173,20 +169,17 @@ def test_slopes_on_reference_phase():
     assert 1.7 <= ph.fit_loglog_slope(hs, resids) <= 2.3
 
 
-@pytest.mark.parametrize("phase", [False, True], ids=["located", "phase-object"])
-def test_oscillatory_integral_matches_single_eval(phase):
+def test_oscillatory_integral_matches_single_eval():
     """One OscillatoryIntegral serves every h and gives bit for bit what
     stationary_phase_eval gives for each h on its own."""
     g = geo.PolarGrid(geo.disk(1.0), 128, 128)
     base = ph.base_phase(0.0)
-    psi = base.im_field(g)
     win = ph.bump_window(g, 0.0, 0.6)
     u = geo.ScalarField(g, np.exp(-6 * np.abs(g.nodes - 0.15 - 0.08j) ** 2)) * win
-    kw = {"phase": base} if phase else {}
-    osc = ph.OscillatoryIntegral(u, psi, **kw)
+    osc = ph.OscillatoryIntegral(u, base)
     for h in (0.2, 0.1, 0.05, 0.025):
         for mode in ("bound", "leading"):
-            want = ph.stationary_phase_eval(u, psi, h, mode, **kw)
+            want = ph.stationary_phase_eval(u, base, h, mode)
             assert repr(osc.eval(h, mode)) == repr(want)
     with pytest.raises(ValueError):
         osc.eval(0.0)
@@ -194,18 +187,34 @@ def test_oscillatory_integral_matches_single_eval(phase):
         osc.eval(0.1, mode="exact")
 
 
-def test_located_critical_point_matches_phase_object():
-    g = geo.PolarGrid(geo.disk(1.0), 256, 256)
-    b = ph.base_phase(0.0)
-    sq = ph.squared_phase(b, 0.5, 0.04)
-    psi = sq.im_field(g)
-    win = ph.bump_window(g, 0.5, 0.35)
-    u = geo.ScalarField(g, np.exp(-8 * np.abs(g.nodes - 0.5) ** 2)) * win
-    r_auto = ph.stationary_phase_eval(u, psi, 0.05)
-    r_exact = ph.stationary_phase_eval(u, psi, 0.05, phase=sq)
-    assert abs(r_auto.z_hat - 0.5) < 1e-4
-    assert abs(r_exact.z_hat - 0.5) < 1e-12
-    assert abs(r_auto.integral - r_exact.integral) < 1e-12
+def test_oscillatory_integral_refuses_sampled_psi():
+    """psi comes only from a phase object; samples of it are refused before
+    any grid work."""
+    g = geo.PolarGrid(geo.disk(1.0), 64, 64)
+    psi = geo.ScalarField(g, (g.nodes**2).imag + 0j)
+    u = ph.bump_window(g, 0.0, 0.5)
+    with pytest.raises(TypeError, match="HolomorphicPhase"):
+        ph.OscillatoryIntegral(u, psi)
+    with pytest.raises(TypeError, match="HolomorphicPhase"):
+        ph.stationary_phase_eval(u, psi, 0.1)
+
+
+def test_critical_point_and_hessian_from_phase_object():
+    """z_hat and |psi''(z_hat)| are the phase's own data, exactly."""
+    g = geo.PolarGrid(geo.disk(1.0), 128, 128)
+    for a in (0.0, 0.1 - 0.05j):
+        u = ph.bump_window(g, a, 0.5)
+        osc = ph.OscillatoryIntegral(u, ph.base_phase(a))
+        assert osc.z_hat == a
+        assert osc.hessian == 1.0
+        r = osc.eval(0.05, mode="leading")
+        assert (r.z_hat, r.hessian) == (a, 1.0)
+    sq = ph.squared_phase(ph.base_phase(0.0), 0.5, 0.04)
+    u = ph.bump_window(g, 0.5, 0.35)  # holds only the critical point near 0.5
+    osc = ph.OscillatoryIntegral(u, sq)
+    hess = dict(zip(sq.critical_points, sq.hessians))
+    assert abs(osc.z_hat - 0.5) < 1e-12
+    assert osc.hessian == abs(hess[osc.z_hat]) / 2
 
 
 def test_integral_slope_uniform_over_anchors():
@@ -218,11 +227,10 @@ def test_integral_slope_uniform_over_anchors():
     for _ in range(10):
         zhat = 0.3 * (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1))
         base = ph.base_phase(zhat)
-        psi = base.im_field(g)
         win = ph.bump_window(g, zhat, 0.55)
         u = geo.ScalarField(g, np.exp(-6 * np.abs(Z - zhat - 0.1) ** 2)) * win
         ints = [
-            abs(ph.stationary_phase_eval(u, psi, h, phase=base).integral) for h in hs
+            abs(ph.stationary_phase_eval(u, base, h).integral) for h in hs
         ]
         slope = ph.fit_loglog_slope(hs, ints)
         assert 0.75 <= slope <= 1.25
