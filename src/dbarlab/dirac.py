@@ -67,7 +67,6 @@ __all__ = [
     "undiagonalize",
     "difference_potential",
     "OscillatoryCauchy",
-    "oscillatory_inverse",
     "neumann_cgo",
     "inner_sigma",
     "h1_norm_section",
@@ -288,15 +287,6 @@ class OscillatoryCauchy:
         return OneForm(self.grid, np.zeros(self.grid.shape), out)
 
 
-def oscillatory_inverse(x, psi, h: float, which: str):
-    """One-shot oscillatory inverse; see OscillatoryCauchy for semantics."""
-    if which not in ("dbar", "dbar_star"):
-        raise ValueError(f"which must be 'dbar' or 'dbar_star', got {which!r}")
-    grid = x.grid
-    op = OscillatoryCauchy(grid, psi, h)
-    return op.dbar_inv(x) if which == "dbar" else op.dbar_star_inv(x)
-
-
 # ---------------------------------------------------------------------------
 # Neumann-series CGO solutions
 # ---------------------------------------------------------------------------
@@ -406,13 +396,6 @@ def neumann_cgo(
     r, s = (x, y) if on_scalar else (y, x)
     r_h = ScalarField(g, r)
     s_h = OneForm(g, zeros, s)
-    nr, ns = norm_l2(r_h), norm_l2(s_h)
-    delta = phase.delta if phase.delta > 0 else 1.0
-    norms = {
-        "norm_r_l2": nr,
-        "norm_s_l2": ns,
-        "bound_ratio": (nr + ns) * delta**4 / math.sqrt(h),
-    }
     return CgoSolution(
         phase=phase,
         h=h,
@@ -420,7 +403,7 @@ def neumann_cgo(
         seed=OneForm(g, zeros, c) if on_scalar else ScalarField(g, c),
         r_h=r_h,
         s_h=s_h,
-        norms=norms,
+        norms={"norm_r_l2": norm_l2(r_h), "norm_s_l2": norm_l2(s_h)},
         terms_used=used,
         contraction_estimate=est,
         residuals=(res / scale,),

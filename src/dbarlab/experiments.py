@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import platform
 from dataclasses import dataclass, asdict, fields
 from pathlib import Path
@@ -98,6 +99,8 @@ class ExperimentConfig:
             raise ValueError("delta_list values must be positive")
         if any(t < 0 for t in self.t_list):
             raise ValueError("t_list values must be non-negative")
+        if self.order < 0:
+            raise ValueError("order must be non-negative")
         if 2 * self.order + 1 > self.n_theta:
             need = 2 * self.order + 1
             raise ValueError(f"order {self.order} needs n_theta >= {need}, got {self.n_theta}")
@@ -175,6 +178,15 @@ def write_csv(path, header, rows) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+# CSVs are byte-identical only at a fixed BLAS thread count
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _blas_build(module) -> dict:
+    blas = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"name": blas.get("name"), "version": blas.get("version")}
+
+
 def write_manifest(path, cfg: ExperimentConfig, study: str, extras: dict) -> None:
     manifest = {
         "study": study,
@@ -185,6 +197,9 @@ def write_manifest(path, cfg: ExperimentConfig, study: str, extras: dict) -> Non
             "numpy": np.__version__,
             "scipy": scipy.__version__,
             "python": platform.python_version(),
+            "numpy_blas": _blas_build(np),
+            "scipy_blas": _blas_build(scipy),
+            **{var: os.environ.get(var) for var in _BLAS_THREAD_VARS},
         },
         "results": extras,
     }
@@ -521,7 +536,7 @@ def run_stationary_phase(cfg: ExperimentConfig, out="out") -> dict:
     rows = []
     ints, resids = [], []
     for h in cfg.h_list:
-        r = osc.eval(h, mode="leading")
+        r = osc.eval(h)
         rows.append(
             [
                 h,
@@ -618,10 +633,8 @@ def run_holonomy_study(cfg: ExperimentConfig, out="out") -> dict:
     f_comp = np.maximum(0.0, 1 - ((np.abs(Z) - mid) / (2 * wid)) ** 2) ** 3
     table = []
     for t in cfg.t_list:
-        df = geo.exterior_d(geo.ScalarField(g, t * f_comp + 0j))
-        X2 = pot1.X + df
-        pot2 = fw.PotentialPair(X2, pot1.q)
-        rep = ho.holonomy_defect(pot1.X, X2, loop)
+        pot2 = fw.gauge_transform(pot1, geo.ScalarField(g, t * f_comp))
+        rep = ho.holonomy_defect(pot1.X, pot2.X, loop)
         d2 = fw.dtn(pot2, cfg.order)
         dist = me.ensemble_distance(d1, d2)
         table.append([t, rep.integral, rep.nearest_k, rep.defect, dist])

@@ -62,14 +62,12 @@ __all__ = [
     "EigenvalueCollision",
     "magnetic_apply",
     "magnetic_apply_factored",
-    "assemble",
     "MagneticOperator",
     "solve_dirichlet",
     "neumann_data",
     "cauchy_pair",
     "dtn",
     "system_dtn",
-    "diagonalized_system_dtn",
     "dtn_and_diagonalized_system_dtn",
     "gauge_transform",
     "manufactured_potential",
@@ -328,12 +326,6 @@ def _boundary_samples(g: PolarGrid, f: np.ndarray) -> np.ndarray:
     return f
 
 
-def assemble(pot: PotentialPair, condition_limit: float = 1e12) -> MagneticOperator:
-    """Factorized discrete operator; raises EigenvalueCollision when the
-    discretization sits on a Dirichlet eigenvalue."""
-    return MagneticOperator(pot, condition_limit)
-
-
 def solve_dirichlet(
     pot: PotentialPair, f: np.ndarray, allow_perturbation: bool = True
 ) -> ScalarField:
@@ -345,12 +337,12 @@ def solve_dirichlet(
     """
     f = _boundary_samples(pot.grid, f)  # refuse bad data before factoring
     try:
-        op = assemble(pot)
+        op = MagneticOperator(pot)
     except EigenvalueCollision as exc:
         if not allow_perturbation:
             raise
         logging.getLogger("dbarlab").warning("%s; retrying once with q + 1e-6i", exc)
-        op = assemble(PotentialPair(pot.X, pot.q + 1e-6j))
+        op = MagneticOperator(PotentialPair(pot.X, pot.q + 1e-6j))
     return ScalarField(pot.grid, op.solve(f))
 
 
@@ -404,9 +396,11 @@ def _unit_fourier_response(pot: PotentialPair, order: int) -> tuple[np.ndarray, 
     holds datum e^{i n theta}, n = k - order, on circle cj (zero on the
     others)."""
     g = pot.grid
+    if order < 0:
+        raise ValueError("order must be non-negative")
     if 2 * order + 1 > g.n_theta:
         raise ValueError("order exceeds the sample bandwidth")
-    op = assemble(pot)
+    op = MagneticOperator(pot)
     n_c = len(g.boundary_rings)
     waves = np.exp(1j * np.outer(g.theta, np.arange(-order, order + 1)))
     data = np.kron(np.eye(n_c), waves).reshape(n_c, g.n_theta, -1)
@@ -421,23 +415,11 @@ def _dtn_matrix(g: PolarGrid, order: int, rows: np.ndarray) -> DtnMatrix:
     return DtnMatrix(order=order, circles=radii, matrix=coeffs.reshape(-1, rows.shape[2]))
 
 
-def _dtn_of_jet(pot: PotentialPair, order: int, jet) -> DtnMatrix:
-    return _dtn_matrix(pot.grid, order, _magnetic_normal(pot, *jet))
-
-
-def _diagonalized_of_jet(pot: PotentialPair, F: ScalarField, order: int, jet) -> DtnMatrix:
-    g = pot.grid
-    trace, d_r = jet
-    F_b = F.values[list(g.boundary_rings)][:, :, None]
-    Fm = _dtn_matrix(g, order, F_b * trace).matrix
-    G = _dtn_matrix(g, order, _omega01_pullback(pot, trace, d_r) / np.conj(F_b))
-    return replace(G, matrix=G.matrix @ np.linalg.inv(Fm))
-
-
 def dtn(pot: PotentialPair, order: int) -> DtnMatrix:
     """Truncated DtN matrix: the magnetic Neumann data of the unit Fourier
     response."""
-    return _dtn_of_jet(pot, order, _unit_fourier_response(pot, order))
+    rows = _magnetic_normal(pot, *_unit_fourier_response(pot, order))
+    return _dtn_matrix(pot.grid, order, rows)
 
 
 def system_dtn(pot: PotentialPair, order: int) -> DtnMatrix:
@@ -448,23 +430,23 @@ def system_dtn(pot: PotentialPair, order: int) -> DtnMatrix:
     return _dtn_matrix(pot.grid, order, rows)
 
 
-def diagonalized_system_dtn(pot: PotentialPair, F: ScalarField, order: int) -> DtnMatrix:
-    """Graph map of the diagonalized system's Cauchy data.
+def dtn_and_diagonalized_system_dtn(
+    pot: PotentialPair, F: ScalarField, order: int
+) -> tuple[DtnMatrix, DtnMatrix]:
+    """`dtn` and the graph map of the diagonalized system's Cauchy data,
+    both from one solve of the unit Fourier data.
 
     The conjugated sections carry traces (F u, pullback of star(conj(F)^{-1}
     omega)); in truncated Fourier space the graph map is G Fm^{-1} with Fm
     the boundary multiplication by F and G the transformed Neumann-side
     columns."""
-    return _diagonalized_of_jet(pot, F, order, _unit_fourier_response(pot, order))
-
-
-def dtn_and_diagonalized_system_dtn(
-    pot: PotentialPair, F: ScalarField, order: int
-) -> tuple[DtnMatrix, DtnMatrix]:
-    """`dtn` and `diagonalized_system_dtn` from one solve of the unit
-    Fourier data."""
-    jet = _unit_fourier_response(pot, order)
-    return _dtn_of_jet(pot, order, jet), _diagonalized_of_jet(pot, F, order, jet)
+    g = pot.grid
+    trace, d_r = _unit_fourier_response(pot, order)
+    F_b = F.values[list(g.boundary_rings)][:, :, None]
+    Fm = _dtn_matrix(g, order, F_b * trace).matrix
+    G = _dtn_matrix(g, order, _omega01_pullback(pot, trace, d_r) / np.conj(F_b))
+    d = _dtn_matrix(g, order, _magnetic_normal(pot, trace, d_r))
+    return d, replace(G, matrix=G.matrix @ np.linalg.inv(Fm))
 
 
 def gauge_transform(

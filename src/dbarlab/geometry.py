@@ -589,11 +589,8 @@ def laplacian(f: ScalarField, route: str = "direct") -> ScalarField:
 def inner_l2(a, b) -> complex:
     """Hermitian L2 pairing, conjugate-linear in the second argument.
 
-    Accepts matching scalar fields, 1-forms, 2-forms, or section-like
-    pairs exposing ``u`` and ``omega`` components.
+    Accepts matching scalar fields, 1-forms or 2-forms only.
     """
-    if hasattr(a, "u") and hasattr(a, "omega"):
-        return inner_l2(a.u, b.u) + inner_l2(a.omega, b.omega)
     if isinstance(a, ScalarField) and isinstance(b, ScalarField):
         a.grid.check_same(b.grid)
         return complex(np.sum(a.grid.weights * a.values * np.conj(b.values)))

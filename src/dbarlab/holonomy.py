@@ -101,12 +101,7 @@ def winding_integral(theta_ratio: ScalarField, gamma: Loop) -> dict:
         raise ValueError("loop increments did not settle below pi/2 under refinement")
     value = complex(np.sum(np.log(ratios)))
     k = int(round(value.imag / TWO_PI))
-    return {
-        "value": value,
-        "winding": k,
-        "distance": abs(value - TWO_PI * 1j * k),
-        "samples_used": len(loop.samples),
-    }
+    return {"value": value, "winding": k, "distance": abs(value - TWO_PI * 1j * k)}
 
 
 def gauge_residual(X1: OneForm, X2: OneForm, theta_ratio: ScalarField) -> tuple[OneForm, float]:

@@ -24,7 +24,6 @@ from .geometry import ScalarField
 
 __all__ = [
     "BoundaryTrace",
-    "SobolevNorm",
     "boundary_norm",
     "pair_distance",
     "ensemble_distance",
@@ -82,16 +81,12 @@ def trace_from_samples(samples: np.ndarray, order: int) -> BoundaryTrace:
     if s.ndim == 1:
         s = s[None, :]
     n = s.shape[1]
+    if order < 0:
+        raise ValueError("order must be non-negative")
     if 2 * order + 1 > n:
         raise ValueError("order exceeds the sample bandwidth")
     full = np.fft.fft(s, axis=1) / n
     return BoundaryTrace(order, full[:, np.arange(-order, order + 1) % n])
-
-
-@dataclass(frozen=True)
-class SobolevNorm:
-    exponent: float
-    value: float
 
 
 def _weights(order: int, s: float) -> np.ndarray:
@@ -99,21 +94,21 @@ def _weights(order: int, s: float) -> np.ndarray:
     return (1.0 + n.astype(float) ** 2) ** (s / 2.0)
 
 
-def boundary_norm(t: BoundaryTrace, s: float) -> SobolevNorm:
+def boundary_norm(t: BoundaryTrace, s: float) -> float:
+    """The H^s norm of a truncated trace."""
     w = _weights(t.order, s)
-    val = math.sqrt(float(np.sum((w[None, :] * np.abs(t.coeffs)) ** 2)))
-    return SobolevNorm(s, val)
+    return math.sqrt(float(np.sum((w[None, :] * np.abs(t.coeffs)) ** 2)))
 
 
 def pair_distance(p1, p2) -> float:
     """Cauchy-pair distance (||f1-f2||_{1/2} + ||g1-g2||_{-1/2}) / ||f1||_{1/2}."""
     f1, g1 = p1.f, p1.g
     f2, g2 = p2.f, p2.g
-    den = boundary_norm(f1, 0.5).value
+    den = boundary_norm(f1, 0.5)
     if den == 0.0:
         raise ValueError("pair_distance needs a nonzero first trace")
     return (
-        boundary_norm(f1 - f2, 0.5).value + boundary_norm(g1 - g2, -0.5).value
+        boundary_norm(f1 - f2, 0.5) + boundary_norm(g1 - g2, -0.5)
     ) / den
 
 

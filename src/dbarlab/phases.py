@@ -43,7 +43,6 @@ __all__ = [
     "exclusion_set",
     "StationaryPhaseResult",
     "OscillatoryIntegral",
-    "stationary_phase_eval",
     "bump_window",
     "LEADING_COEFFICIENT",
     "BOUND_COEFFICIENT",
@@ -104,8 +103,6 @@ class HolomorphicPhase:
     critical_points: tuple
     critical_values: tuple
     hessians: tuple
-    delta: float = 0.0
-    hessian_floor_constant: float = 0.0
     case_tags: tuple = ()
 
     def __call__(self, z):
@@ -113,10 +110,6 @@ class HolomorphicPhase:
 
     def d1(self, z):
         c = np.polynomial.polynomial.polyder(self.coeffs)
-        return np.polynomial.polynomial.polyval(z, c)
-
-    def d2(self, z):
-        c = np.polynomial.polynomial.polyder(self.coeffs, 2)
         return np.polynomial.polynomial.polyval(z, c)
 
     def im_field(self, grid: PolarGrid) -> ScalarField:
@@ -177,8 +170,8 @@ def squared_phase(base: HolomorphicPhase, p_hat: complex, delta: float) -> Holom
 
     Requires ``p_hat`` outside the exclusion set of radius sqrt(delta);
     critical points split into the base phase's own critical points and
-    the level set {Phi = Phi(p_hat)}, and every Hessian is bounded below
-    by a recorded multiple of delta^4.
+    the level set {Phi = Phi(p_hat)}, and each carries its exact Hessian;
+    a degenerate one is refused.
     """
     ex = exclusion_set(base, delta)
     ball = ex.violating_ball(p_hat)
@@ -222,8 +215,6 @@ def squared_phase(base: HolomorphicPhase, p_hat: complex, delta: float) -> Holom
         critical_points=tuple(uniq),
         critical_values=values,
         hessians=hessians,
-        delta=float(delta),
-        hessian_floor_constant=min_h / delta**4,
         case_tags=tuple(utags),
     )
 
@@ -247,8 +238,8 @@ class StationaryPhaseResult:
     z_hat: complex
     hessian: complex
     bound: float
-    leading: complex = 0.0 + 0.0j
-    residual: float = float("nan")
+    leading: complex
+    residual: float
 
 
 def _inside_support(grid: PolarGrid, p: complex, mask: np.ndarray) -> bool:
@@ -268,8 +259,8 @@ class OscillatoryIntegral:
     envelope are computed once for every h.  The amplitude must vanish at the
     boundary (compact support) and its support, where |u| exceeds 1e-6 of
     its maximum, must contain exactly one critical point of Phi.  The
-    leading term's u(z_hat) is interpolated on the first ``mode='leading'``
-    evaluation; psi(z_hat) is the phase's exact value.
+    leading term's u(z_hat) is interpolated once, on the first evaluation;
+    psi(z_hat) is the phase's exact value.
     """
 
     def __init__(self, u: ScalarField, phase: HolomorphicPhase):
@@ -308,10 +299,9 @@ class OscillatoryIntegral:
         u_at = Interpolator(self.u.grid, self.u.values)(self.z_hat)
         return u_at, float(self.phase(self.z_hat).imag)
 
-    def eval(self, h: float, mode: str = "bound") -> StationaryPhaseResult:
-        """``mode='bound'`` returns the integral together with the
-        first-order envelope C h / delta_eff; ``mode='leading'`` also
-        returns the calibrated leading term and the measured residual after
+    def eval(self, h: float) -> StationaryPhaseResult:
+        """The integral at h with its first-order envelope C h / delta_eff,
+        the calibrated leading term and the measured residual after
         subtracting it."""
         if h <= 0:
             raise ValueError("h must be positive")
@@ -320,28 +310,12 @@ class OscillatoryIntegral:
         integral = complex(np.sum(g.weights * integrand))
         delta_eff = math.sqrt(self.hessian)
         bound = BOUND_COEFFICIENT * h / delta_eff * self.w2
-
-        if mode == "bound":
-            return StationaryPhaseResult(integral, h, self.z_hat, self.hessian, bound)
-        if mode != "leading":
-            raise ValueError(f"mode must be 'bound' or 'leading', got {mode!r}")
-
         u_at, psi_at = self._leading_samples
         leading = LEADING_COEFFICIENT * h * u_at * cmath.exp(2j * psi_at / h) / self.hessian
         residual = abs(integral - leading)
         return StationaryPhaseResult(
             integral, h, self.z_hat, self.hessian, bound, leading, residual
         )
-
-
-def stationary_phase_eval(
-    u: ScalarField, phase: HolomorphicPhase, h: float, mode: str = "bound"
-) -> StationaryPhaseResult:
-    """Oscillatory integral of u e^{2 i Im(phase) / h} over the domain at one
-    h; see `OscillatoryIntegral` for the modes and the requirements on u."""
-    if h <= 0:
-        raise ValueError("h must be positive")
-    return OscillatoryIntegral(u, phase).eval(h, mode)
 
 
 def fit_loglog_slope(x: np.ndarray, y: np.ndarray) -> float:

@@ -86,7 +86,7 @@ def test_criterion_02_stationary_phase():
     hs = [0.2, 0.1, 0.05, 0.025, 0.0125]
     ints, resids = [], []
     for h in hs:
-        r = ph.stationary_phase_eval(u, phase, h, mode="leading")
+        r = ph.OscillatoryIntegral(u, phase).eval(h)
         ints.append(abs(r.integral))
         resids.append(r.residual)
     slope_i = ph.fit_loglog_slope(hs, ints)
@@ -96,7 +96,7 @@ def test_criterion_02_stationary_phase():
     # integral is second order (reported; see the decisions ledger for the
     # criterion's internally-crossed clause)
     u0 = geo.ScalarField(g, Z * np.exp(-4 * np.abs(Z - 0.1 - 0.05j) ** 2)) * win
-    v = [abs(ph.stationary_phase_eval(u0, phase, h).integral) for h in hs]
+    v = [abs(ph.OscillatoryIntegral(u0, phase).eval(h).integral) for h in hs]
     slope_vanish = ph.fit_loglog_slope(hs, v)
 
     elapsed = time.time() - t0

@@ -1,5 +1,6 @@
 import importlib
 import json
+import os
 import platform
 
 import numpy as np
@@ -46,6 +47,10 @@ def test_config_validation():
     with pytest.raises(ValueError, match="order 8 needs n_theta >= 17, got 16"):
         ex.ExperimentConfig(n_theta=16, order=8)
     assert ex.ExperimentConfig(n_theta=16, order=7).order == 7
+    with pytest.raises(ValueError, match="order must be non-negative"):
+        ex.ExperimentConfig(order=-1)
+    with pytest.raises(ValueError, match="order must be non-negative"):
+        ex.ExperimentConfig.from_dict({"order": -1})
     for key in ("h_list", "cgo_h_list", "t_list", "delta_list"):
         with pytest.raises(ValueError, match=f"{key} must not be empty"):
             ex.ExperimentConfig.from_dict({key: []})
@@ -60,12 +65,21 @@ def test_config_validation():
     assert cfg == ex.ExperimentConfig()
 
 
-def test_manifest_records_library_versions(tmp_path):
+def test_manifest_records_library_versions(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
     ex.write_manifest(tmp_path / "m.json", ex.ExperimentConfig(), "forward", {})
     versions = json.loads((tmp_path / "m.json").read_text())["versions"]
     assert versions["numpy"] == np.__version__
     assert versions["scipy"] == scipy.__version__
     assert versions["python"] == platform.python_version()
+    for module in (np, scipy):
+        blas = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        want = {"name": blas["name"], "version": blas["version"]}
+        assert versions[f"{module.__name__}_blas"] == want
+    assert versions["OPENBLAS_NUM_THREADS"] == "3"
+    assert versions["OMP_NUM_THREADS"] == os.environ.get("OMP_NUM_THREADS")
+    assert versions["MKL_NUM_THREADS"] is None
 
 
 def test_config_roundtrip(tmp_path):

@@ -2,6 +2,7 @@ import logging
 
 import numpy as np
 import pytest
+from scipy.special import hyp1f1, jv, jvp
 
 from dbarlab import geometry as geo
 from dbarlab import forward as fw
@@ -109,7 +110,7 @@ def test_discrete_residual_small(grid):
     X, _ = smooth_real_connection(grid)
     q = geo.ScalarField(grid, 0.2 * np.exp(-np.abs(grid.nodes) ** 2))
     pot = fw.PotentialPair(X, q)
-    op = fw.assemble(pot)
+    op = fw.MagneticOperator(pot)
     u = op.solve(np.exp(1j * grid.theta))
     assert op.residual(u) < 1e-8
 
@@ -120,7 +121,7 @@ def test_residual_independent_of_later_solves():
     g = geo.PolarGrid(geo.disk(1.0), 48, 64)
     X, _ = smooth_real_connection(g)
     q = geo.ScalarField(g, 0.2 * np.exp(-np.abs(g.nodes) ** 2))
-    op = fw.assemble(fw.PotentialPair(X, q))
+    op = fw.MagneticOperator(fw.PotentialPair(X, q))
     u1 = op.solve(np.exp(1j * g.theta))
     op.solve(3.0 + np.cos(3 * g.theta))
     assert op.residual(u1) < 1e-8
@@ -130,12 +131,12 @@ def test_residual_independent_of_later_solves():
 def test_solve_matches_dense_system(domain):
     """The block sweep against a dense solve of the unreduced interior
     equations (on a disk with the center unknown and its equation), and
-    the one-solve pair builder against the two single builders."""
+    the one-solve pair builder's DtN against the single builder."""
     g = geo.PolarGrid(domain, 10, 16)
     X, alpha = smooth_real_connection(g)
     q = geo.ScalarField(g, 0.3 * np.exp(-2 * np.abs(g.nodes - 0.2) ** 2))
     pot = fw.PotentialPair(X, q)
-    op = fw.assemble(pot)
+    op = fw.MagneticOperator(pot)
     n_t = g.n_theta
     rng = np.random.default_rng(3)
     f = np.stack([
@@ -148,9 +149,8 @@ def test_solve_matches_dense_system(domain):
         assert np.array_equal(got[r], f[i])
 
     F = geo.ScalarField(g, np.exp(1j * alpha))
-    d, dsys = fw.dtn_and_diagonalized_system_dtn(pot, F, 4)
+    d, _ = fw.dtn_and_diagonalized_system_dtn(pot, F, 4)
     assert np.array_equal(d.matrix, fw.dtn(pot, 4).matrix)
-    assert np.array_equal(dsys.matrix, fw.diagonalized_system_dtn(pot, F, 4).matrix)
 
 
 def test_solve_annulus_harmonic():
@@ -287,12 +287,12 @@ def test_dtn_builders_match_column_oracle(domain):
     q = geo.ScalarField(g, 0.3 * np.exp(-2 * np.abs(g.nodes - 0.2) ** 2))
     pot = fw.PotentialPair(X, q)
     F = geo.ScalarField(g, np.exp(1j * alpha))
-    op = fw.assemble(pot)
+    op = fw.MagneticOperator(pot)
     order = 4
     built = (
         fw.dtn(pot, order),
         fw.system_dtn(pot, order),
-        fw.diagonalized_system_dtn(pot, F, order),
+        fw.dtn_and_diagonalized_system_dtn(pot, F, order)[1],
     )
     for d, ref in zip(built, _oracle_matrices(pot, F, order, op)):
         assert d.matrix.shape == ref.shape == (len(g.boundary_rings) * 9,) * 2
@@ -300,9 +300,10 @@ def test_dtn_builders_match_column_oracle(domain):
         assert np.max(np.abs(d.matrix - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-def test_dtn_order_must_fit_angular_bandwidth():
+def test_dtn_order_must_fit_angular_bandwidth(monkeypatch):
     """2 order + 1 Fourier modes need n_theta samples; past that the top
-    and bottom modes alias and the builders refuse before solving."""
+    and bottom modes alias, and a negative order has no modes at all.  The
+    builders refuse both before the operator is built."""
     g = geo.PolarGrid(geo.disk(1.0), 16, 16)
     X, alpha = smooth_real_connection(g)
     pot = fw.PotentialPair(X, geo.ScalarField(g, 0.3 * np.exp(-2 * np.abs(g.nodes) ** 2)))
@@ -310,13 +311,97 @@ def test_dtn_order_must_fit_angular_bandwidth():
     builders = (
         lambda order: fw.dtn(pot, order),
         lambda order: fw.system_dtn(pot, order),
-        lambda order: fw.diagonalized_system_dtn(pot, F, order),
+        lambda order: fw.dtn_and_diagonalized_system_dtn(pot, F, order)[1],
     )
+
+    def no_factoring(*args, **kwargs):
+        raise AssertionError("factored before the order check")
+
+    monkeypatch.setattr(fw, "MagneticOperator", no_factoring)
     for build in builders:
         with pytest.raises(ValueError, match="order exceeds the sample bandwidth"):
             build(8)
+        with pytest.raises(ValueError, match="order must be non-negative"):
+            build(-1)
+    monkeypatch.undo()
+    for build in builders:
         d = build(7)
         assert d.matrix.shape == (15, 15) and np.all(np.isfinite(d.matrix))
+
+
+# closed-form DtN oracles, n_theta 64, order 8: the solver is second order
+# in dr, so the error falls by about 4 per doubling of n_r; the error is the
+# largest one on entries pairing a mode with itself (on an annulus, the
+# inner/outer block of each mode), relative to the largest exact entry
+
+
+def _assert_second_order(pot_on, exact):
+    errs = []
+    for n_r in (48, 96, 192):
+        d = fw.dtn(pot_on(n_r), 8)
+        mode = np.arange(d.matrix.shape[0]) % 17
+        same = mode[:, None] == mode[None, :]
+        errs.append(np.max(np.abs(d.matrix - exact)[same]) / np.max(np.abs(exact)))
+        assert np.max(np.abs(d.matrix[~same])) <= 1e-11
+    for coarse, fine in zip(errs, errs[1:]):
+        assert 3.5 <= coarse / fine <= 4.5
+
+
+def test_dtn_disk_helmholtz_oracle():
+    """X = 0, q = -k^2 on the unit disk: Lambda_nn = k J_n'(k) / J_n(k)."""
+    k = 2.0
+    n = np.arange(-8, 9)
+
+    def pot_on(n_r):
+        g = geo.PolarGrid(geo.disk(1.0), n_r, 64)
+        z = np.zeros(g.shape)
+        return fw.PotentialPair(geo.OneForm(g, z, z), geo.ScalarField(g, z - k**2))
+
+    _assert_second_order(pot_on, np.diag(k * jvp(n, k) / jv(n, k)))
+
+
+def test_dtn_constant_field_oracle():
+    """Constant field B on the unit disk, X_10 = -iB zbar/4, X_01 = iB z/4
+    (so X(d_r) = 0), q = 0: Lambda_nn = R_n'(1)/R_n(1) with
+    R_n = r^|n| e^{-B r^2/4} M(a, b, B r^2/2), a = (|n| + n + 1)/2,
+    b = |n| + 1 and M Kummer's function."""
+    B = 1.5
+    n = np.arange(-8, 9)
+    a, b = (np.abs(n) + n + 1) / 2, np.abs(n) + 1.0
+    lam = np.abs(n) - B / 2 + B * (a / b) * hyp1f1(a + 1, b + 1, B / 2) / hyp1f1(a, b, B / 2)
+
+    def pot_on(n_r):
+        g = geo.PolarGrid(geo.disk(1.0), n_r, 64)
+        Z = g.nodes
+        X = geo.OneForm(g, -1j * B * np.conj(Z) / 4, 1j * B * Z / 4)
+        return fw.PotentialPair(X, geo.ScalarField(g, np.zeros(g.shape)))
+
+    _assert_second_order(pot_on, np.diag(lam))
+
+
+def test_dtn_annulus_harmonic_oracle():
+    """X = 0, q = 0 on the (0.5, 1) annulus: per mode, the 2x2 inner/outer
+    block from the solutions r^|n|, r^-|n| (1, log r for n = 0), with the
+    inner circle's normal pointing into the hole."""
+    rho = 0.5
+    exact = np.zeros((34, 34))
+    for k, n in enumerate(range(-8, 9)):
+        m = abs(n)
+        if m == 0:
+            V = [[1.0, np.log(rho)], [1.0, 0.0]]
+            D = [[0.0, -1.0 / rho], [0.0, 1.0]]
+        else:
+            V = [[rho**m, rho**-m], [1.0, 1.0]]
+            D = [[-m * rho ** (m - 1), m * rho ** (-m - 1)], [m, -m]]
+        exact[np.ix_([k, 17 + k], [k, 17 + k])] = np.array(D) @ np.linalg.inv(V)
+
+    def pot_on(n_r):
+        g = geo.PolarGrid(geo.annulus(rho, 1.0), n_r, 64)
+        assert tuple(g.r[r] for r in g.boundary_rings) == (rho, 1.0)
+        z = np.zeros(g.shape)
+        return fw.PotentialPair(geo.OneForm(g, z, z), geo.ScalarField(g, z))
+
+    _assert_second_order(pot_on, exact)
 
 
 def test_dtn_csv_roundtrip(tmp_path, grid):
@@ -363,12 +448,12 @@ def test_eigenvalue_collision_perturbation(caplog):
     # lowest Dirichlet eigenvalue of the unit disk: j_{0,1}^2 = 5.7832...
     lam = 5.783185962946785
     with pytest.raises(fw.EigenvalueCollision):
-        fw.assemble(pot_at(lam), condition_limit=1e8)
+        fw.MagneticOperator(pot_at(lam), condition_limit=1e8)
 
     # the discrete eigenvalue: a simple pole of the solution for f = 1, so
     # the secant method on its reciprocal converges in a few steps
     def inv_value(lam):
-        op = fw.assemble(pot_at(lam), condition_limit=np.inf)
+        op = fw.MagneticOperator(pot_at(lam), condition_limit=np.inf)
         return 1.0 / op.solve(np.ones(g.n_theta))[0, 0].real
 
     a, b = lam, lam + 1e-3
@@ -377,7 +462,7 @@ def test_eigenvalue_collision_perturbation(caplog):
         fb = inv_value(b)
         a, fa, b = b, fb, b - fb * (b - a) / (fb - fa)
     with pytest.raises(fw.EigenvalueCollision):
-        fw.assemble(pot_at(b))
+        fw.MagneticOperator(pot_at(b))
     with caplog.at_level(logging.WARNING, logger="dbarlab"):
         u = fw.solve_dirichlet(pot_at(b), np.ones(g.n_theta), allow_perturbation=True)
     assert np.all(np.isfinite(u.values))
@@ -440,7 +525,7 @@ def test_batched_solve_columns_match_dense_system(domain):
     The disk batch holds the condition probe's random column."""
     pot = _small_pot(domain)
     g = pot.grid
-    op = fw.assemble(pot)
+    op = fw.MagneticOperator(pot)
     n_t = g.n_theta
     rng = np.random.default_rng(0)
     probe = np.stack([
@@ -476,7 +561,7 @@ def test_sweep_matches_dense_near_resonance(domain, scale):
     f = rng.standard_normal((n_c, g.n_theta, 3)) + 1j * rng.standard_normal((n_c, g.n_theta, 3))
     for lam in (0.0, 3.0, 5.0, 5.7, 5.78, 5.7832, 6.5):
         q = geo.ScalarField(g, np.full(g.shape, -lam * scale))
-        op = fw.assemble(fw.PotentialPair(X, q), condition_limit=np.inf)
+        op = fw.MagneticOperator(fw.PotentialPair(X, q), condition_limit=np.inf)
         got = op.solve(f)
         for k in range(f.shape[-1]):
             want = _dense_solve(op, f[:, :, k])
@@ -499,7 +584,7 @@ def test_singular_block_names_its_ring(monkeypatch):
 
     monkeypatch.setattr(fw.MagneticOperator, "_block", zero_row)
     with pytest.raises(fw.EigenvalueCollision, match="singular block at interior ring 0"):
-        fw.assemble(pot)
+        fw.MagneticOperator(pot)
 
 
 @pytest.mark.parametrize("domain", [geo.disk(1.0), geo.annulus(0.5, 1.5)], ids=["disk", "annulus"])
@@ -509,12 +594,12 @@ def test_assemble_rejects_overflowing_coefficients(domain):
     X = geo.OneForm(g, np.full(g.shape, 1e200 + 0j), np.full(g.shape, 1e200 + 0j))
     pot = fw.PotentialPair(X, geo.ScalarField(g, np.zeros(g.shape)))
     with pytest.raises(ValueError):
-        fw.assemble(pot)
+        fw.MagneticOperator(pot)
 
 
 def test_solve_rejects_nonfinite_boundary_data():
     pot = _small_pot(geo.annulus(0.5, 1.5))
-    op = fw.assemble(pot)
+    op = fw.MagneticOperator(pot)
     f = np.ones((2, pot.grid.n_theta))
     f[0, 5] = np.nan
     with pytest.raises(ValueError):
@@ -527,12 +612,12 @@ def test_solve_rejects_misshapen_boundary_data(domain, monkeypatch):
     columns; anything else is refused by shape, not broadcast or dropped,
     and `solve_dirichlet` refuses it before factoring."""
     pot = _small_pot(domain)
-    op = fw.assemble(pot)
+    op = fw.MagneticOperator(pot)
 
     def no_factoring(*args, **kwargs):
         raise AssertionError("factored before the shape check")
 
-    monkeypatch.setattr(fw, "assemble", no_factoring)
+    monkeypatch.setattr(fw, "MagneticOperator", no_factoring)
     n_t = pot.grid.n_theta
     if domain.kind == "disk":
         bad = [np.ones((2, n_t)), np.ones(n_t - 4)]

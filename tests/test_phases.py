@@ -109,14 +109,14 @@ def test_stationary_phase_requires_compact_support():
     g = geo.PolarGrid(geo.disk(1.0), 64, 64)
     u = geo.ScalarField(g, np.ones(g.shape))
     with pytest.raises(ValueError):
-        ph.stationary_phase_eval(u, ph.base_phase(0.0), 0.1)
+        ph.OscillatoryIntegral(u, ph.base_phase(0.0)).eval(0.1)
 
 
 def test_stationary_phase_rejects_bad_h():
     g = geo.PolarGrid(geo.disk(1.0), 64, 64)
     u = ph.bump_window(g, 0.0, 0.5)
     with pytest.raises(ValueError):
-        ph.stationary_phase_eval(u, ph.base_phase(0.0), -0.1)
+        ph.OscillatoryIntegral(u, ph.base_phase(0.0)).eval(-0.1)
 
 
 def test_stationary_phase_refuses_multiple_critical_points():
@@ -125,7 +125,7 @@ def test_stationary_phase_refuses_multiple_critical_points():
     sq = ph.squared_phase(b, 0.45, 0.03)
     u = ph.bump_window(g, 0.0, 0.85)  # support holds all three critical points
     with pytest.raises(ValueError):
-        ph.stationary_phase_eval(u, sq, 0.1)
+        ph.OscillatoryIntegral(u, sq).eval(0.1)
 
 
 def test_stationary_phase_vanishing_amplitude():
@@ -134,9 +134,9 @@ def test_stationary_phase_vanishing_amplitude():
     base = ph.base_phase(0.0)
     win = ph.bump_window(g, 0.0, 0.6)
     u = geo.ScalarField(g, Z * np.exp(-4 * np.abs(Z - 0.1 - 0.05j) ** 2)) * win
-    r = ph.stationary_phase_eval(u, base, 0.05, mode="leading")
+    r = ph.OscillatoryIntegral(u, base).eval(0.05)
     assert abs(r.leading) < 1e-8
-    r2 = ph.stationary_phase_eval(u, base, 0.025, mode="leading")
+    r2 = ph.OscillatoryIntegral(u, base).eval(0.025)
     # integral is second order once the leading term vanishes
     assert abs(r2.integral) < 0.5 * abs(r.integral)
 
@@ -148,7 +148,7 @@ def test_leading_coefficient_calibration():
     Z = g.nodes
     win = ph.bump_window(g, 0.0, 0.6)
     u = geo.ScalarField(g, np.exp(-4 * np.abs(Z) ** 2)) * win
-    r = ph.stationary_phase_eval(u, ph.base_phase(0.0), 0.005, mode="bound")
+    r = ph.OscillatoryIntegral(u, ph.base_phase(0.0)).eval(0.005)
     assert abs(r.integral / 0.005 - ph.LEADING_COEFFICIENT) < 1e-3
 
 
@@ -161,7 +161,7 @@ def test_slopes_on_reference_phase():
     hs = [0.2, 0.1, 0.05, 0.025]
     ints, resids = [], []
     for h in hs:
-        r = ph.stationary_phase_eval(u, base, h, mode="leading")
+        r = ph.OscillatoryIntegral(u, base).eval(h)
         assert abs(r.integral) <= r.bound
         ints.append(abs(r.integral))
         resids.append(r.residual)
@@ -170,21 +170,18 @@ def test_slopes_on_reference_phase():
 
 
 def test_oscillatory_integral_matches_single_eval():
-    """One OscillatoryIntegral serves every h and gives bit for bit what
-    stationary_phase_eval gives for each h on its own."""
+    """One OscillatoryIntegral serves every h and gives bit for bit what a
+    fresh one gives for each h on its own."""
     g = geo.PolarGrid(geo.disk(1.0), 128, 128)
     base = ph.base_phase(0.0)
     win = ph.bump_window(g, 0.0, 0.6)
     u = geo.ScalarField(g, np.exp(-6 * np.abs(g.nodes - 0.15 - 0.08j) ** 2)) * win
     osc = ph.OscillatoryIntegral(u, base)
     for h in (0.2, 0.1, 0.05, 0.025):
-        for mode in ("bound", "leading"):
-            want = ph.stationary_phase_eval(u, base, h, mode)
-            assert repr(osc.eval(h, mode)) == repr(want)
+        want = ph.OscillatoryIntegral(u, base).eval(h)
+        assert repr(osc.eval(h)) == repr(want)
     with pytest.raises(ValueError):
         osc.eval(0.0)
-    with pytest.raises(ValueError):
-        osc.eval(0.1, mode="exact")
 
 
 def test_oscillatory_integral_refuses_sampled_psi():
@@ -195,8 +192,6 @@ def test_oscillatory_integral_refuses_sampled_psi():
     u = ph.bump_window(g, 0.0, 0.5)
     with pytest.raises(TypeError, match="HolomorphicPhase"):
         ph.OscillatoryIntegral(u, psi)
-    with pytest.raises(TypeError, match="HolomorphicPhase"):
-        ph.stationary_phase_eval(u, psi, 0.1)
 
 
 def test_critical_point_and_hessian_from_phase_object():
@@ -207,7 +202,7 @@ def test_critical_point_and_hessian_from_phase_object():
         osc = ph.OscillatoryIntegral(u, ph.base_phase(a))
         assert osc.z_hat == a
         assert osc.hessian == 1.0
-        r = osc.eval(0.05, mode="leading")
+        r = osc.eval(0.05)
         assert (r.z_hat, r.hessian) == (a, 1.0)
     sq = ph.squared_phase(ph.base_phase(0.0), 0.5, 0.04)
     u = ph.bump_window(g, 0.5, 0.35)  # holds only the critical point near 0.5
@@ -230,7 +225,7 @@ def test_integral_slope_uniform_over_anchors():
         win = ph.bump_window(g, zhat, 0.55)
         u = geo.ScalarField(g, np.exp(-6 * np.abs(Z - zhat - 0.1) ** 2)) * win
         ints = [
-            abs(ph.stationary_phase_eval(u, base, h).integral) for h in hs
+            abs(ph.OscillatoryIntegral(u, base).eval(h).integral) for h in hs
         ]
         slope = ph.fit_loglog_slope(hs, ints)
         assert 0.75 <= slope <= 1.25
