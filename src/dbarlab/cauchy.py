@@ -441,15 +441,15 @@ def dbar_inverse(omega: OneForm) -> ScalarField:
     return ScalarField(omega.grid, tbl.apply(omega.c01))
 
 
-def dbar_star_inverse(v: ScalarField) -> OneForm:
-    """Right inverse of dbar*: omega of type (0,1) with dbar* omega = v.
+def _conj_cauchy(tbl: CauchyKernelTable, f: np.ndarray) -> np.ndarray:
+    """-1/2 conj(C(conj f)): the conjugate Cauchy kernel scaled by -1/2, the
+    unique constant for which dbar* of the (0,1)-form with this c01 is f."""
+    return -0.5 * np.conj(tbl.apply(np.conj(f)))
 
-    Uses the conjugate Cauchy kernel scaled by -1/2, the unique constant
-    for which dbar*(dbar_star_inverse v) = v under our conventions.
-    """
-    tbl = kernel_table(v.grid)
-    u = tbl.apply(np.conj(v.values))
-    return OneForm(v.grid, np.zeros(v.grid.shape), -0.5 * np.conj(u))
+
+def dbar_star_inverse(v: ScalarField) -> OneForm:
+    """Right inverse of dbar*: omega of type (0,1) with dbar* omega = v."""
+    return OneForm(v.grid, np.zeros(v.grid.shape), _conj_cauchy(kernel_table(v.grid), v.values))
 
 
 def primitive_alpha(A: OneForm) -> ScalarField:

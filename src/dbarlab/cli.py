@@ -71,8 +71,7 @@ def _cmd_holonomy(args) -> int:
     x1 = geo.load_snapshot(args.field_a)
     x2 = geo.load_snapshot(args.field_b)
     if not isinstance(x1, geo.OneForm) or not isinstance(x2, geo.OneForm):
-        print("holonomy expects oneform snapshots", file=sys.stderr)
-        return 2
+        raise ValueError("holonomy expects oneform snapshots")
     if args.loop_file:
         data = np.loadtxt(args.loop_file)
         pts = data[:, 0] + 1j * data[:, 1] if data.ndim == 2 else data.astype(complex)
@@ -108,12 +107,7 @@ _STUDIES = {
 
 def _cmd_study(name):
     def run(args) -> int:
-        cfg = _load_config(args)
-        try:
-            result = _STUDIES[name](cfg, out=args.out)
-        except CheckFailure as exc:
-            print(f"CHECK FAILED {exc}", file=sys.stderr)
-            return 1
+        result = _STUDIES[name](_load_config(args), out=args.out)
         if isinstance(result, list):
             result = {"records": len(result)}
         print(json.dumps(result, sort_keys=True, default=str, indent=1))
@@ -160,7 +154,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except CheckFailure as exc:
+        print(f"CHECK FAILED {exc}", file=sys.stderr)
+        return 1
+    except (ValueError, FileNotFoundError) as exc:
+        print(f"dbarlab: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -47,6 +47,8 @@ from .geometry import (
     wirtinger,
 )
 from .cauchy import (
+    _conj_cauchy,
+    _require_type01,
     extend_grid,
     kernel_table,
     primitive_alpha,
@@ -258,7 +260,8 @@ class OscillatoryCauchy:
 
     The extension E tapers reflected data to zero across the padding
     rings with a C^2 cutoff; psi is the imaginary part of the phase
-    object, evaluated exactly on the enlargement.
+    object, evaluated exactly on the enlargement.  P refuses a (1,0) part like
+    `dbar_inverse`; P* uses `dbar_star_inverse`'s conjugate rule.
     """
 
     def __init__(self, grid: PolarGrid, psi: HolomorphicPhase, h: float):
@@ -275,6 +278,7 @@ class OscillatoryCauchy:
 
     def dbar_inv(self, omega: OneForm) -> ScalarField:
         self.grid.check_same(omega.grid)
+        _require_type01(omega, "OscillatoryCauchy.dbar_inv")
         ext = reflect_extend(self.big, self.rows, omega.c01, mode="even")
         u = self._table.apply(self._osc_minus * ext)
         return ScalarField(self.grid, u[self.rows])
@@ -282,9 +286,8 @@ class OscillatoryCauchy:
     def dbar_star_inv(self, v: ScalarField) -> OneForm:
         self.grid.check_same(v.grid)
         ext = reflect_extend(self.big, self.rows, v.values, mode="even")
-        u = self._table.apply(np.conj(np.conj(self._osc_minus) * ext))
-        out = -0.5 * np.conj(u)[self.rows]
-        return OneForm(self.grid, np.zeros(self.grid.shape), out)
+        out = _conj_cauchy(self._table, np.conj(self._osc_minus) * ext)
+        return OneForm(self.grid, np.zeros(self.grid.shape), out[self.rows])
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,8 @@ n_theta, ...) ordered as `PolarGrid.boundary_rings`: `MagneticOperator.solve`
 runs all trailing (batch) columns in one sweep of matrix products, leaves
 no state behind and eliminates forward only the span of columns with
 inner-circle data (none on a disk).  Neumann data, Cauchy pairs and the
-boundary jets that the DtN builders post-map share that layout.
+boundary jets that the DtN builders post-map share that layout; a batch
+takes one `PolarGrid.boundary_jet` and one `diff_theta` call.
 """
 
 from __future__ import annotations
@@ -370,7 +371,7 @@ def _omega01_pullback(pot: PotentialPair, trace: np.ndarray, d_r: np.ndarray) ->
     A01 = project(pot.X, "p01").c01[rings][:, :, None]
     eit = np.exp(1j * g.theta)[:, None]
     r = g.r[rings][:, None, None]
-    d_t = np.stack([g.diff_theta(t.T).T for t in trace])
+    d_t = g.diff_theta(trace)
     om01 = 0.5 * eit * (d_r + 1j * d_t / r) + 1j * A01 * trace
     return om01 * np.conj(eit)
 
@@ -400,11 +401,11 @@ def _unit_fourier_response(pot: PotentialPair, order: int) -> tuple[np.ndarray, 
         raise ValueError("order must be non-negative")
     if 2 * order + 1 > g.n_theta:
         raise ValueError("order exceeds the sample bandwidth")
-    op = MagneticOperator(pot)
     n_c = len(g.boundary_rings)
     waves = np.exp(1j * np.outer(g.theta, np.arange(-order, order + 1)))
     data = np.kron(np.eye(n_c), waves).reshape(n_c, g.n_theta, -1)
-    return g.boundary_jet(op.solve(data))
+    # the factored operator is freed before the jet copies the solutions
+    return g.boundary_jet(MagneticOperator(pot).solve(data))
 
 
 def _dtn_matrix(g: PolarGrid, order: int, rows: np.ndarray) -> DtnMatrix:

@@ -21,9 +21,11 @@ Conventions, fixed once and verified by the test suite:
   ``<dz, dz> = 2 * area``.
 
 Derivatives are spectral in the angle and 4th-order finite differences in
-the radius; on a disk the radial stencils reach through the center by
-re-using the diametrically opposite ray, so no special center treatment is
-needed for differentiation.
+the radius, on values (n_r, n_theta, ...) with any trailing batch axes; on
+a disk the radial stencils reach through the center by re-using the
+diametrically opposite ray (`PolarGrid._ghost_extend`, the grid's one
+rule through the center), so no special center treatment is needed.
+`boundary_jet` is `diff_r`'s stencil path on the boundary rings only.
 """
 
 from __future__ import annotations
@@ -245,13 +247,13 @@ class PolarGrid:
 
     # -- differentiation ----------------------------------------------------
 
-    def _ghost_extend(self, values: np.ndarray, n_ghost: int = 4) -> np.ndarray:
-        """Prepend rings through the disk center: value at (-r, t) = (r, t+pi)."""
-        rolled = np.roll(values[:n_ghost], self.n_theta // 2, axis=1)
+    def _ghost_extend(self, values: np.ndarray) -> np.ndarray:
+        """Prepend four rings through the disk center: value at (-r, t) = (r, t+pi)."""
+        rolled = np.roll(values[:4], self.n_theta // 2, axis=1)
         return np.concatenate([rolled[::-1], values], axis=0)
 
     def _ghost_radii(self) -> np.ndarray:
-        """Signed radii of the rings of `_ghost_extend(values, 4)`."""
+        """Signed radii of the rings of `_ghost_extend`."""
         return np.concatenate([-self.r[3::-1], self.r])
 
     def center_value(self, values: np.ndarray) -> np.ndarray:
@@ -261,10 +263,7 @@ class PolarGrid:
         node, so this is the bicubic `Interpolator`'s value there."""
         if self.domain.kind != "disk":
             raise GridError("the center is a point of the domain only on a disk")
-        # the theta = 0 column of `_ghost_extend(values, 4)`, without
-        # copying the other columns: the value at (-r, 0) is that at (r, pi)
-        line = np.concatenate([values[3::-1, self.n_theta // 2], values[:, 0]])
-        return make_interp_spline(self._ghost_radii(), line, k=3)(0.0)
+        return make_interp_spline(self._ghost_radii(), self._ghost_extend(values)[:, 0], k=3)(0.0)
 
     def _radial_stencils(self):
         """6-point radial stencils: the first ring of each node's stencil
@@ -272,15 +271,10 @@ class PolarGrid:
         and second derivative, (n_r, 6) each."""
         if self._stencils is not None:
             return self._stencils
-        if self.domain.kind == "disk":
-            x = self._ghost_radii()
-            off = 4
-        else:
-            x = self.r
-            off = 0
+        x = self._ghost_radii() if self.domain.kind == "disk" else self.r
         n = self.n_r
         width = 6
-        j = np.arange(n) + off
+        j = np.arange(n) + len(x) - n  # past a disk's ghost rings
         lo = np.clip(j - width // 2, 0, len(x) - width)
         d1 = np.empty((n, width))
         d2 = np.empty((n, width))
@@ -291,36 +285,35 @@ class PolarGrid:
         self._stencils = lo, d1, d2
         return self._stencils
 
-    def diff_r(self, values: np.ndarray, order: int = 1) -> np.ndarray:
+    def _apply_radial(self, values: np.ndarray, rings, order: int) -> np.ndarray:
+        """Radial derivative (order 1 or 2) of values (n_r, n_theta, ...) on the given rings."""
         lo, d1, d2 = self._radial_stencils()
-        w = d1 if order == 1 else d2
+        first, w = lo[rings], (d1 if order == 1 else d2)[rings]
         v = self._ghost_extend(values) if self.domain.kind == "disk" else values
-        rows = sliding_window_view(v, w.shape[1], axis=0)
-        out = np.empty(self.shape, dtype=np.result_type(v, w))
-        # gather the (rings, n_theta, 6) stencil rows a block of rings at a
+        rows = sliding_window_view(v.reshape(len(v), -1), w.shape[1], axis=0)
+        out = np.empty((len(w), rows.shape[1]), dtype=np.result_type(v, w))
+        # gather the (rings, columns, 6) stencil rows a block of rings at a
         # time, so the temporary stays small whatever the grid
-        step = max(1, _DIFF_R_BLOCK // self.n_theta)
-        for a in range(0, self.n_r, step):
+        step = max(1, _DIFF_R_BLOCK // rows.shape[1])
+        for a in range(0, len(w), step):
             s = slice(a, a + step)
-            out[s] = (rows[lo[s]] @ w[s, :, None])[..., 0]
-        return out
+            out[s] = (rows[first[s]] @ w[s, :, None])[..., 0]
+        return out.reshape((len(w),) + values.shape[1:])
+
+    def diff_r(self, values: np.ndarray, order: int = 1) -> np.ndarray:
+        return self._apply_radial(values, np.arange(self.n_r), order)
 
     def boundary_jet(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Trace and radial derivative of values (n_r, n_theta, ...) on the
         boundary circles, each of shape (n_boundary, n_theta, ...): the
-        boundary rows of `diff_r`'s first-derivative stencils."""
-        lo, d1, _ = self._radial_stencils()
+        boundary rows of `diff_r`."""
         rings = list(self.boundary_rings)
-        v, first = values, lo[rings] - (4 if self.domain.kind == "disk" else 0)
-        if first.min() < 0:  # a disk of fewer than six rings: through the centre
-            v, first = self._ghost_extend(values), lo[rings]
-        width = d1.shape[1]
-        d_r = [np.tensordot(d1[i], v[a : a + width], axes=1) for i, a in zip(rings, first)]
-        return values[rings], np.stack(d_r)
+        return values[rings], self._apply_radial(values, rings, 1)
 
     def diff_theta(self, values: np.ndarray, order: int = 1) -> np.ndarray:
         vhat = np.fft.fft(values, axis=1)
-        vhat *= self._ik1 if order == 1 else self._mk2
+        mult = self._ik1 if order == 1 else self._mk2
+        vhat *= mult.reshape((-1,) + (1,) * (vhat.ndim - 2))
         return np.fft.ifft(vhat, axis=1)
 
     def d_z(self, values: np.ndarray) -> np.ndarray:
@@ -629,7 +622,7 @@ class Interpolator:
         w = self._WRAP
         r = grid.r
         if grid.domain.kind == "disk":
-            v = grid._ghost_extend(v, 4)
+            v = grid._ghost_extend(v)
             r = grid._ghost_radii()
         theta_ext = np.concatenate(
             [grid.theta[-w:] - 2 * math.pi, grid.theta, grid.theta[:w] + 2 * math.pi]

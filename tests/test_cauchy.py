@@ -431,6 +431,27 @@ def test_quintic_cutoff_endpoints():
     assert 0 < v[2] < 1
 
 
+# 1 - s^3 (10 - 15 s + 6 s^2) is evaluated with an absolute rounding of a
+# few units of 8 eps: near s = 1 the bracket cancels terms of size 15 down
+# to 1.  So the ramp can dip below 0 and rise by such amounts (1.6e-15 and
+# 3.2e-15 on a sample of t in [0.9999, 1]); comparisons allow 32 eps.
+_RAMP_ROUNDING = 32 * np.finfo(float).eps
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-0.5, 1.5), st.floats(-0.5, 1.5), st.floats(0.0, 1.0))
+def test_quintic_cutoff_is_a_monotone_symmetric_c2_ramp(a, b, eps):
+    lo, hi = min(a, b), max(a, b)
+    c_lo, c_hi, c_t, c_mirror, c_eps, c_one_minus_eps = cau.quintic_cutoff(
+        np.array([lo, hi, a, 1.0 - a, eps, 1.0 - eps])
+    )
+    assert -_RAMP_ROUNDING <= c_hi <= c_lo + _RAMP_ROUNDING and c_lo <= 1.0
+    assert abs(c_t + c_mirror - 1.0) <= _RAMP_ROUNDING
+    # C^2 at both ends: the ramp leaves 1 and reaches 0 like eps^3
+    assert abs(c_eps - 1.0) <= 10.0 * eps**3 + _RAMP_ROUNDING
+    assert abs(c_one_minus_eps) <= 10.0 * eps**3 + _RAMP_ROUNDING
+
+
 def test_reflect_extend_supported_in_pad(grid):
     big, rows = cau.extend_grid(grid, 8)
     vals = np.ones(grid.shape, dtype=complex)

@@ -119,6 +119,14 @@ def test_oscillatory_zero(grid):
     assert geo.norm_l2(out) == 0.0
 
 
+def test_oscillatory_refuses_10_part(grid):
+    """P, like `dbar_inverse`, takes pure (0,1)-forms only: a (1,0) part is
+    refused, not dropped."""
+    om = geo.OneForm(grid, np.exp(-np.abs(grid.nodes) ** 2), np.zeros(grid.shape))
+    with pytest.raises(ValueError, match="pure \\(0,1\\)-form"):
+        dc.OscillatoryCauchy(grid, ph.base_phase(0.0), 0.1).dbar_inv(om)
+
+
 def test_oscillatory_requires_positive_h(grid):
     base = ph.base_phase(0.0)
     with pytest.raises(ValueError):

@@ -1,7 +1,11 @@
+import dataclasses
 import importlib
 import json
 import os
 import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from dbarlab import geometry as geo
 from dbarlab import forward as fw
 from dbarlab import cli
 from dbarlab import experiments as ex
+from dbarlab import holonomy as ho
 
 
 SMALL = dict(n_r=48, n_theta=64, order=5, t_list=(0.05, 0.1, 0.2), h_list=(0.2, 0.1, 0.05))
@@ -152,6 +157,20 @@ def test_holonomy_study(tmp_path):
     assert res["max_gauge_defect"] < 1e-4
 
 
+def test_holonomy_study_writes_its_record_before_refusing(tmp_path, monkeypatch):
+    real = ho.holonomy_defect
+    monkeypatch.setattr(
+        ho, "holonomy_defect", lambda *a: dataclasses.replace(real(*a), defect=1e-3)
+    )
+    cfg = small_cfg(domain_kind="annulus", r_inner=0.6, r_outer=1.2)
+    with pytest.raises(ex.CheckFailure) as err:
+        ex.run_holonomy_study(cfg, out=tmp_path)
+    assert err.value.anchor == "holonomy-gauge-invariance"
+    for name in ("holonomy_winding.csv", "holonomy_defect.csv", "holonomy.json"):
+        assert (tmp_path / name).exists()
+    assert json.loads((tmp_path / "holonomy.json").read_text())["results"]["max_gauge_defect"] == 1e-3
+
+
 def test_stationary_phase_study(tmp_path):
     res = ex.run_stationary_phase(small_cfg(), out=tmp_path)
     assert 0.8 <= res["slope_integral"] <= 1.2
@@ -228,6 +247,33 @@ def test_cli_study_subcommand(tmp_path):
     code = cli.main(["gauge-check", "--config", str(cfg_path), "--out", str(tmp_path / "s")])
     assert code == 0
     assert (tmp_path / "s" / "gauge_check.json").exists()
+
+
+@pytest.mark.parametrize(
+    "args, config, message",
+    [
+        (["forward", "--order", "-1"], None, "order must be non-negative"),
+        (["forward", "--order", "100"], None, "order exceeds the sample bandwidth"),
+        (["gauge-check"], {"order": -1}, "order must be non-negative"),
+        (["gauge-check"], "missing", "No such file or directory"),
+    ],
+)
+def test_cli_refuses_bad_input_in_one_line(tmp_path, args, config, message):
+    """A refused input ends with exit code 2 and one stderr line, not a
+    traceback."""
+    if config is not None:
+        cfg_path = tmp_path / "cfg.json"
+        if config != "missing":
+            cfg_path.write_text(json.dumps(config))
+        args = args + ["--config", str(cfg_path)]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dbarlab.cli", *args, "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("dbarlab: ") and message in proc.stderr
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
 def test_zero_gauge_gives_zero_distance():
