@@ -240,7 +240,8 @@ class CauchyKernelTable:
     def nbytes(self) -> int:
         """Bytes of the arrays the table holds."""
         arrays = [v for v in vars(self).values() if isinstance(v, np.ndarray)]
-        return sum(a.nbytes for a in arrays) + sum(t.nbytes for t in self._tables)
+        arrays += self._tables + list(self._scratch)
+        return sum(a.nbytes for a in arrays)
 
     # -- quadrature pieces ----------------------------------------------------
 
@@ -371,27 +372,51 @@ class CauchyKernelTable:
         self._above = np.minimum(end, n_r - 1)
         self._jump_in = (r[self._below] / r)[:, None] ** e_in * (self._start > 0)[:, None]
         self._jump_out = (r / r[self._above])[:, None] ** e_out * (end < n_r)[:, None]
+        self._phase = np.exp(-1j * g.theta)[None, :]
+        # apply's scratch, overwritten by every call: the product sum, the
+        # inside sweep (then the gathered outside rows), and the outside
+        # sweep from the lowest ring it reaches
+        self._scratch = (
+            np.empty((n_r, n_t), dtype=complex),
+            np.empty((n_r, n_t), dtype=complex),
+            np.empty((n_r - self._above.min(), n_t), dtype=complex),
+        )
 
     # -- application ----------------------------------------------------------
 
     def apply(self, fvals: np.ndarray) -> np.ndarray:
-        """(1/pi) * integral of f(zeta)/(z - zeta) dA at every grid node."""
-        g = self.grid
+        """(1/pi) * integral of f(zeta)/(z - zeta) dA at every grid node.
+
+        Works in the table's scratch arrays, so one table must not be
+        applied from two threads at once."""
         fhat = np.fft.fft(np.asarray(fvals, dtype=complex), axis=1)
-        prod = np.zeros(g.shape, dtype=complex)
+        prod, rows, outside = self._scratch
+        prod.fill(0.0)
+        # the products stay temporaries: numpy multiplies a large temporary
+        # in place with the operands swapped, and complex products round by
+        # operand order, so an out= form would move the last bits
         for k, ((a, b), tbl) in enumerate(zip(self._rows, self._tables)):
             prod[a:b] += tbl * fhat[self._start[a:b] + k]
         # far field: inside[i] sums rings m <= i scaled to ring i, outside[i]
         # rings m >= i; only rings some window leaves out are swept
-        inside = self._w_in * fhat
+        inside = np.multiply(self._w_in, fhat, out=rows)
         for i in range(1, self._below.max() + 1):
             inside[i] += self._step_in[i - 1] * inside[i - 1]
-        outside = self._w_out * fhat
-        for i in range(g.n_r - 2, self._above.min() - 1, -1):
-            outside[i] += self._step_out[i] * outside[i + 1]
-        prod += self._jump_in * inside[self._below] + self._jump_out * outside[self._above]
-        phase = np.exp(-1j * g.theta)[None, :]
-        return np.fft.ifft(prod, axis=1) * phase / math.pi
+        top = self._above.min()
+        np.multiply(self._w_out[top:], fhat[top:], out=outside)
+        for i in range(len(outside) - 2, -1, -1):
+            outside[i] += self._step_out[top + i] * outside[i + 1]
+        # fhat is spent: it takes the jump from below, rows the one from
+        # above (mode "clip" writes straight into out; "raise" buffers it)
+        far = np.take(inside, self._below, axis=0, out=fhat, mode="clip")
+        np.multiply(self._jump_in, far, out=far)
+        above = np.take(outside, self._above - top, axis=0, out=rows, mode="clip")
+        far += np.multiply(self._jump_out, above, out=above)
+        prod += far
+        out = np.fft.ifft(prod, axis=1)
+        out *= self._phase
+        out /= math.pi
+        return out
 
     def apply_direct(self, fvals: np.ndarray) -> np.ndarray:
         """Reference: the product-rule double sum plus each ring's
@@ -526,9 +551,16 @@ def extend_grid(grid: PolarGrid, pad_rings: int = 8) -> tuple[PolarGrid, slice]:
 
 
 def quintic_cutoff(t: np.ndarray) -> np.ndarray:
-    """C^2 ramp: 1 at t <= 0 down to 0 at t >= 1 (quintic smoothstep)."""
+    """C^2 ramp: 1 at t <= 0 down to 0 at t >= 1 (quintic smoothstep).
+
+    With S(x) = x^3 (10 - 15 x + 6 x^2), the ramp is 1 - S(s) for s <= 1/2
+    and S(1 - s) above, so S is only taken on [0, 1/2], where its terms do
+    not cancel, and 1 - s is exact; each end is then accurate to a few ulps
+    and cutoff(t) + cutoff(1 - t) is 1 to 2 ulps."""
     s = np.clip(t, 0.0, 1.0)
-    return 1.0 - s**3 * (10.0 - 15.0 * s + 6.0 * s**2)
+    x = np.minimum(s, 1.0 - s)
+    ramp = x**3 * (10.0 + x * (6.0 * x - 15.0))
+    return np.where(s <= 0.5, 1.0 - ramp, ramp)
 
 
 def reflect_extend(

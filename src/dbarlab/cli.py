@@ -39,12 +39,13 @@ def _load_config(args) -> ExperimentConfig:
 
 def _cmd_forward(args) -> int:
     cfg = _load_config(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     order = args.order if args.order is not None else cfg.order
     fam = default_potentials(cfg)
     pot, _ = fam.reduction(args.t)
     d = fw.dtn(pot, order)
+    # made only now, so a refused order leaves no directory behind
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     path = out / "dtn.csv"
     fw.save_dtn_csv(path, d)
     print(f"wrote {path} (order {order}, circles {d.circles})")

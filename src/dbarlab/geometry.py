@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.interpolate import RectBivariateSpline, make_interp_spline
+from scipy.linalg import solve_banded
 
 __all__ = [
     "Domain",
@@ -263,7 +263,11 @@ class PolarGrid:
         node, so this is the bicubic `Interpolator`'s value there."""
         if self.domain.kind != "disk":
             raise GridError("the center is a point of the domain only on a disk")
-        return make_interp_spline(self._ghost_radii(), self._ghost_extend(values)[:, 0], k=3)(0.0)
+        x = self._ghost_radii()
+        y = self._ghost_extend(values)[:, 0]
+        (i,), w = _spline_weights(x, np.zeros(1))
+        c = np.stack([y, _spline_curvatures(x, y)])[:, i : i + 2]
+        return np.tensordot(w[..., 0], c, axes=2)
 
     def _radial_stencils(self):
         """6-point radial stencils: the first ring of each node's stencil
@@ -606,30 +610,72 @@ def norm_l2(a) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _spline_curvatures(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Second derivatives at the nodes x of the not-a-knot cubic spline
+    through y along axis 0 (any trailing batch axes): one banded solve
+    (de Boor, A Practical Guide to Splines, ch. IV)."""
+    n = len(x)
+    h = np.diff(x)
+    # continuity of the first derivative at the interior nodes; ab[2 + i - j, j]
+    # holds row i, column j
+    ab = np.zeros((5, n))
+    ab[3, :-2] = h[:-1]
+    ab[2, 1:-1] = 2.0 * (h[:-1] + h[1:])
+    ab[1, 2:] = h[1:]
+    # not-a-knot: the third derivative is continuous at x[1] and x[-2]
+    ab[2, 0], ab[1, 1], ab[0, 2] = h[1], -(h[0] + h[1]), h[0]
+    ab[4, -3], ab[3, -2], ab[2, -1] = h[-1], -(h[-2] + h[-1]), h[-2]
+    slope = np.diff(y, axis=0) / h.reshape((-1,) + (1,) * (y.ndim - 1))
+    # empty_like keeps y's memory order: where axis 0 is y's contiguous axis
+    # the right-hand sides reach LAPACK (column-major) without a transpose
+    rhs = np.empty_like(y, dtype=slope.dtype)
+    rhs[0] = rhs[-1] = 0.0
+    np.subtract(slope[1:], slope[:-1], out=rhs[1:-1])
+    rhs[1:-1] *= 6.0
+    return solve_banded((2, 2), ab, rhs.reshape(n, -1), overwrite_b=True).reshape(y.shape)
+
+
+def _spline_weights(x: np.ndarray, xq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Interval i (m,) and weights w (2, 2, m) of the points xq (m,) in a
+    cubic spline on the nodes x: the spline at xq is the sum over p and s
+    of w[p, s] times (values, curvatures)[p][i + s]."""
+    i = np.clip(np.searchsorted(x, xq, side="right") - 1, 0, len(x) - 2)
+    h = x[i + 1] - x[i]
+    a = (x[i + 1] - xq) / h
+    b = (xq - x[i]) / h
+    return i, np.array([[a, b], [(a**3 - a) * h**2 / 6.0, (b**3 - b) * h**2 / 6.0]])
+
+
 class Interpolator:
     """Bicubic spline evaluation of grid data at off-grid points.
 
-    The angle axis is extended periodically; on a disk the radial axis is
-    extended through the center via the opposite ray, so evaluation is
-    accurate arbitrarily close to (and at) the center.
+    The not-a-knot cubic spline of `_spline_curvatures` in r and in theta,
+    as a tensor product.  The angle axis is extended periodically; on a
+    disk the radial axis is extended through the center via the opposite
+    ray, so evaluation is accurate arbitrarily close to (and at) the center.
     """
 
     _WRAP = 4
 
     def __init__(self, grid: PolarGrid, values: np.ndarray):
         self.grid = grid
-        v = np.asarray(values)
+        v = np.asarray(values, dtype=complex)
         w = self._WRAP
         r = grid.r
         if grid.domain.kind == "disk":
             v = grid._ghost_extend(v)
             r = grid._ghost_radii()
-        theta_ext = np.concatenate(
+        self._r = r
+        self._theta = np.concatenate(
             [grid.theta[-w:] - 2 * math.pi, grid.theta, grid.theta[:w] + 2 * math.pi]
         )
-        v_ext = np.concatenate([v[:, -w:], v, v[:, :w]], axis=1)
-        self._re = RectBivariateSpline(r, theta_ext, v_ext.real, kx=3, ky=3)
-        self._im = RectBivariateSpline(r, theta_ext, v_ext.imag, kx=3, ky=3)
+        # [p, q]: the values (0) or curvatures (1) in r (p) and theta (q)
+        c = np.empty((2, 2, len(r), len(self._theta)), dtype=complex)
+        c[0, 0] = np.concatenate([v[:, -w:], v, v[:, :w]], axis=1)
+        c[1, 0] = _spline_curvatures(r, c[0, 0])
+        # theta moved to axis 0 of a view, where it is the contiguous axis
+        c[:, 1] = np.moveaxis(_spline_curvatures(self._theta, np.moveaxis(c[:, 0], 2, 0)), 0, 2)
+        self._c = c
 
     def __call__(self, z) -> np.ndarray:
         zz = np.asarray(z, dtype=complex) - self.grid.domain.center
@@ -643,7 +689,11 @@ class Interpolator:
             if np.any(r < self.grid.domain.r_inner * (1 - 1e-9)):
                 raise GridError("evaluation point outside domain")
             r = np.maximum(r, self.grid.domain.r_inner)
-        out = self._re(r, t, grid=False) + 1j * self._im(r, t, grid=False)
+        i, wr = _spline_weights(self._r, r.ravel())
+        k, wt = _spline_weights(self._theta, t.ravel())
+        s = np.arange(2)
+        cells = self._c[:, :, (i[:, None] + s)[:, :, None], (k[:, None] + s)[:, None, :]]
+        out = np.einsum("psm,qtm,pqmst->m", wr, wt, cells).reshape(zz.shape)
         return out if out.shape else complex(out)
 
 

@@ -431,11 +431,8 @@ def test_quintic_cutoff_endpoints():
     assert 0 < v[2] < 1
 
 
-# 1 - s^3 (10 - 15 s + 6 s^2) is evaluated with an absolute rounding of a
-# few units of 8 eps: near s = 1 the bracket cancels terms of size 15 down
-# to 1.  So the ramp can dip below 0 and rise by such amounts (1.6e-15 and
-# 3.2e-15 on a sample of t in [0.9999, 1]); comparisons allow 32 eps.
-_RAMP_ROUNDING = 32 * np.finfo(float).eps
+# one unit in the last place of 1
+_ULP_1 = np.finfo(float).eps
 
 
 @settings(max_examples=300, deadline=None)
@@ -445,11 +442,24 @@ def test_quintic_cutoff_is_a_monotone_symmetric_c2_ramp(a, b, eps):
     c_lo, c_hi, c_t, c_mirror, c_eps, c_one_minus_eps = cau.quintic_cutoff(
         np.array([lo, hi, a, 1.0 - a, eps, 1.0 - eps])
     )
-    assert -_RAMP_ROUNDING <= c_hi <= c_lo + _RAMP_ROUNDING and c_lo <= 1.0
-    assert abs(c_t + c_mirror - 1.0) <= _RAMP_ROUNDING
+    assert 0.0 <= c_hi <= c_lo <= 1.0
+    assert abs(c_t + c_mirror - 1.0) <= 2 * _ULP_1
     # C^2 at both ends: the ramp leaves 1 and reaches 0 like eps^3
-    assert abs(c_eps - 1.0) <= 10.0 * eps**3 + _RAMP_ROUNDING
-    assert abs(c_one_minus_eps) <= 10.0 * eps**3 + _RAMP_ROUNDING
+    assert abs(c_eps - 1.0) <= 10.0 * eps**3 + _ULP_1
+    assert abs(c_one_minus_eps) <= 10.0 * eps**3 + _ULP_1
+
+
+def test_quintic_cutoff_near_its_ends():
+    """Dense neighbours of t = 0, 1/2 and 1: no step the wrong way, never
+    outside [0, 1], and cutoff(t) + cutoff(1 - t) within 2 ulps of 1 (the
+    unsplit formula dipped to -1.55e-15 near 1 and missed 1 by 8 ulps)."""
+    for start in (0.0, 0.5 - 2e-12, 1.0 - 1e-4, 1.0 - 2e-12):
+        t = start + np.arange(200_000) * np.spacing(max(start, 1e-12))
+        c = cau.quintic_cutoff(t)
+        assert np.all(np.diff(c) <= 0.0)
+        assert c.min() >= 0.0 and c.max() <= 1.0
+        assert np.max(np.abs(c + cau.quintic_cutoff(1.0 - t) - 1.0)) <= 2 * _ULP_1
+    assert cau.quintic_cutoff(np.array([1.0 - 2.0**-52]))[0] >= 0.0
 
 
 def test_reflect_extend_supported_in_pad(grid):

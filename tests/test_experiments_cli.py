@@ -260,7 +260,7 @@ def test_cli_study_subcommand(tmp_path):
 )
 def test_cli_refuses_bad_input_in_one_line(tmp_path, args, config, message):
     """A refused input ends with exit code 2 and one stderr line, not a
-    traceback."""
+    traceback, and leaves no output directory behind."""
     if config is not None:
         cfg_path = tmp_path / "cfg.json"
         if config != "missing":
@@ -274,6 +274,19 @@ def test_cli_refuses_bad_input_in_one_line(tmp_path, args, config, message):
     assert proc.returncode == 2
     assert proc.stderr.startswith("dbarlab: ") and message in proc.stderr
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_import_leaves_heavy_scipy_unloaded():
+    """Every lab process imports the CLI.  It must not pull in the parts of
+    scipy the lab does not use (interpolate alone costs about 0.3 s, mostly
+    through optimize, special, spatial and sparse)."""
+    heavy = ["scipy.interpolate", "scipy.optimize", "scipy.special", "scipy.spatial", "scipy.sparse"]
+    code = f"import sys, dbarlab.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_zero_gauge_gives_zero_distance():

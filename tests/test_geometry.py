@@ -427,6 +427,110 @@ def test_interpolator_matches_smooth_field(disk_grid):
     assert np.max(np.abs(interp(pts) - truth)) < 1e-6
 
 
+def _fitpack_interpolant(grid, values):
+    """The bicubic interpolant as FITPACK builds it: `RectBivariateSpline`
+    on the real and imaginary parts of the same ghost-ringed, wrapped data."""
+    from scipy.interpolate import RectBivariateSpline
+
+    w = geo.Interpolator._WRAP
+    v, r = values, grid.r
+    if grid.domain.kind == "disk":
+        v, r = grid._ghost_extend(values), grid._ghost_radii()
+    theta = np.concatenate([grid.theta[-w:] - 2 * math.pi, grid.theta, grid.theta[:w] + 2 * math.pi])
+    v = np.concatenate([v[:, -w:], v, v[:, :w]], axis=1)
+    re = RectBivariateSpline(r, theta, v.real, kx=3, ky=3)
+    im = RectBivariateSpline(r, theta, v.imag, kx=3, ky=3)
+
+    def evaluate(z):
+        zz = z - grid.domain.center
+        rr = np.clip(np.abs(zz), grid.domain.r_inner, grid.domain.r_outer)
+        t = np.mod(np.angle(zz), 2 * math.pi)
+        return re(rr, t, grid=False) + 1j * im(rr, t, grid=False)
+
+    return evaluate
+
+
+@pytest.mark.parametrize(
+    "domain, n_r, n_theta",
+    [
+        (geo.disk(1.0), 96, 128),
+        (geo.disk(0.7, 0.3 + 0.1j), 8, 16),
+        (geo.annulus(0.5, 1.0), 96, 128),
+        (geo.annulus(1.0, 2.0), 6, 8),
+    ],
+)
+def test_interpolator_matches_fitpack(domain, n_r, n_theta):
+    """The in-house not-a-knot spline is FITPACK's interpolating bicubic
+    spline, including across a disk's centre gap (ghost radii -dr ... dr)
+    and on the boundary circles; on a disk the centre value is
+    `make_interp_spline`'s on the theta = 0 line."""
+    from scipy.interpolate import make_interp_spline
+
+    g = geo.PolarGrid(domain, n_r, n_theta)
+    rng = np.random.default_rng(n_r)
+    f = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+    rr = domain.r_inner + (domain.r_outer - domain.r_inner) * rng.random(500)
+    rr[:50] = domain.r_inner + rng.random(50) * g.dr  # a disk's centre gap, an annulus's inner ring
+    rr[50:60] = [domain.r_inner, domain.r_outer] * 5
+    z = domain.center + rr * np.exp(2j * math.pi * rng.random(500))
+    got = geo.Interpolator(g, f)(z)
+    assert np.max(np.abs(got - _fitpack_interpolant(g, f)(z))) <= 1e-13 * np.max(np.abs(f))
+    if domain.kind == "disk":
+        stack = np.stack([f, np.conj(f), 1j * f], axis=-1)
+        want = make_interp_spline(g._ghost_radii(), g._ghost_extend(stack)[:, 0], k=3)(0.0)
+        assert np.max(np.abs(g.center_value(stack) - want)) <= 1e-13 * np.max(np.abs(f))
+
+
+def _spline_1d(x, y, xq):
+    i, w = geo._spline_weights(x, xq)
+    c = (y, geo._spline_curvatures(x, y))
+    return sum(w[p, s] * c[p][i + s] for p in range(2) for s in range(2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(4, 64),
+    st.sampled_from([8, 16, 64]),
+    st.sampled_from([geo.disk(1.0), geo.disk(0.7, 0.3 + 0.1j), geo.annulus(0.4, 1.3)]),
+    st.integers(0, 2**32 - 1),
+)
+def test_spline_reproduces_cubics(n_r, n_theta, domain, seed):
+    """Not-a-knot is exact on cubics: a cubic in r on the radial nodes
+    (with a disk's ghost rings) or in theta on the wrapped angles comes
+    back to roundoff anywhere between the nodes; so does a cubic
+    polynomial in x and y, read by `Interpolator` on the rays of the grid
+    (on a disk, a cubic along each full diameter) and by `center_value`."""
+    if domain.kind == "annulus":
+        n_r = max(n_r, 6)
+    g = geo.PolarGrid(domain, n_r, n_theta)
+    rng = np.random.default_rng(seed)
+    w = geo.Interpolator._WRAP
+    theta = np.concatenate([g.theta[-w:] - 2 * math.pi, g.theta, g.theta[:w] + 2 * math.pi])
+    radii = g._ghost_radii() if domain.kind == "disk" else g.r
+    coef = rng.standard_normal((4, 2)) @ [1.0, 1.0j]
+    for x in (radii, theta):
+        xq = rng.uniform(x[0], x[-1], 64)
+        got = _spline_1d(x, np.polyval(coef, x), xq)
+        want = np.polyval(coef, xq)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(np.polyval(np.abs(coef), np.abs(x))))
+
+    zeta = g.nodes - domain.center
+    cxy = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    cxy[np.add.outer(np.arange(4), np.arange(4)) > 3] = 0.0
+
+    def poly(z):
+        return np.polynomial.polynomial.polyval2d(z.real, z.imag, cxy)
+
+    k = rng.integers(0, n_theta, 64)
+    rr = domain.r_inner + (domain.r_outer - domain.r_inner) * rng.random(64)
+    pts = rr * np.exp(1j * g.theta[k])
+    scale = np.max(np.abs(poly(zeta))) + np.max(np.abs(cxy))
+    got = geo.Interpolator(g, poly(zeta))(domain.center + pts)
+    assert np.max(np.abs(got - poly(pts))) <= 1e-12 * scale
+    if domain.kind == "disk":
+        assert abs(g.center_value(poly(zeta)) - cxy[0, 0]) <= 1e-12 * scale
+
+
 # -- snapshots -------------------------------------------------------------------
 
 
