@@ -17,18 +17,18 @@ fast for any product rule, are re-integrated on the exact polar geometry:
 by the closed-form integral of the kernel over the polar cell (its edge
 terms) within 6 cell scales of the target, and by subdivided 2x2 Gauss
 farther out.  Near the center of a disk, where whole rings are close to
-the target, the corrected zone covers all angles.  Each target ring's
-corrections, accurate integral minus product-rule term for every cell it
-re-integrates, are added into that ring's mode tables (below) as they are
-computed and are not kept.
+the target, the re-integrated zone covers all angles.  Each target ring's
+accurate cell integrals replace the product-rule entries of those cells
+in that ring's mode tables (below) as they are computed and are not kept.
 
 Because the kernel restricted to a pair of rings depends on the angle
 difference only (up to a unimodular factor), the node-to-node sum is a
-circular correlation per ring pair, and so are the corrections: after an
-angular FFT every mode of the source data is contracted over source rings
-on its own.  Each target ring keeps exact mode tables (product rule plus
-corrections, then the angular FFT) for a window of nearby source rings:
-every ring it corrects, and every ring whose radius ratio to it lies
+circular correlation per ring pair, its re-integrated cells included:
+after an angular FFT every mode of the source data is contracted over
+source rings on its own.  Each target ring keeps exact mode tables (the
+product rule with its near cells replaced by their accurate integrals,
+then the angular FFT) for a window of nearby source rings: every ring
+it re-integrates, and every ring whose radius ratio to it lies
 within e^(+-L/n_theta), L = -ln(eps), the range outside of which the
 aliased modes of the sampled kernel fall below machine epsilon.  Beyond
 the window each mode of the product rule is rank one in (target, source),
@@ -83,11 +83,11 @@ __all__ = [
     "reflect_extend",
 ]
 
-# radial half-width of the near-field correction window
+# radial half-width of the near-field window
 _WIN_R = 4
-# cap on the angular half-width of the correction window
+# cap on the angular half-width of the near-field window
 _WIN_T_MAX = 8
-# corrected zone reaches out to this many local cell scales
+# the near field reaches out to this many local cell scales
 _NEAR_REACH = 2.5
 
 
@@ -189,9 +189,9 @@ class CauchyKernelTable:
 
     Holds the radial cell moments and, per target ring j, exact mode tables
     for the source rings [start_j, start_j + width_j): the angular FFT of
-    the product rule plus ring j's corrections (accurate cell integral minus
-    product-rule term for every cell the product rule misses), which enter
-    the tables as they are built and are not kept.  The tables are stored
+    the product rule, with every cell the product rule misses replaced by
+    its accurate integral (ring j's near field), which enters the tables as
+    they are built and is not kept.  The tables are stored
     per window offset k: one (rows_k, n_theta) array for the slice of
     target rings whose window reaches offset k.  The rings outside a ring's
     window are summed by the two far-field sweeps, whose per-ring weights
@@ -218,14 +218,14 @@ class CauchyKernelTable:
         self.m2 = ((hi - r) ** 3 - (lo - r) ** 3) / 3.0
         self.m3 = ((hi - r) ** 4 - (lo - r) ** 4) / 4.0
 
-        # angular half-width of the corrected window per ring: reach a fixed
+        # angular half-width of the near-field window per ring: reach a fixed
         # multiple of the radial spacing even where cell arcs are narrow
         arcs = np.maximum(r * self.dtheta, 1e-300)
         k_t = np.ceil(_NEAR_REACH * dr / arcs).astype(int)
         self.win_t = np.clip(k_t, 2, _WIN_T_MAX)
 
         # center patch: rings of a disk whose window would have to exceed
-        # the cap are corrected over the full angle instead
+        # the cap are re-integrated over the full angle instead
         if grid.domain.kind == "disk":
             need = int(np.sum(k_t > _WIN_T_MAX))
             self._patch_tgt = min(max(need, 4), n_r - 1)
@@ -267,20 +267,20 @@ class CauchyKernelTable:
             )
 
     def _near_rings(self, j: int) -> tuple[int, int]:
-        """Source rings [lo, hi) that target ring j corrects: all below
+        """Source rings [lo, hi) of target ring j's near field: all below
         _patch_src in the disk center patch, those within _WIN_R elsewhere."""
         if j < self._patch_tgt:
             return 0, self._patch_src
         return max(j - _WIN_R, 0), min(j + _WIN_R + 1, self.grid.n_r)
 
     def _near_field(self, j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Corrections of target ring j: source rings, offsets mod n_theta
-        and accurate cell integral minus product-rule term, each (source
-        ring, offset) at most once.  Rows in the disk center patch, and rows
-        whose window win_t would wrap, take every angle; the others take the
-        offsets within win_t.  The accurate integral is the exact sector
-        integral within 6 cell scales of the target and Gauss subdivision
-        farther out."""
+        """Near field of target ring j: source rings, offsets mod n_theta
+        and the accurate cell integrals that replace the product rule there,
+        each (source ring, offset) at most once; the self cell is among
+        them.  Rows in the disk center patch, and rows whose window win_t
+        would wrap, take every angle; the others take the offsets within
+        win_t.  The accurate integral is the exact sector integral within 6
+        cell scales of the target and Gauss subdivision farther out."""
         g = self.grid
         n_t = g.n_theta
         dth = self.dtheta
@@ -300,15 +300,13 @@ class CauchyKernelTable:
             z_t, lo[near], hi[near], tc[near] - 0.5 * dth, tc[near] + 0.5 * dth
         )
         exact[far] = _cell_integrals_batch(z_t, lo[far], hi[far], tc[far], dth)
-        naive = self._product_rule(z_t, m, tc)
-        naive[(m == j) & (dk == 0)] = 0.0  # the kernel's self entry is zero
-        return m, dk % n_t, exact - naive
+        return m, dk % n_t, exact
 
     def _build_window_tables(self) -> None:
         """Window of source rings per target ring and its mode tables.
 
-        Ring j's window holds every source ring it corrects and every ring
-        m with |ln(r_m/r_j)| <= L/n_theta, L = -ln(eps); outside it
+        Ring j's window holds every source ring of its near field and every
+        ring m with |ln(r_m/r_j)| <= L/n_theta, L = -ln(eps); outside it
         (r_m/r_j)^(+-n_theta) < eps, so the aliased modes of the sampled
         kernel are below roundoff.  The widths are raised to the smallest
         profile that rises and then falls in j, and windows are shifted
@@ -334,9 +332,8 @@ class CauchyKernelTable:
         self._tables = np.split(np.empty((sizes.sum(), n_t), dtype=complex), np.cumsum(sizes)[:-1])
         for j, (s0, w) in enumerate(zip(self._start, width)):
             ker = self._product_rule(r[j], np.arange(s0, s0 + w)[:, None], g.theta)
-            ker[j - s0, 0] = 0.0  # singular self entry; its cell is corrected
             m, off, val = self._near_field(j)
-            ker[m - s0, off] += val  # each (m, off) once, so no index repeats
+            ker[m - s0, off] = val  # also overwrites the singular self entry
             # correlation sum_k F_k g_{k-l} has Fourier symbol fhat_m * ghat_{-m}
             tab = n_t * np.fft.ifft(ker, axis=1)
             for k in range(w):
@@ -419,20 +416,19 @@ class CauchyKernelTable:
         return out
 
     def apply_direct(self, fvals: np.ndarray) -> np.ndarray:
-        """Reference: the product-rule double sum plus each ring's
-        corrections, one roll per correction; small grids only."""
+        """Reference: the dense double sum over every source cell, the
+        product rule with ring j's near cells replaced by their accurate
+        integrals; small grids only."""
         g = self.grid
         n_r, n_t = g.shape
         f = np.asarray(fvals, dtype=complex)
         out = np.zeros((n_r, n_t), dtype=complex)
         for j in range(n_r):
-            naive = self._product_rule(g.r[j], np.arange(n_r)[:, None], g.theta)
-            naive[j, 0] = 0.0
+            ker = self._product_rule(g.r[j], np.arange(n_r)[:, None], g.theta)
+            m, k, v = self._near_field(j)
+            ker[m, k] = v
             for l in range(n_t):
-                rolled = np.roll(f, -l, axis=1)
-                out[j, l] = np.sum(naive * rolled)
-            for m, k, v in zip(*self._near_field(j)):
-                out[j] += v * np.roll(f[m], -k)
+                out[j, l] = np.sum(ker * np.roll(f, -l, axis=1))
         phase = np.exp(-1j * g.theta)[None, :]
         return out * phase / math.pi
 

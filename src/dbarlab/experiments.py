@@ -79,6 +79,18 @@ class ExperimentConfig:
     cgo_n_theta: int = 1024
 
     def __post_init__(self):
+        # JSON types first: each number or list must be of its field's type
+        # (domain_kind is checked by geometry's rule below)
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.type == "int" and not _is_int(v):
+                raise ValueError(f"{f.name} must be an integer, got {v!r}")
+            if f.type == "float" and not _is_real(v):
+                raise ValueError(f"{f.name} must be a finite real, got {v!r}")
+            if f.type == "tuple" and not (
+                isinstance(v, (tuple, list)) and all(map(_is_real, v))
+            ):
+                raise ValueError(f"{f.name} must be a list of finite reals, got {v!r}")
         # the domain and both grids are checked by geometry's own rules
         self.domain()
         for keys, grid in (("n_r, n_theta", self.grid), ("cgo_n_r, cgo_n_theta", self.cgo_grid)):
@@ -99,23 +111,24 @@ class ExperimentConfig:
             raise ValueError("delta_list values must be positive")
         if any(t < 0 for t in self.t_list):
             raise ValueError("t_list values must be non-negative")
-        if self.order < 0:
-            raise ValueError("order must be non-negative")
-        if 2 * self.order + 1 > self.n_theta:
-            need = 2 * self.order + 1
-            raise ValueError(f"order {self.order} needs n_theta >= {need}, got {self.n_theta}")
+        me.truncation_modes(self.order, self.n_theta)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         dom = d.get("domain", {})
+        if not isinstance(dom, dict):
+            raise ValueError(f"domain must be an object, got {dom!r}")
+        flat = sorted({"domain_kind", "r_inner", "r_outer"} & set(d))
+        if "domain" in d and flat:
+            raise ValueError(f"domain given twice: a domain object and {', '.join(flat)}")
         unknown = sorted(set(d) - {f.name for f in fields(cls)} - {"domain"})
         unknown += sorted(f"domain.{k}" for k in set(dom) - {"kind", "r_inner", "r_outer"})
         if unknown:
             raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
         kw = {k: v for k, v in d.items() if k != "domain"}
-        for key in ("h_list", "delta_list", "t_list", "cgo_h_list"):
-            if key in kw:
-                kw[key] = tuple(kw[key])
+        for key, v in kw.items():
+            if isinstance(v, list):
+                kw[key] = tuple(v)
         if dom:
             kw["domain_kind"] = dom.get("kind", "disk")
             kw["r_inner"] = dom.get("r_inner", 0.0)
@@ -142,6 +155,14 @@ class ExperimentConfig:
 
     def digest(self) -> str:
         return hashlib.sha256(self.canonical().encode()).hexdigest()[:16]
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return (_is_int(v) or isinstance(v, (float, np.floating))) and math.isfinite(v)
 
 
 @dataclass(frozen=True)
@@ -175,6 +196,8 @@ def write_csv(path, header, rows) -> None:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
+    # the output directory is made only now, so a refused input leaves none
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -203,13 +226,8 @@ def write_manifest(path, cfg: ExperimentConfig, study: str, extras: dict) -> Non
         },
         "results": extras,
     }
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     Path(path).write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n")
-
-
-def _outdir(out) -> Path:
-    p = Path(out)
-    p.mkdir(parents=True, exist_ok=True)
-    return p
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +335,7 @@ def run_gauge_check(cfg: ExperimentConfig, out="out") -> dict:
     """Gauge invariance of the Cauchy data: distance between the data of
     (X, q) and (X + df, q) with zero-trace f sits at the discretization
     floor; a trace-violating control exceeds it by orders of magnitude."""
-    outdir = _outdir(out)
+    outdir = Path(out)
     g = cfg.grid()
     Z = g.nodes - g.domain.center
     R = g.domain.r_outer
@@ -373,7 +391,7 @@ def run_gauge_check(cfg: ExperimentConfig, out="out") -> dict:
 def run_stability_sweep(cfg: ExperimentConfig, out="out") -> list[StabilityRecord]:
     """Perturbation sweep: boundary-data distances against the interior
     differences they control, plus the pointwise and identity checks."""
-    outdir = _outdir(out)
+    outdir = Path(out)
     g = cfg.grid()
     fam = default_potentials(cfg, g)
     pot1, red1 = fam.reduction(0.0)
@@ -484,7 +502,7 @@ def _spearman(x, y) -> float:
 def run_cgo_decay(cfg: ExperimentConfig, out="out") -> dict:
     """Remainder decay of the Neumann-series CGO solutions for two
     potential pairs, with the dense-solve cross-check left to the tests."""
-    outdir = _outdir(out)
+    outdir = Path(out)
     g = cfg.cgo_grid()
     base = ph.base_phase(0.0 + 0.0j)
     fam = default_potentials(cfg, g)
@@ -525,7 +543,7 @@ def run_cgo_decay(cfg: ExperimentConfig, out="out") -> dict:
 
 def run_stationary_phase(cfg: ExperimentConfig, out="out") -> dict:
     """Oscillatory-integral scaling study on the reference phase."""
-    outdir = _outdir(out)
+    outdir = Path(out)
     g = geo.PolarGrid(geo.disk(cfg.r_outer), max(cfg.n_r, 256), max(cfg.n_theta, 256))
     Z = g.nodes
     win = ph.bump_window(g, 0.0, 0.6 * cfg.r_outer)
@@ -567,10 +585,10 @@ def run_stationary_phase(cfg: ExperimentConfig, out="out") -> dict:
 def run_boundary_defect(cfg: ExperimentConfig, out="out") -> dict:
     """Boundary functional over a basis of seed pairs plus the holomorphic
     defect of the factor ratio, swept over the perturbation scale."""
-    outdir = _outdir(out)
+    if cfg.domain_kind != "disk":
+        raise ValueError(f"boundary-defect needs a disk domain, got {cfg.domain_kind}")
+    outdir = Path(out)
     g = cfg.grid()
-    if g.domain.kind != "disk":
-        raise CheckFailure("holomorphic-defect-domain", "defect study requires a disk")
     Z = g.nodes
     fam = default_potentials(cfg, g)
     _, red1 = fam.reduction(0.0)
@@ -608,7 +626,7 @@ def run_boundary_defect(cfg: ExperimentConfig, out="out") -> dict:
 def run_holonomy_study(cfg: ExperimentConfig, out="out") -> dict:
     """Annulus pipeline: winding integrality on synthetic ratio fields and
     the holonomy defect of gauge-perturbed pairs against the data distance."""
-    outdir = _outdir(out)
+    outdir = Path(out)
     dom = geo.annulus(max(cfg.r_inner, 0.5 * cfg.r_outer), cfg.r_outer)
     g = geo.PolarGrid(dom, cfg.n_r, cfg.n_theta)
     Z = g.nodes

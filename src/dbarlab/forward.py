@@ -52,7 +52,7 @@ from .geometry import (
     project,
     wirtinger,
 )
-from .metrics import BoundaryTrace, trace_from_samples
+from .metrics import BoundaryTrace, trace_from_samples, truncation_modes
 
 _getrf, _getri = get_lapack_funcs(("getrf", "getri"), dtype=np.complex128)
 
@@ -397,12 +397,8 @@ def _unit_fourier_response(pot: PotentialPair, order: int) -> tuple[np.ndarray, 
     holds datum e^{i n theta}, n = k - order, on circle cj (zero on the
     others)."""
     g = pot.grid
-    if order < 0:
-        raise ValueError("order must be non-negative")
-    if 2 * order + 1 > g.n_theta:
-        raise ValueError("order exceeds the sample bandwidth")
+    waves = np.exp(1j * np.outer(g.theta, truncation_modes(order, g.n_theta)))
     n_c = len(g.boundary_rings)
-    waves = np.exp(1j * np.outer(g.theta, np.arange(-order, order + 1)))
     data = np.kron(np.eye(n_c), waves).reshape(n_c, g.n_theta, -1)
     # the factored operator is freed before the jet copies the solutions
     return g.boundary_jet(MagneticOperator(pot).solve(data))
@@ -497,12 +493,16 @@ def save_dtn_csv(path, d: DtnMatrix) -> None:
 def load_dtn_csv(path) -> DtnMatrix:
     with open(path) as fh:
         header = fh.readline().split()
-        if header[:2] != ["DTN", "v1"]:
-            raise ValueError("bad DtN header")
+        if len(header) != 4 or header[:2] != ["DTN", "v1"]:
+            raise ValueError("bad DtN header, expected 'DTN v1 <order> <circles>'")
         order, n_c = int(header[2]), int(header[3])
+        if order < 0 or n_c < 1:
+            raise ValueError(f"bad DtN header: order {order}, {n_c} circles")
         circles = tuple(float(x) for x in fh.readline().split(","))
         if len(circles) != n_c:
             raise ValueError("bad circle count")
+        if not all(map(math.isfinite, circles)):
+            raise ValueError(f"non-finite DtN circle radius in {circles}")
         n = n_c * (2 * order + 1)
         mat = np.zeros((n, n), dtype=complex)
         seen = np.zeros((n, n), dtype=bool)
@@ -515,6 +515,8 @@ def load_dtn_csv(path) -> DtnMatrix:
                 raise ValueError(f"duplicate DtN entry ({i}, {j})")
             seen[i, j] = True
             mat[i, j] = float(re) + 1j * float(im)
+            if not np.isfinite(mat[i, j]):
+                raise ValueError(f"non-finite DtN entry ({i}, {j})")
     if not seen.all():
         raise ValueError(f"missing DtN entries, first {np.argwhere(~seen)[0].tolist()}")
     return DtnMatrix(order=order, circles=circles, matrix=mat)

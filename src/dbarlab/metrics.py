@@ -30,6 +30,7 @@ __all__ = [
     "holomorphic_defect",
     "holo_project",
     "trace_from_samples",
+    "truncation_modes",
 ]
 
 
@@ -74,6 +75,21 @@ class BoundaryTrace:
         return bool(np.max(np.abs(self.coeffs - flipped)) <= tol * scale)
 
 
+def truncation_modes(order: int, n_theta: int) -> np.ndarray:
+    """The Fourier modes -order..order kept from n_theta angular samples.
+
+    They fit only when order >= 0 and 2 order + 1 <= n_theta; past that the
+    top and bottom modes alias."""
+    if order < 0:
+        raise ValueError("order must be non-negative")
+    if 2 * order + 1 > n_theta:
+        raise ValueError(
+            f"order exceeds the sample bandwidth: order {order} needs "
+            f"n_theta >= {2 * order + 1}, got {n_theta}"
+        )
+    return np.arange(-order, order + 1)
+
+
 def trace_from_samples(samples: np.ndarray, order: int) -> BoundaryTrace:
     """Truncated Fourier coefficients of per-circle angular samples
     (circles x angles, then any trailing axes)."""
@@ -81,12 +97,9 @@ def trace_from_samples(samples: np.ndarray, order: int) -> BoundaryTrace:
     if s.ndim == 1:
         s = s[None, :]
     n = s.shape[1]
-    if order < 0:
-        raise ValueError("order must be non-negative")
-    if 2 * order + 1 > n:
-        raise ValueError("order exceeds the sample bandwidth")
+    modes = truncation_modes(order, n)
     full = np.fft.fft(s, axis=1) / n
-    return BoundaryTrace(order, full[:, np.arange(-order, order + 1) % n])
+    return BoundaryTrace(order, full[:, modes % n])
 
 
 def _weights(order: int, s: float) -> np.ndarray:

@@ -530,3 +530,31 @@ def test_self_cell_correction_is_exact_sector(grid):
             0.5 * grid.dtheta,
         )
         assert abs(got - want) < 1e-13
+
+
+@pytest.mark.parametrize("n_r, n_theta", [(96, 128), (352, 256)], ids=["96x128", "352x256"])
+def test_center_table_cells_are_sector_integrals(n_r, n_theta):
+    """The tables hold each near cell's accurate integral itself, not the
+    product rule plus a difference: on rings 0-5 of the disk, every cell
+    within 6 cell scales of the target, read back from the mode tables as
+    fft(table row) / n_theta, is its closed-form sector integral."""
+    g = geo.PolarGrid(geo.disk(1.0), n_r, n_theta)
+    tbl = cau.kernel_table(g)
+    dth = g.dtheta
+    dks = np.arange(-(n_theta // 2), n_theta // 2)
+    tc = dks * dth
+    got, want = [], []
+    for j in range(6):
+        for k in range(tbl._width[j]):
+            m = tbl._start[j] + k
+            row = np.fft.fft(tbl._tables[k][j - tbl._rows[k, 0]]) / n_theta
+            lo, hi = tbl.cell_lo[m], tbl.cell_hi[m]
+            near = np.abs(g.r[j] - g.r[m] * np.exp(1j * tc)) <= 6.0 * max(hi - lo, g.r[m] * dth)
+            got.append(row[dks[near] % n_theta])
+            want.append(
+                cau.sector_cauchy_integral(
+                    g.r[j], lo, hi, tc[near] - 0.5 * dth, tc[near] + 0.5 * dth
+                )
+            )
+    got, want = np.concatenate(got), np.concatenate(want)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))

@@ -256,6 +256,11 @@ def test_cli_study_subcommand(tmp_path):
         (["forward", "--order", "100"], None, "order exceeds the sample bandwidth"),
         (["gauge-check"], {"order": -1}, "order must be non-negative"),
         (["gauge-check"], "missing", "No such file or directory"),
+        (
+            ["boundary-defect"],
+            {"domain": {"kind": "annulus", "r_inner": 0.5}},
+            "boundary-defect needs a disk domain",
+        ),
     ],
 )
 def test_cli_refuses_bad_input_in_one_line(tmp_path, args, config, message):
@@ -275,6 +280,48 @@ def test_cli_refuses_bad_input_in_one_line(tmp_path, args, config, message):
     assert proc.stderr.startswith("dbarlab: ") and message in proc.stderr
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"h_list": 0.1}, "h_list must be a list of finite reals"),
+        ({"order": 8.5}, "order must be an integer"),
+        ({"n_r": 96.5}, "n_r must be an integer"),
+        ({"t_list": ["a"]}, "t_list must be a list of finite reals"),
+        ({"amplitude": "x"}, "amplitude must be a finite real"),
+        ({"order": True}, "order must be an integer"),
+        ({"domain": 5}, "domain must be an object"),
+    ],
+    ids=["h_list", "order-real", "n_r", "t_list", "amplitude", "order-bool", "domain"],
+)
+def test_config_refuses_wrong_json_type(tmp_path, capsys, config, message):
+    """A config value of the wrong JSON type is refused by name, and the CLI
+    reports it in one line with exit code 2 and writes nothing."""
+    with pytest.raises(ValueError, match=message):
+        ex.ExperimentConfig.from_dict(config)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    for cmd in ("forward", "gauge-check"):
+        code = cli.main([cmd, "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("dbarlab: ") and message in err
+        assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"r_outer": 2.0, "domain": {"kind": "disk"}},
+        {"domain_kind": "annulus", "r_inner": 0.5, "domain": {"r_outer": 1.0}},
+    ],
+)
+def test_config_refuses_domain_given_twice(config):
+    """A nested domain object and the flat domain keys together are
+    refused: neither may silently override the other."""
+    with pytest.raises(ValueError, match="domain given twice"):
+        ex.ExperimentConfig.from_dict(config)
 
 
 def test_cli_import_leaves_heavy_scipy_unloaded():

@@ -417,7 +417,15 @@ def test_dtn_csv_roundtrip(tmp_path, grid):
 
 @pytest.mark.parametrize(
     "edit, message",
-    [("drop", "missing"), ("duplicate", "duplicate"), ("outside", "outside")],
+    [
+        ("drop", "missing"),
+        ("duplicate", "duplicate"),
+        ("outside", "outside"),
+        ("nan", "non-finite DtN entry"),
+        ("nan radius", "non-finite DtN circle radius"),
+        ("short header", "bad DtN header"),
+        ("negative order", "bad DtN header: order -1"),
+    ],
 )
 def test_dtn_csv_rejects_incomplete_file(tmp_path, edit, message):
     rng = np.random.default_rng(0)
@@ -425,12 +433,18 @@ def test_dtn_csv_rejects_incomplete_file(tmp_path, edit, message):
     path = tmp_path / "dtn.csv"
     fw.save_dtn_csv(path, fw.DtnMatrix(order=1, circles=(0.5, 1.5), matrix=m))
     lines = path.read_text().splitlines()
+    head = {
+        "nan radius": [lines[0], "0.5,nan"],
+        "short header": ["DTN v1", lines[1]],
+        "negative order": ["DTN v1 -1 2", lines[1]],
+    }.get(edit, lines[:2])
     entries = {
         "drop": lines[2:-1],
         "duplicate": lines[2:] + [lines[9]],
         "outside": lines[2:] + ["6,0,1.0,0.0"],
-    }[edit]
-    path.write_text("\n".join(lines[:2] + entries) + "\n")
+        "nan": lines[2:-1] + ["5,5,nan,0.0"],
+    }.get(edit, lines[2:])
+    path.write_text("\n".join(head + entries) + "\n")
     with pytest.raises(ValueError, match=message):
         fw.load_dtn_csv(path)
 
