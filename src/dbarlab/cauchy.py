@@ -17,9 +17,9 @@ fast for any product rule, are re-integrated on the exact polar geometry:
 by the closed-form integral of the kernel over the polar cell (its edge
 terms) within 6 cell scales of the target, and by subdivided 2x2 Gauss
 farther out.  Near the center of a disk, where whole rings are close to
-the target, the re-integrated zone covers all angles.  Each target ring's
-accurate cell integrals replace the product-rule entries of those cells
-in that ring's mode tables (below) as they are computed and are not kept.
+the target, the re-integrated zone covers all angles.  The accurate cell
+integrals replace the product-rule entries of those cells in the mode
+tables (below) as they are computed and are not kept.
 
 Because the kernel restricted to a pair of rings depends on the angle
 difference only (up to a unimodular factor), the node-to-node sum is a
@@ -42,6 +42,16 @@ contraction, the two sweeps and the inverse FFT: O(n_theta sum_j width_j)
 work and memory, where width_j is ring j's own window, after an
 O(n_theta log n_theta sum_j width_j) setup.  It matches the direct double
 sum to roundoff.
+
+Mirror symmetry.  A table row is a target node on the positive real axis
+seen against one source ring; reflection in the real axis maps the cell
+at offset -theta onto the cell at +theta, so the row's kernel at -theta is
+the conjugate of that at +theta.  This holds for the product rule, the
+closed-form sector integral, the symmetric Gauss cells, the near-field
+windows and the center patch alike.  So the build integrates only the
+offsets 0..n_theta/2 and writes each row's inverse FFT, which is real,
+with ``irfft``: the mode tables are float64, and the window contraction
+multiplies them into the real and imaginary planes of the source modes.
 
 Normalization is calibrated so the right-inverse identities hold exactly
 in the continuum: ``dbar(dbar_inverse(omega)) = omega`` and
@@ -166,21 +176,22 @@ _GAUSS_X = (
 
 
 def _cell_integrals_batch(
-    z_t: float, r_lo: np.ndarray, r_hi: np.ndarray, t_centers: np.ndarray, dth: float
+    z_t, r_lo: np.ndarray, r_hi: np.ndarray, t_centers: np.ndarray, dth: float
 ) -> np.ndarray:
     """Integrals of 1/(z_t - rho e^{i theta}) rho drho dtheta over the polar
     cells [r_lo, r_hi] x [tc - dth/2, tc + dth/2], one per entry of the
-    equally long arrays r_lo, r_hi and t_centers.
+    equally long arrays r_lo, r_hi and t_centers (and z_t, or one target).
 
     Each cell is subdivided 4 x 4 with 2x2 Gauss on the exact polar
     integrand, so the target must lie well away from every cell.  The loop
     over radial nodes keeps the temporaries at 8 entries per cell.
     """
+    z = np.asarray(z_t)[..., None]
     e = np.exp(1j * (t_centers[:, None] + dth * _GAUSS_X))
     total = np.zeros(len(t_centers), dtype=complex)
     for x in _GAUSS_X:
         rho = (0.5 * (r_lo + r_hi) + (r_hi - r_lo) * x)[:, None]
-        total += (rho / (z_t - rho * e)).sum(axis=1)
+        total += (rho / (z - rho * e)).sum(axis=1)
     return total * (r_hi - r_lo) * dth / _GAUSS_X.size**2
 
 
@@ -191,12 +202,14 @@ class CauchyKernelTable:
     for the source rings [start_j, start_j + width_j): the angular FFT of
     the product rule, with every cell the product rule misses replaced by
     its accurate integral (ring j's near field), which enters the tables as
-    they are built and is not kept.  The tables are stored
-    per window offset k: one (rows_k, n_theta) array for the slice of
-    target rings whose window reaches offset k.  The rings outside a ring's
-    window are summed by the two far-field sweeps, whose per-ring weights
-    and ratio-power steps depend only on the grid.  Everything is built
-    here, once.
+    they are built and is not kept.  By the rows' mirror symmetry each row
+    is integrated at the offsets 0..n_theta/2 only and its inverse FFT is
+    real (``irfft``).  The tables are stored per window offset k: one real
+    (rows_k, n_theta) array for the slice of target rings whose window
+    reaches offset k, built in one pass over those rows.  The rings outside
+    a ring's window are summed by the two far-field sweeps, whose per-ring
+    weights and ratio-power steps depend only on the grid.  Everything is
+    built here, once.
     """
 
     def __init__(self, grid: PolarGrid):
@@ -266,41 +279,51 @@ class CauchyKernelTable:
                 self.m0[m] * G + (self.m1[m] + (self.m2[m] + self.m3[m] * t) * t) * G1
             )
 
-    def _near_rings(self, j: int) -> tuple[int, int]:
-        """Source rings [lo, hi) of target ring j's near field: all below
-        _patch_src in the disk center patch, those within _WIN_R elsewhere."""
-        if j < self._patch_tgt:
-            return 0, self._patch_src
-        return max(j - _WIN_R, 0), min(j + _WIN_R + 1, self.grid.n_r)
+    def _near_window(self, j):
+        """Near field of target rings j (broadcasts over j): its source rings
+        [lo, hi) and its largest angular offset.  In the disk center patch
+        that is every ring below _patch_src at every angle; elsewhere the
+        rings within _WIN_R at the offsets within win_t, or at every angle
+        where win_t would wrap."""
+        n_r, n_t = self.grid.shape
+        patch = j < self._patch_tgt
+        lo = np.where(patch, 0, np.maximum(j - _WIN_R, 0))
+        hi = np.where(patch, self._patch_src, np.minimum(j + _WIN_R + 1, n_r))
+        kt = self.win_t[j]
+        return lo, hi, np.where(patch | (2 * kt >= n_t), n_t // 2, kt)
 
-    def _near_field(self, j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Near field of target ring j: source rings, offsets mod n_theta
-        and the accurate cell integrals that replace the product rule there,
-        each (source ring, offset) at most once; the self cell is among
-        them.  Rows in the disk center patch, and rows whose window win_t
-        would wrap, take every angle; the others take the offsets within
-        win_t.  The accurate integral is the exact sector integral within 6
-        cell scales of the target and Gauss subdivision farther out."""
+    def _cell_integrals(self, j, m, dk) -> np.ndarray:
+        """Accurate integrals of the cells of source rings m at angular
+        offsets dk seen from target rings j, one cell per entry of the
+        equally long arrays (j may be a scalar): the exact sector integral
+        within 6 cell scales of the target and Gauss subdivision farther
+        out."""
         g = self.grid
-        n_t = g.n_theta
         dth = self.dtheta
-        kt = int(self.win_t[j])
-        if j < self._patch_tgt or 2 * kt >= n_t:
-            dks = np.arange(-(n_t // 2), n_t // 2)
-        else:
-            dks = np.arange(-kt, kt + 1)
-        srcs = np.arange(*self._near_rings(j))
-        m, dk = (a.ravel() for a in np.meshgrid(srcs, dks, indexing="ij"))
-        z_t, tc = g.r[j], dk * dth
+        z_t = np.broadcast_to(g.r[j], np.shape(m))
+        tc = dk * dth
         lo, hi, rm = self.cell_lo[m], self.cell_hi[m], g.r[m]
         near = np.abs(z_t - rm * np.exp(1j * tc)) <= 6.0 * np.maximum(hi - lo, rm * dth)
         far = ~near
-        exact = np.empty(m.size, dtype=complex)
+        exact = np.empty(len(tc), dtype=complex)
         exact[near] = sector_cauchy_integral(
-            z_t, lo[near], hi[near], tc[near] - 0.5 * dth, tc[near] + 0.5 * dth
+            z_t[near], lo[near], hi[near], tc[near] - 0.5 * dth, tc[near] + 0.5 * dth
         )
-        exact[far] = _cell_integrals_batch(z_t, lo[far], hi[far], tc[far], dth)
-        return m, dk % n_t, exact
+        exact[far] = _cell_integrals_batch(z_t[far], lo[far], hi[far], tc[far], dth)
+        return exact
+
+    def _near_field(self, j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Near field of target ring j over the full angle, as `apply_direct`
+        takes it: source rings, offsets mod n_theta and the accurate cell
+        integrals that replace the product rule there, each (source ring,
+        offset) at most once; the self cell is among them.  The offsets run
+        from minus to plus the largest one, every angle once where the
+        window wraps."""
+        n_t = self.grid.n_theta
+        lo, hi, kt = (int(v) for v in self._near_window(j))
+        dks = np.arange(-kt, min(kt, n_t - 1 - kt) + 1)
+        m, dk = (a.ravel() for a in np.meshgrid(np.arange(lo, hi), dks, indexing="ij"))
+        return m, dk % n_t, self._cell_integrals(j, m, dk)
 
     def _build_window_tables(self) -> None:
         """Window of source rings per target ring and its mode tables.
@@ -312,12 +335,18 @@ class CauchyKernelTable:
         profile that rises and then falls in j, and windows are shifted
         inward where they would pass the outer ring.  The rings whose
         window has an offset k then form one slice [a_k, b_k), and offset
-        k's tables are one (b_k - a_k, n_theta) array."""
+        k's tables are one (b_k - a_k, n_theta) array.
+
+        A row's kernel at angle -theta is the conjugate of that at +theta,
+        so offset k's rows are integrated at the angles 0..pi only (the
+        product rule, then the near cells of the ring pairs (j, start_j + k)
+        whose source ring is near, at offsets up to the largest of its near
+        field) and their inverse FFT is real."""
         g = self.grid
         n_r, n_t = g.shape
         r = g.r
         reach = math.exp(-math.log(np.finfo(float).eps) / n_t)
-        near_lo, near_hi = np.array([self._near_rings(j) for j in range(n_r)]).T
+        near_lo, near_hi, near_kt = self._near_window(np.arange(n_r))
         lo = np.minimum(np.searchsorted(r, r / reach), near_lo)
         hi = np.maximum(np.searchsorted(r, r * reach, side="right"), near_hi)
         need = hi - lo
@@ -329,15 +358,20 @@ class CauchyKernelTable:
             [np.flatnonzero(width > k)[[0, -1]] + [0, 1] for k in range(width.max())]
         )
         sizes = self._rows[:, 1] - self._rows[:, 0]
-        self._tables = np.split(np.empty((sizes.sum(), n_t), dtype=complex), np.cumsum(sizes)[:-1])
-        for j, (s0, w) in enumerate(zip(self._start, width)):
-            ker = self._product_rule(r[j], np.arange(s0, s0 + w)[:, None], g.theta)
-            m, off, val = self._near_field(j)
-            ker[m - s0, off] = val  # also overwrites the singular self entry
+        self._tables = np.split(np.empty((sizes.sum(), n_t)), np.cumsum(sizes)[:-1])
+        half = g.theta[: n_t // 2 + 1]
+        for k, ((a, b), tab) in enumerate(zip(self._rows, self._tables)):
+            j = np.arange(a, b)
+            m = self._start[a:b] + k
+            ker = self._product_rule(r[j, None], m[:, None], half)
+            # the near cells of each row at the offsets 0..near_kt
+            i = np.flatnonzero((near_lo[j] <= m) & (m < near_hi[j]))
+            count = near_kt[j[i]] + 1
+            i = np.repeat(i, count)
+            dk = np.arange(i.size) - np.repeat(np.cumsum(count) - count, count)
+            ker[i, dk] = self._cell_integrals(j[i], m[i], dk)  # also the singular self entry
             # correlation sum_k F_k g_{k-l} has Fourier symbol fhat_m * ghat_{-m}
-            tab = n_t * np.fft.ifft(ker, axis=1)
-            for k in range(w):
-                self._tables[k][j - self._rows[k, 0]] = tab[k]
+            np.fft.irfft(ker, n=n_t, axis=1, norm="forward", out=tab)
 
     def _build_far_field(self) -> None:
         """Weights and ratio-power steps of the far-field sweeps.
@@ -370,12 +404,14 @@ class CauchyKernelTable:
         self._jump_in = (r[self._below] / r)[:, None] ** e_in * (self._start > 0)[:, None]
         self._jump_out = (r / r[self._above])[:, None] ** e_out * (end < n_r)[:, None]
         self._phase = np.exp(-1j * g.theta)[None, :]
-        # apply's scratch, overwritten by every call: the product sum, the
-        # inside sweep (then the gathered outside rows), and the outside
-        # sweep from the lowest ring it reaches
+        # apply's scratch, overwritten by every call: the window sums of the
+        # real and imaginary planes, the planes of fhat (then the inside
+        # sweep and the gathered outside rows), one gathered plane block,
+        # and the outside sweep from the lowest ring it reaches
         self._scratch = (
+            np.empty((2, n_r, n_t)),
             np.empty((n_r, n_t), dtype=complex),
-            np.empty((n_r, n_t), dtype=complex),
+            np.empty(n_r * n_t),
             np.empty((n_r - self._above.min(), n_t), dtype=complex),
         )
 
@@ -387,13 +423,20 @@ class CauchyKernelTable:
         Works in the table's scratch arrays, so one table must not be
         applied from two threads at once."""
         fhat = np.fft.fft(np.asarray(fvals, dtype=complex), axis=1)
-        prod, rows, outside = self._scratch
-        prod.fill(0.0)
-        # the products stay temporaries: numpy multiplies a large temporary
-        # in place with the operands swapped, and complex products round by
-        # operand order, so an out= form would move the last bits
+        n_r, n_t = fhat.shape
+        sums, rows, part, outside = self._scratch
+        # the tables are real, so the window contraction runs on the real and
+        # imaginary planes of fhat, each product real x real
+        planes = rows.reshape(-1).view(float).reshape(2, n_r, n_t)
+        np.copyto(planes[0], fhat.real)
+        np.copyto(planes[1], fhat.imag)
+        sums.fill(0.0)
         for k, ((a, b), tbl) in enumerate(zip(self._rows, self._tables)):
-            prod[a:b] += tbl * fhat[self._start[a:b] + k]
+            block = part[: (b - a) * n_t].reshape(b - a, n_t)
+            for plane, total in zip(planes, sums):
+                np.take(plane, self._start[a:b] + k, axis=0, out=block, mode="clip")
+                block *= tbl
+                total[a:b] += block
         # far field: inside[i] sums rings m <= i scaled to ring i, outside[i]
         # rings m >= i; only rings some window leaves out are swept
         inside = np.multiply(self._w_in, fhat, out=rows)
@@ -409,8 +452,9 @@ class CauchyKernelTable:
         np.multiply(self._jump_in, far, out=far)
         above = np.take(outside, self._above - top, axis=0, out=rows, mode="clip")
         far += np.multiply(self._jump_out, above, out=above)
-        prod += far
-        out = np.fft.ifft(prod, axis=1)
+        far.real += sums[0]
+        far.imag += sums[1]
+        out = np.fft.ifft(far, axis=1)
         out *= self._phase
         out /= math.pi
         return out
@@ -418,7 +462,8 @@ class CauchyKernelTable:
     def apply_direct(self, fvals: np.ndarray) -> np.ndarray:
         """Reference: the dense double sum over every source cell, the
         product rule with ring j's near cells replaced by their accurate
-        integrals; small grids only."""
+        integrals, each integrated at its own angle over the full circle
+        (no mirror symmetry used); small grids only."""
         g = self.grid
         n_r, n_t = g.shape
         f = np.asarray(fvals, dtype=complex)

@@ -116,7 +116,8 @@ def _fornberg_weights(x0: float, x: np.ndarray, m: int) -> np.ndarray:
     """Finite-difference weights for the m-th derivative at x0 on nodes x.
 
     Classic recursion (Fornberg 1988); exact for polynomials of degree
-    ``len(x) - 1``.
+    ``len(x) - 1``.  One stencil at a time: the reference for
+    `_fornberg_rows`, which the grid's stencils come from.
     """
     n = len(x)
     c = np.zeros((n, m + 1))
@@ -140,6 +141,36 @@ def _fornberg_weights(x0: float, x: np.ndarray, m: int) -> np.ndarray:
             c[j, 0] = c4 * c[j, 0] / c3
         c1 = c2
     return c[:, m]
+
+
+def _fornberg_rows(x0: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
+    """`_fornberg_weights` for many stencils at once: the same recursion on
+    x0 (N,) and nodes x (N, n), run once over all rows.  Returns the
+    weights of every derivative order 0..m, (N, n, m + 1); each column is
+    bitwise what `_fornberg_weights` gives for that order.
+    """
+    n = x.shape[1]
+    c = np.zeros(x.shape + (m + 1,))
+    c1 = 1.0
+    c4 = x[:, 0] - x0
+    c[:, 0, 0] = 1.0
+    for i in range(1, n):
+        mn = min(i, m)
+        c2 = 1.0
+        c5 = c4
+        c4 = x[:, i] - x0
+        for j in range(i):
+            c3 = x[:, i] - x[:, j]
+            c2 = c2 * c3
+            if j == i - 1:
+                for k in range(mn, 0, -1):
+                    c[:, i, k] = c1 * (k * c[:, i - 1, k - 1] - c5 * c[:, i - 1, k]) / c2
+                c[:, i, 0] = -c1 * c5 * c[:, i - 1, 0] / c2
+            for k in range(mn, 0, -1):
+                c[:, j, k] = (c4 * c[:, j, k] - k * c[:, j, k - 1]) / c3
+            c[:, j, 0] = c4 * c[:, j, 0] / c3
+        c1 = c2
+    return c
 
 
 # grid nodes per block of the radial-derivative stencil gather
@@ -280,13 +311,8 @@ class PolarGrid:
         width = 6
         j = np.arange(n) + len(x) - n  # past a disk's ghost rings
         lo = np.clip(j - width // 2, 0, len(x) - width)
-        d1 = np.empty((n, width))
-        d2 = np.empty((n, width))
-        for i in range(n):
-            sel = x[lo[i] : lo[i] + width]
-            d1[i] = _fornberg_weights(x[j[i]], sel, 1)
-            d2[i] = _fornberg_weights(x[j[i]], sel, 2)
-        self._stencils = lo, d1, d2
+        c = _fornberg_rows(x[j], x[lo[:, None] + np.arange(width)], 2)
+        self._stencils = lo, c[:, :, 1].copy(), c[:, :, 2].copy()
         return self._stencils
 
     def _apply_radial(self, values: np.ndarray, rings, order: int) -> np.ndarray:

@@ -131,6 +131,50 @@ def test_sector_integral_is_lipschitz_at_the_center(r_lo, width, t_lo, dt, phase
         assert abs(got - at_zero) <= lipschitz * abs(w) + 1e-14 * r_hi
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(st.just(0.0), st.floats(0.05, 0.8)),
+    st.integers(8, 96),
+    st.sampled_from([8, 16, 64, 256]),
+    st.data(),
+)
+def test_cells_mirror_in_the_real_axis(r_inner, n_r, n_theta, data):
+    """Seen from a target on the positive real axis, the cell at offset
+    -theta is the mirror image of the cell at +theta, so the closed-form
+    sector integral, the Gauss cells and the product rule each give the
+    conjugate there, and so does the table's choice between the first two:
+    the mode tables are real, and the build integrates only the offsets
+    0..n_theta/2.  Checked on random cells with the self cell, the offset pi
+    and, on a disk, the center-patch target ring 0 and source ring 0 (the
+    cell that absorbs the center) among them; the sector integral on the
+    cells within 6 cell scales, where the table takes it (farther out its
+    edge terms cancel and keep fewer digits)."""
+    domain = geo.annulus(r_inner, 1.0) if r_inner else geo.disk(1.0)
+    g = geo.PolarGrid(domain, n_r, n_theta)
+    tbl = cau.CauchyKernelTable(g)
+    dth = g.dtheta
+    ring = st.integers(0, n_r - 1)
+    j = data.draw(ring)
+    srcs = np.array(data.draw(st.lists(ring, max_size=6)) + [j, 0])
+    offs = [0, 1, n_theta // 2, *data.draw(st.lists(st.integers(1, n_theta // 2), max_size=6))]
+    for tgt in {j, 0}:
+        m, dk = (a.ravel() for a in np.meshgrid(srcs, offs, indexing="ij"))
+        z, lo, hi, tc = g.r[tgt], tbl.cell_lo[m], tbl.cell_hi[m], dk * dth
+        near = np.abs(z - g.r[m] * np.exp(1j * tc)) <= 6.0 * np.maximum(hi - lo, g.r[m] * dth)
+        # the product rule is singular on the self node
+        regular = (m != tgt) | (dk != 0)
+        for rule in (
+            lambda s: cau.sector_cauchy_integral(
+                z, lo[near], hi[near], s * tc[near] - 0.5 * dth, s * tc[near] + 0.5 * dth
+            ),
+            lambda s: cau._cell_integrals_batch(z, lo, hi, s * tc, dth),
+            lambda s: tbl._product_rule(z, m[regular], s * tc[regular]),
+            lambda s: tbl._cell_integrals(tgt, m, s * dk),
+        ):
+            plus, minus = rule(1), rule(-1)
+            assert np.max(np.abs(minus - np.conj(plus))) <= 1e-12 * np.max(np.abs(plus))
+
+
 @pytest.mark.parametrize(
     "domain, n_r, n_theta, seed",
     [
@@ -234,16 +278,18 @@ def test_window_covers_ratio_range_and_near_field(r_inner, n_r, n_theta):
     ids=["352x256", "152x1024"],
 )
 def test_table_bytes_held(grid):
-    """Per-ring windows keep these tables under 75 MiB (about 124 and 140 MiB
-    when every ring stored the widest window)."""
+    """Real mode tables over per-ring windows keep these tables under 48 MiB
+    (74 MiB as complex tables; about 124 and 140 MiB when every ring stored
+    the widest window)."""
     tbl = cau.kernel_table(grid)
-    assert sum(t.nbytes for t in tbl._tables) < tbl.nbytes <= 75 * 2**20
+    assert all(t.dtype == np.float64 for t in tbl._tables)
+    assert sum(t.nbytes for t in tbl._tables) < tbl.nbytes <= 48 * 2**20
 
 
 def test_table_build_peak():
-    """Each ring's corrections go straight into its own tables, so the build
-    holds little beyond the tables (4.5x nbytes here when a flat list of
-    every correction was built first)."""
+    """Each window offset's near cells go straight into its own tables, so
+    the build holds little beyond the tables (4.5x nbytes here when a flat
+    list of every correction was built first)."""
     g = geo.PolarGrid(geo.disk(1.0), 64, 512)
     tracemalloc.start()
     try:

@@ -63,6 +63,25 @@ def test_fornberg_weights_exact_on_polynomials(ks, h, k0, m, data):
     assert abs(terms.sum() - want) <= 1e-12 * max(np.abs(terms).sum(), 1.0)
 
 
+@pytest.mark.parametrize(
+    "domain, n_r, n_theta",
+    [(geo.disk(1.0), 384, 512), (geo.disk(1.0), 96, 128), (geo.annulus(0.5, 1.0), 96, 128)],
+    ids=["disk-384", "disk-96", "annulus-96"],
+)
+def test_radial_stencils_are_the_scalar_fornberg_weights(domain, n_r, n_theta):
+    """The one vectorized Fornberg pass over all rings gives, bit for bit,
+    each ring's first- and second-derivative weights from the scalar
+    recursion."""
+    g = geo.PolarGrid(domain, n_r, n_theta)
+    lo, d1, d2 = g._radial_stencils()
+    x = g._ghost_radii() if domain.kind == "disk" else g.r
+    j = np.arange(n_r) + len(x) - n_r
+    for i in range(n_r):
+        sel = x[lo[i] : lo[i] + 6]
+        assert np.array_equal(d1[i], geo._fornberg_weights(x[j[i]], sel, 1))
+        assert np.array_equal(d2[i], geo._fornberg_weights(x[j[i]], sel, 2))
+
+
 def _dense_diff_r(g, values, order):
     """Reference radial derivative: a dense (n_r x n_nodes) matrix of the
     6-point Fornberg stencils, on the disk over the rings continued through
