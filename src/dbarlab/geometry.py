@@ -112,63 +112,34 @@ def annulus(r_inner: float, r_outer: float, center: complex = 0.0) -> Domain:
     return Domain("annulus", float(r_inner), float(r_outer), complex(center))
 
 
-def _fornberg_weights(x0: float, x: np.ndarray, m: int) -> np.ndarray:
-    """Finite-difference weights for the m-th derivative at x0 on nodes x.
+def _fornberg_weights(x0, x: np.ndarray, m: int) -> np.ndarray:
+    """Finite-difference weights at x0 on nodes x for every derivative
+    order 0..m: (..., n, m + 1) for x0 (...) and x (..., n), so one call
+    gives every stencil of a grid.
 
     Classic recursion (Fornberg 1988); exact for polynomials of degree
-    ``len(x) - 1``.  One stencil at a time: the reference for
-    `_fornberg_rows`, which the grid's stencils come from.
+    ``n - 1``.
     """
-    n = len(x)
-    c = np.zeros((n, m + 1))
-    c1 = 1.0
-    c4 = x[0] - x0
-    c[0, 0] = 1.0
-    for i in range(1, n):
-        mn = min(i, m)
-        c2 = 1.0
-        c5 = c4
-        c4 = x[i] - x0
-        for j in range(i):
-            c3 = x[i] - x[j]
-            c2 *= c3
-            if j == i - 1:
-                for k in range(mn, 0, -1):
-                    c[i, k] = c1 * (k * c[i - 1, k - 1] - c5 * c[i - 1, k]) / c2
-                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
-            for k in range(mn, 0, -1):
-                c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
-            c[j, 0] = c4 * c[j, 0] / c3
-        c1 = c2
-    return c[:, m]
-
-
-def _fornberg_rows(x0: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
-    """`_fornberg_weights` for many stencils at once: the same recursion on
-    x0 (N,) and nodes x (N, n), run once over all rows.  Returns the
-    weights of every derivative order 0..m, (N, n, m + 1); each column is
-    bitwise what `_fornberg_weights` gives for that order.
-    """
-    n = x.shape[1]
+    n = x.shape[-1]
     c = np.zeros(x.shape + (m + 1,))
     c1 = 1.0
-    c4 = x[:, 0] - x0
-    c[:, 0, 0] = 1.0
+    c4 = x[..., 0] - x0
+    c[..., 0, 0] = 1.0
     for i in range(1, n):
         mn = min(i, m)
         c2 = 1.0
         c5 = c4
-        c4 = x[:, i] - x0
+        c4 = x[..., i] - x0
         for j in range(i):
-            c3 = x[:, i] - x[:, j]
+            c3 = x[..., i] - x[..., j]
             c2 = c2 * c3
             if j == i - 1:
                 for k in range(mn, 0, -1):
-                    c[:, i, k] = c1 * (k * c[:, i - 1, k - 1] - c5 * c[:, i - 1, k]) / c2
-                c[:, i, 0] = -c1 * c5 * c[:, i - 1, 0] / c2
+                    c[..., i, k] = c1 * (k * c[..., i - 1, k - 1] - c5 * c[..., i - 1, k]) / c2
+                c[..., i, 0] = -c1 * c5 * c[..., i - 1, 0] / c2
             for k in range(mn, 0, -1):
-                c[:, j, k] = (c4 * c[:, j, k] - k * c[:, j, k - 1]) / c3
-            c[:, j, 0] = c4 * c[:, j, 0] / c3
+                c[..., j, k] = (c4 * c[..., j, k] - k * c[..., j, k - 1]) / c3
+            c[..., j, 0] = c4 * c[..., j, 0] / c3
         c1 = c2
     return c
 
@@ -311,7 +282,7 @@ class PolarGrid:
         width = 6
         j = np.arange(n) + len(x) - n  # past a disk's ghost rings
         lo = np.clip(j - width // 2, 0, len(x) - width)
-        c = _fornberg_rows(x[j], x[lo[:, None] + np.arange(width)], 2)
+        c = _fornberg_weights(x[j], x[lo[:, None] + np.arange(width)], 2)
         self._stencils = lo, c[:, :, 1].copy(), c[:, :, 2].copy()
         return self._stencils
 
