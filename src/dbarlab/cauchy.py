@@ -66,6 +66,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 
 import numpy as np
 
@@ -204,9 +205,9 @@ class CauchyKernelTable:
     its accurate integral (ring j's near field), which enters the tables as
     they are built and is not kept.  By the rows' mirror symmetry each row
     is integrated at the offsets 0..n_theta/2 only and its inverse FFT is
-    real (``irfft``).  The tables are stored per window offset k: one real
-    (rows_k, n_theta) array for the slice of target rings whose window
-    reaches offset k, built in one pass over those rows.  The rings outside
+    real (``irfft``).  Ring j's tables are one real (width_j, n_theta)
+    block, a view of one shared buffer, so an apply contracts it with one
+    contiguous slice of the source planes.  The rings outside
     a ring's window are summed by the two far-field sweeps, whose per-ring
     weights and ratio-power steps depend only on the grid.  Everything is
     built here, once.
@@ -248,6 +249,7 @@ class CauchyKernelTable:
 
         self._build_window_tables()
         self._build_far_field()
+        self._lock = threading.Lock()
 
     @property
     def nbytes(self) -> int:
@@ -328,41 +330,34 @@ class CauchyKernelTable:
     def _build_window_tables(self) -> None:
         """Window of source rings per target ring and its mode tables.
 
-        Ring j's window holds every source ring of its near field and every
-        ring m with |ln(r_m/r_j)| <= L/n_theta, L = -ln(eps); outside it
-        (r_m/r_j)^(+-n_theta) < eps, so the aliased modes of the sampled
-        kernel are below roundoff.  The widths are raised to the smallest
-        profile that rises and then falls in j, and windows are shifted
-        inward where they would pass the outer ring.  The rings whose
-        window has an offset k then form one slice [a_k, b_k), and offset
-        k's tables are one (b_k - a_k, n_theta) array.
+        Ring j's window [start_j, start_j + width_j) holds every source ring
+        of its near field and every ring m with |ln(r_m/r_j)| <= L/n_theta,
+        L = -ln(eps); outside it (r_m/r_j)^(+-n_theta) < eps, so the aliased
+        modes of the sampled kernel are below roundoff.  Its tables are one
+        real (width_j, n_theta) block, row k for source ring start_j + k;
+        the blocks are views of one buffer.
 
         A row's kernel at angle -theta is the conjugate of that at +theta,
-        so offset k's rows are integrated at the angles 0..pi only (the
-        product rule, then the near cells of the ring pairs (j, start_j + k)
-        whose source ring is near, at offsets up to the largest of its near
-        field) and their inverse FFT is real."""
+        so the rows are integrated at the angles 0..pi only and their
+        inverse FFT is real.  The build runs over the offsets k, each pass
+        over every ring whose window reaches k: the product rule, then the
+        near cells of the ring pairs (j, start_j + k) whose source ring is
+        near, at offsets up to the largest of its near field."""
         g = self.grid
         n_r, n_t = g.shape
         r = g.r
         reach = math.exp(-math.log(np.finfo(float).eps) / n_t)
         near_lo, near_hi, near_kt = self._near_window(np.arange(n_r))
-        lo = np.minimum(np.searchsorted(r, r / reach), near_lo)
-        hi = np.maximum(np.searchsorted(r, r * reach, side="right"), near_hi)
-        need = hi - lo
-        width = np.minimum(np.maximum.accumulate(need), np.maximum.accumulate(need[::-1])[::-1])
-        self._width = width
-        self._start = np.minimum(lo, n_r - width)
-        # rows [a_k, b_k) of the rings whose window reaches offset k
-        self._rows = np.array(
-            [np.flatnonzero(width > k)[[0, -1]] + [0, 1] for k in range(width.max())]
-        )
-        sizes = self._rows[:, 1] - self._rows[:, 0]
-        self._tables = np.split(np.empty((sizes.sum(), n_t)), np.cumsum(sizes)[:-1])
+        start = np.minimum(np.searchsorted(r, r / reach), near_lo)
+        width = np.maximum(np.searchsorted(r, r * reach, side="right"), near_hi) - start
+        self._start, self._width = start, width
+        ptr = np.cumsum(width) - width
+        tables = np.empty((width.sum(), n_t))
+        self._tables = np.split(tables, ptr[1:])
         half = g.theta[: n_t // 2 + 1]
-        for k, ((a, b), tab) in enumerate(zip(self._rows, self._tables)):
-            j = np.arange(a, b)
-            m = self._start[a:b] + k
+        for k in range(width.max()):
+            j = np.flatnonzero(width > k)
+            m = start[j] + k
             ker = self._product_rule(r[j, None], m[:, None], half)
             # the near cells of each row at the offsets 0..near_kt
             i = np.flatnonzero((near_lo[j] <= m) & (m < near_hi[j]))
@@ -371,7 +366,7 @@ class CauchyKernelTable:
             dk = np.arange(i.size) - np.repeat(np.cumsum(count) - count, count)
             ker[i, dk] = self._cell_integrals(j[i], m[i], dk)  # also the singular self entry
             # correlation sum_k F_k g_{k-l} has Fourier symbol fhat_m * ghat_{-m}
-            tab[...] = np.fft.irfft(ker, n=n_t, axis=1, norm="forward")
+            tables[ptr[j] + k] = np.fft.irfft(ker, n=n_t, axis=1, norm="forward")
 
     def _build_far_field(self) -> None:
         """Weights and ratio-power steps of the far-field sweeps.
@@ -406,12 +401,11 @@ class CauchyKernelTable:
         self._phase = np.exp(-1j * g.theta)[None, :]
         # apply's scratch, overwritten by every call: the window sums of the
         # real and imaginary planes, the planes of fhat (then the inside
-        # sweep and the gathered outside rows), one gathered plane block,
-        # and the outside sweep from the lowest ring it reaches
+        # sweep and the gathered outside rows), and the outside sweep from
+        # the lowest ring it reaches
         self._scratch = (
             np.empty((2, n_r, n_t)),
             np.empty((n_r, n_t), dtype=complex),
-            np.empty(n_r * n_t),
             np.empty((n_r - self._above.min(), n_t), dtype=complex),
         )
 
@@ -420,48 +414,47 @@ class CauchyKernelTable:
     def apply(self, fvals: np.ndarray) -> np.ndarray:
         """(1/pi) * integral of f(zeta)/(z - zeta) dA at every grid node.
 
-        Works in the table's scratch arrays, so one table must not be
-        applied from two threads at once."""
-        fhat = np.fft.fft(np.asarray(fvals, dtype=complex), axis=1)
-        n_r, n_t = fhat.shape
-        sums, rows, part, outside = self._scratch
-        # the tables are real, so the window contraction runs on the real and
-        # imaginary planes of fhat, each product real x real.  The planes are
-        # copied to contiguous rows first: gathering from the strided views
-        # fhat.real / fhat.imag made apply 1.2x slower at 72x256 and 2x at
-        # 352x256 (one BLAS thread, x86-64).  The copy lives in `rows`, which
-        # nothing else may write until the window loop ends.
-        planes = rows.reshape(-1).view(float).reshape(2, n_r, n_t)
-        np.copyto(planes[0], fhat.real)
-        np.copyto(planes[1], fhat.imag)
-        sums.fill(0.0)
-        for k, ((a, b), tbl) in enumerate(zip(self._rows, self._tables)):
-            block = part[: (b - a) * n_t].reshape(b - a, n_t)
-            for plane, total in zip(planes, sums):
-                np.take(plane, self._start[a:b] + k, axis=0, out=block, mode="clip")
-                block *= tbl
-                total[a:b] += block
-        # far field: inside[i] sums rings m <= i scaled to ring i, outside[i]
-        # rings m >= i; only rings some window leaves out are swept
-        inside = np.multiply(self._w_in, fhat, out=rows)
-        for i in range(1, self._below.max() + 1):
-            inside[i] += self._step_in[i - 1] * inside[i - 1]
-        top = self._above.min()
-        np.multiply(self._w_out[top:], fhat[top:], out=outside)
-        for i in range(len(outside) - 2, -1, -1):
-            outside[i] += self._step_out[top + i] * outside[i + 1]
-        # fhat is spent: it takes the jump from below, rows the one from
-        # above (mode "clip" writes straight into out; "raise" buffers it)
-        far = np.take(inside, self._below, axis=0, out=fhat, mode="clip")
-        np.multiply(self._jump_in, far, out=far)
-        above = np.take(outside, self._above - top, axis=0, out=rows, mode="clip")
-        far += np.multiply(self._jump_out, above, out=above)
-        far.real += sums[0]
-        far.imag += sums[1]
-        out = np.fft.ifft(far, axis=1)
-        out *= self._phase
-        out /= math.pi
-        return out
+        Safe to call from several threads: the table's scratch arrays are
+        held under a lock for the whole call, so concurrent applies of one
+        table run one after the other."""
+        with self._lock:
+            fhat = np.fft.fft(np.asarray(fvals, dtype=complex), axis=1)
+            n_r, n_t = fhat.shape
+            sums, rows, outside = self._scratch
+            # the tables are real, so the window contraction runs on the real
+            # and imaginary planes of fhat, each product real x real.  The
+            # planes are copied to contiguous rows first: contracting the
+            # strided views fhat.real / fhat.imag instead, the FFT and the
+            # contraction took 0.93 against 0.69 ms at 72x256 and 15.6 against
+            # 11.9 ms at 352x256 (one BLAS thread, x86-64).  The copy lives in
+            # `rows`, which nothing else may write until the window loop ends.
+            planes = rows.reshape(-1).view(float).reshape(2, n_r, n_t)
+            np.copyto(planes[0], fhat.real)
+            np.copyto(planes[1], fhat.imag)
+            for j, (s, tbl) in enumerate(zip(self._start, self._tables)):
+                np.einsum("kt,pkt->pt", tbl, planes[:, s : s + len(tbl)], out=sums[:, j])
+            # far field: inside[i] sums rings m <= i scaled to ring i,
+            # outside[i] rings m >= i; only rings some window leaves out are
+            # swept
+            inside = np.multiply(self._w_in, fhat, out=rows)
+            for i in range(1, self._below.max() + 1):
+                inside[i] += self._step_in[i - 1] * inside[i - 1]
+            top = self._above.min()
+            np.multiply(self._w_out[top:], fhat[top:], out=outside)
+            for i in range(len(outside) - 2, -1, -1):
+                outside[i] += self._step_out[top + i] * outside[i + 1]
+            # fhat is spent: it takes the jump from below, rows the one from
+            # above (mode "clip" writes straight into out; "raise" buffers it)
+            far = np.take(inside, self._below, axis=0, out=fhat, mode="clip")
+            np.multiply(self._jump_in, far, out=far)
+            above = np.take(outside, self._above - top, axis=0, out=rows, mode="clip")
+            far += np.multiply(self._jump_out, above, out=above)
+            far.real += sums[0]
+            far.imag += sums[1]
+            out = np.fft.ifft(far, axis=1)
+            out *= self._phase
+            out /= math.pi
+            return out
 
     def apply_direct(self, fvals: np.ndarray) -> np.ndarray:
         """Reference: the dense double sum over every source cell, the

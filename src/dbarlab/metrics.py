@@ -169,7 +169,8 @@ def ensemble_distance(dtn1, dtn2, mode: str = "surrogate") -> float:
     """Distance between Cauchy-data ensembles given as DtN matrices.
 
     ``surrogate``: H^{1/2} -> H^{-1/2} operator norm of the difference,
-    an upper bound for the sup-inf at matched Dirichlet data.
+    an upper bound for the sup-inf at matched Dirichlet data, and symmetric:
+    swapping the ensembles only flips the sign of the difference.
     ``sup_inf``: for each basis datum of one ensemble, minimize the pair
     distance over the span of the other, then symmetrize over the two
     orderings; converges to the surrogate from below.
@@ -177,7 +178,7 @@ def ensemble_distance(dtn1, dtn2, mode: str = "surrogate") -> float:
     if dtn1.order != dtn2.order or dtn1.circles != dtn2.circles:
         raise ValueError("DtN truncation mismatch")
     if mode == "surrogate":
-        return max(_surrogate(dtn1, dtn2), _surrogate(dtn2, dtn1))
+        return _surrogate(dtn1, dtn2)
     if mode == "sup_inf":
         return max(_sup_inf_one_sided(dtn1, dtn2), _sup_inf_one_sided(dtn2, dtn1))
     raise ValueError(f"unknown mode {mode!r}")

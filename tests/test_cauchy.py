@@ -1,4 +1,6 @@
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -247,25 +249,23 @@ def test_far_field_modes_are_separable(r_inner, n_r, n_theta, data):
     st.sampled_from([8, 16, 32, 64, 128, 256]),
 )
 def test_window_covers_ratio_range_and_near_field(r_inner, n_r, n_theta):
-    """Each target ring's own window holds every source ring within a radius
-    ratio of e^(+-L/n_theta), L = -ln(eps), and every source ring of its
-    near-field corrections; offset k's table has one row per ring whose
-    window reaches offset k, so the table holds sum_j width_j * n_theta
-    entries."""
+    """Each target ring's own window is exactly the source rings within a
+    radius ratio of e^(+-L/n_theta), L = -ln(eps), and every source ring of
+    its near field, and its table is one (width_j, n_theta) block, so the
+    tables hold sum_j width_j * n_theta entries."""
     domain = geo.annulus(r_inner, 1.0) if r_inner else geo.disk(1.0)
     g = geo.PolarGrid(domain, n_r, n_theta)
     tbl = cau.CauchyKernelTable(g)
     start, stop = tbl._start, tbl._start + tbl._width
     assert np.all(start >= 0) and np.all(stop <= n_r)
     m = np.arange(n_r)
-    inside = (m >= start[:, None]) & (m < stop[:, None])
     log_ratio = np.abs(np.log(g.r[None, :] / g.r[:, None]))
-    assert np.all(inside[log_ratio <= -np.log(np.finfo(float).eps) / n_theta])
+    ratio = log_ratio <= -np.log(np.finfo(float).eps) / n_theta
     for j in range(n_r):
-        assert np.all(inside[j, tbl._near_field(j)[0]])
-    for k, ((a, b), t) in enumerate(zip(tbl._rows, tbl._tables)):
-        assert np.array_equal(np.flatnonzero(tbl._width > k), np.arange(a, b))
-        assert t.shape == (b - a, n_theta)
+        covered = ratio[j].copy()
+        covered[tbl._near_field(j)[0]] = True
+        assert np.array_equal(m[covered], np.arange(start[j], stop[j]))
+        assert tbl._tables[j].shape == (tbl._width[j], n_theta)
     assert sum(t.size for t in tbl._tables) == tbl._width.sum() * n_theta
 
 
@@ -298,6 +298,25 @@ def test_table_build_peak():
     finally:
         tracemalloc.stop()
     assert peak <= 3 * tbl.nbytes
+
+
+def test_apply_from_two_threads_matches_serial():
+    """One cached table applied from two threads at once gives each thread
+    the serial transform bit for bit: apply holds the table's scratch arrays
+    for the whole call."""
+    g = geo.PolarGrid(geo.disk(1.0), 72, 256)
+    tbl = cau.kernel_table(g)
+    rng = np.random.default_rng(0)
+    data = [rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape) for _ in range(2)]
+    want = [tbl.apply(f) for f in data]
+    start = threading.Barrier(2)
+
+    def worker(i):
+        start.wait()
+        return sum(np.array_equal(tbl.apply(data[i]), want[i]) for _ in range(100))
+
+    with ThreadPoolExecutor(2) as pool:
+        assert list(pool.map(worker, range(2))) == [100, 100]
 
 
 # -- dbar_inverse -----------------------------------------------------------------
@@ -593,7 +612,7 @@ def test_center_table_cells_are_sector_integrals(n_r, n_theta):
     for j in range(6):
         for k in range(tbl._width[j]):
             m = tbl._start[j] + k
-            row = np.fft.fft(tbl._tables[k][j - tbl._rows[k, 0]]) / n_theta
+            row = np.fft.fft(tbl._tables[j][k]) / n_theta
             lo, hi = tbl.cell_lo[m], tbl.cell_hi[m]
             near = np.abs(g.r[j] - g.r[m] * np.exp(1j * tc)) <= 6.0 * max(hi - lo, g.r[m] * dth)
             got.append(row[dks[near] % n_theta])
