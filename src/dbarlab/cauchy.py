@@ -94,6 +94,8 @@ __all__ = [
     "reflect_extend",
 ]
 
+# rings that `extend_grid` adds beyond the outer circle, at the grid's spacing
+PAD_RINGS = 8
 # radial half-width of the near-field window
 _WIN_R = 4
 # cap on the angular half-width of the near-field window
@@ -567,24 +569,25 @@ def beurling_norm_report(grid: PolarGrid, num_samples: int = 64, seed: int = 0) 
 # ---------------------------------------------------------------------------
 
 
-def extend_grid(grid: PolarGrid, pad_rings: int = 8) -> tuple[PolarGrid, slice]:
-    """Enlarge a grid by `pad_rings` outer rings at the same spacing.
+def extend_grid(grid: PolarGrid) -> tuple[PolarGrid, slice]:
+    """Enlarge a grid by `PAD_RINGS` outer rings at the same spacing.
 
     Returns the enlarged grid and the row slice that restricts fields on
-    it back to the original rings.  An annulus is also padded inward when
-    the spacing allows, so the original grid sits strictly inside.
+    it back to the original rings.  An annulus is also padded inward, by
+    up to `PAD_RINGS` rings as the spacing allows, so the original grid
+    sits strictly inside.
     """
     d = grid.domain
     dr = grid.dr
     if d.kind == "disk":
-        n_new = grid.n_r + pad_rings
-        dom = disk(d.r_outer + pad_rings * dr, d.center)
+        n_new = grid.n_r + PAD_RINGS
+        dom = disk(d.r_outer + PAD_RINGS * dr, d.center)
         big = PolarGrid(dom, n_new, grid.n_theta)
         return big, slice(0, grid.n_r)
-    pad_in = min(pad_rings, int((d.r_inner - 0.25 * dr) / dr))
+    pad_in = min(PAD_RINGS, int((d.r_inner - 0.25 * dr) / dr))
     r_in = d.r_inner - pad_in * dr
-    dom = annulus(r_in, d.r_outer + pad_rings * dr, d.center)
-    big = PolarGrid(dom, grid.n_r + pad_rings + pad_in, grid.n_theta)
+    dom = annulus(r_in, d.r_outer + PAD_RINGS * dr, d.center)
+    big = PolarGrid(dom, grid.n_r + PAD_RINGS + pad_in, grid.n_theta)
     return big, slice(pad_in, pad_in + grid.n_r)
 
 

@@ -91,15 +91,11 @@ class SigmaSection:
 
     def __post_init__(self):
         self.u.grid.check_same(self.omega.grid)
-        if np.max(np.abs(self.omega.c10)) > 1e-12 * max(np.max(np.abs(self.omega.c01)), 1.0):
-            raise ValueError("sigma section requires a pure (0,1) second component")
+        _require_type01(self.omega, "SigmaSection")
 
     @property
     def grid(self) -> PolarGrid:
         return self.u.grid
-
-    def __sub__(self, other: "SigmaSection") -> "SigmaSection":
-        return SigmaSection(self.u - other.u, self.omega - other.omega)
 
 
 @dataclass(frozen=True)

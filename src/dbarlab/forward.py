@@ -56,6 +56,9 @@ from .metrics import BoundaryTrace, trace_from_samples, truncation_modes
 
 _getrf, _getri = get_lapack_funcs(("getrf", "getri"), dtype=np.complex128)
 
+# `MagneticOperator` refuses a potential whose condition estimate exceeds this
+CONDITION_LIMIT = 1e12
+
 __all__ = [
     "PotentialPair",
     "CauchyPair",
@@ -184,7 +187,7 @@ def magnetic_apply_factored(pot: PotentialPair, u: ScalarField, F: ScalarField) 
 class MagneticOperator:
     """Factorized interior collocation operator for one potential pair."""
 
-    def __init__(self, pot: PotentialPair, condition_limit: float = 1e12):
+    def __init__(self, pot: PotentialPair):
         self.pot = pot
         g = pot.grid
         self.grid = g
@@ -230,7 +233,7 @@ class MagneticOperator:
         if not all(np.isfinite(c).all() for c in coeffs):
             raise ValueError("assembled operator coefficients must be finite")
 
-        self._factor(condition_limit)
+        self._factor()
 
     def _block(self, a: int) -> np.ndarray:
         """Dense diagonal block of interior ring a (index into int_rings)."""
@@ -240,7 +243,7 @@ class MagneticOperator:
         B.flat[:: self.n_theta + 1] += 2.0 / self.grid.dr**2 + self._zeroth[a]
         return B
 
-    def _factor(self, condition_limit: float) -> None:
+    def _factor(self) -> None:
         n_t = self.n_theta
         self.inv = []
         S = np.empty((n_t, n_t), dtype=complex, order="F")
@@ -267,7 +270,7 @@ class MagneticOperator:
         amp = float(np.max(np.abs(u)) / np.max(np.abs(boundary)))
         op_scale = 4.0 / self.grid.dr**2
         self.condition_estimate = amp * op_scale
-        if not np.isfinite(self.condition_estimate) or self.condition_estimate > condition_limit:
+        if not np.isfinite(self.condition_estimate) or self.condition_estimate > CONDITION_LIMIT:
             raise EigenvalueCollision(
                 f"near-singular Dirichlet system (condition estimate "
                 f"{self.condition_estimate:.2e}); a Dirichlet eigenvalue collision "
@@ -327,21 +330,18 @@ def _boundary_samples(g: PolarGrid, f: np.ndarray) -> np.ndarray:
     return f
 
 
-def solve_dirichlet(
-    pot: PotentialPair, f: np.ndarray, allow_perturbation: bool = True
-) -> ScalarField:
+def solve_dirichlet(pot: PotentialPair, f: np.ndarray) -> ScalarField:
     """Solve L u = 0 with Dirichlet samples f in the layout of
     `MagneticOperator.solve`.
 
     On an eigenvalue collision the potential is retried once with
-    q + 1e-6 i, which moves the spectrum off the real axis.
+    q + 1e-6 i, which moves the spectrum off the real axis, and the retry
+    is logged; `MagneticOperator(pot).solve(f)` refuses instead.
     """
     f = _boundary_samples(pot.grid, f)  # refuse bad data before factoring
     try:
         op = MagneticOperator(pot)
     except EigenvalueCollision as exc:
-        if not allow_perturbation:
-            raise
         logging.getLogger("dbarlab").warning("%s; retrying once with q + 1e-6i", exc)
         op = MagneticOperator(PotentialPair(pot.X, pot.q + 1e-6j))
     return ScalarField(pot.grid, op.solve(f))

@@ -15,8 +15,8 @@ Conventions, fixed once and verified by the test suite:
   ``star 1`` integrates to the domain area, ``star star = -1`` on 1-forms,
   and the scalar Laplacian below is positive.
 * The scalar Laplacian is ``laplacian(f) = -(f_xx + f_yy)``; the
-  composition route ``-2i star d(dbar f)`` reproduces it exactly in the
-  flat chart.
+  composition ``-2i star d(dbar f)`` reproduces it exactly in the flat
+  chart.
 * L2 pairings are Hermitian, conjugate-linear in the second slot, with
   ``<dz, dz> = 2 * area``.
 
@@ -99,9 +99,9 @@ class Domain:
     def area(self) -> float:
         return math.pi * (self.r_outer**2 - self.r_inner**2)
 
-    def contains(self, z: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    def contains(self, z: np.ndarray) -> np.ndarray:
         r = np.abs(np.asarray(z) - self.center)
-        return (r <= self.r_outer + tol) & (r >= self.r_inner - tol)
+        return (r <= self.r_outer + 1e-9) & (r >= self.r_inner - 1e-9)
 
 
 def disk(radius: float = 1.0, center: complex = 0.0) -> Domain:
@@ -337,8 +337,6 @@ class PolarGrid:
 
 def _as_values(grid: PolarGrid, values) -> np.ndarray:
     v = np.asarray(values, dtype=complex)
-    if np.isscalar(values) or v.ndim == 0:
-        v = np.full(grid.shape, complex(values))
     if v.shape != grid.shape:
         raise GridError(f"values shape {v.shape} != grid shape {grid.shape}")
     if not np.all(np.isfinite(v)):
@@ -369,12 +367,6 @@ class ScalarField:
         return ScalarField(self.grid, self.values * _coerce(self.grid, other))
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return ScalarField(self.grid, self.values / _coerce(self.grid, other))
-
-    def __neg__(self):
-        return ScalarField(self.grid, -self.values)
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values)))
@@ -415,15 +407,6 @@ class OneForm:
         self.grid.check_same(other.grid)
         return OneForm(self.grid, self.c10 - other.c10, self.c01 - other.c01)
 
-    def __mul__(self, other) -> "OneForm":
-        v = _coerce(self.grid, other)
-        return OneForm(self.grid, self.c10 * v, self.c01 * v)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "OneForm":
-        return OneForm(self.grid, -self.c10, -self.c01)
-
     def pointwise_norm(self) -> np.ndarray:
         """|omega|_g with |dz|^2 = 2."""
         return np.sqrt(2.0 * (np.abs(self.c10) ** 2 + np.abs(self.c01) ** 2))
@@ -438,19 +421,6 @@ class TwoForm:
 
     def __post_init__(self):
         object.__setattr__(self, "c", _as_values(self.grid, self.c))
-
-    def __add__(self, other: "TwoForm") -> "TwoForm":
-        self.grid.check_same(other.grid)
-        return TwoForm(self.grid, self.c + other.c)
-
-    def __sub__(self, other: "TwoForm") -> "TwoForm":
-        self.grid.check_same(other.grid)
-        return TwoForm(self.grid, self.c - other.c)
-
-    def __mul__(self, other) -> "TwoForm":
-        return TwoForm(self.grid, self.c * _coerce(self.grid, other))
-
-    __rmul__ = __mul__
 
     def integrate(self) -> complex:
         """Integral over the domain; dz^dz_bar = -2i dA."""
@@ -478,12 +448,12 @@ class Loop:
     def length(self) -> float:
         return float(np.sum(np.abs(np.diff(self.samples))))
 
-    def refine(self, factor: int = 2) -> "Loop":
+    def refine(self) -> "Loop":
+        """The loop with the midpoint of every segment inserted."""
         s = self.samples
         pts = [s[0]]
         for a, b in zip(s[:-1], s[1:]):
-            for k in range(1, factor + 1):
-                pts.append(a + (b - a) * k / factor)
+            pts += [a + (b - a) / 2, a + (b - a)]
         return Loop(np.array(pts))
 
 
@@ -563,16 +533,13 @@ def wedge(a: OneForm, b: OneForm) -> TwoForm:
     return TwoForm(a.grid, a.c10 * b.c01 - a.c01 * b.c10)
 
 
-def laplacian(f: ScalarField, route: str = "direct") -> ScalarField:
-    """Positive Laplacian -(f_xx + f_yy).
+def laplacian(f: ScalarField) -> ScalarField:
+    """Positive Laplacian -(f_xx + f_yy) from the polar stencil.
 
-    ``route='direct'`` uses the polar stencil; ``route='composite'`` takes
-    the composition -2i star d (dbar f), which must agree with the direct
-    route to discretization accuracy.
+    The composition -2i star d (dbar f) agrees with it to discretization
+    accuracy.
     """
     g = f.grid
-    if route == "composite":
-        return hodge_star(exterior_d(wirtinger(f, "dzbar"))) * (-2j)
     vr = g.diff_r(f.values, 1)
     vrr = g.diff_r(f.values, 2)
     vtt = g.diff_theta(f.values, 2)

@@ -96,7 +96,7 @@ def winding_integral(theta_ratio: ScalarField, gamma: Loop) -> dict:
         steps = np.angle(ratios)
         if np.max(np.abs(steps)) < 0.5 * math.pi:
             break
-        loop = loop.refine(2)
+        loop = loop.refine()
     else:
         raise ValueError("loop increments did not settle below pi/2 under refinement")
     value = complex(np.sum(np.log(ratios)))

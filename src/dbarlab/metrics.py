@@ -20,8 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ScalarField
-
 __all__ = [
     "BoundaryTrace",
     "boundary_norm",
@@ -69,10 +67,10 @@ class BoundaryTrace:
     def scaled(self, c: complex) -> "BoundaryTrace":
         return BoundaryTrace(self.order, c * self.coeffs)
 
-    def is_real(self, tol: float = 1e-10) -> bool:
+    def is_real(self) -> bool:
         flipped = np.conj(self.coeffs[:, ::-1])
         scale = max(np.max(np.abs(self.coeffs)), 1e-300)
-        return bool(np.max(np.abs(self.coeffs - flipped)) <= tol * scale)
+        return bool(np.max(np.abs(self.coeffs - flipped)) <= 1e-10 * scale)
 
 
 def truncation_modes(order: int, n_theta: int) -> np.ndarray:
@@ -189,8 +187,8 @@ def ensemble_distance(dtn1, dtn2, mode: str = "surrogate") -> float:
 # ---------------------------------------------------------------------------
 
 
-def holomorphic_defect(t: BoundaryTrace, r: float = 0.0) -> float:
-    """Weighted size of the negative-frequency content of a disk trace.
+def holomorphic_defect(t: BoundaryTrace) -> float:
+    """The l2 norm of the negative-frequency content of a disk trace.
 
     Pairing a trace against the boundary values of antiholomorphic
     1-forms isolates the modes e^{-i m theta}, m >= 1; a trace extends
@@ -198,18 +196,15 @@ def holomorphic_defect(t: BoundaryTrace, r: float = 0.0) -> float:
     """
     if t.n_circles != 1:
         raise ValueError("holomorphic defect is defined for disk traces only")
-    m = np.arange(1, t.order + 1)
     neg = t.coeffs[0, : t.order][::-1]  # coefficients for n = -1, -2, ...
-    w = (1.0 + m.astype(float) ** 2) ** (r / 2.0)
-    return float(np.sqrt(np.sum((w * np.abs(neg)) ** 2)))
+    return float(np.sqrt(np.sum(np.abs(neg) ** 2)))
 
 
-def holo_project(t: BoundaryTrace, grid=None, radius: float = 1.0, center: complex = 0.0):
+def holo_project(t: BoundaryTrace, radius: float = 1.0, center: complex = 0.0):
     """Zero the negative modes and return the power-series extension.
 
-    Returns (projected trace, extension G(z) = sum f_n ((z-c)/R)^n); the
-    extension is evaluated on `grid` when given, otherwise returned as a
-    callable.
+    Returns (projected trace, G) with G the callable extension
+    G(z) = sum f_n ((z-c)/R)^n.
     """
     if t.n_circles != 1:
         raise ValueError("holo_project is defined for disk traces only")
@@ -222,6 +217,4 @@ def holo_project(t: BoundaryTrace, grid=None, radius: float = 1.0, center: compl
         w = (np.asarray(z) - center) / radius
         return np.polynomial.polynomial.polyval(w, pos)
 
-    if grid is None:
-        return ptrace, G
-    return ptrace, ScalarField(grid, G(grid.nodes))
+    return ptrace, G

@@ -477,15 +477,16 @@ def test_beurling_norm_against_matrix_oracle():
 
 
 def test_extend_grid_row_slice(grid):
-    big, rows = cau.extend_grid(grid, 8)
-    assert big.n_r == grid.n_r + 8
+    big, rows = cau.extend_grid(grid)
+    assert big.n_r == grid.n_r + cau.PAD_RINGS == grid.n_r + 8
     assert np.allclose(big.r[rows], grid.r)
 
 
 def test_extend_grid_annulus_inward():
     g = geo.PolarGrid(geo.annulus(0.5, 1.0), 48, 64)
-    big, rows = cau.extend_grid(g, 6)
+    big, rows = cau.extend_grid(g)
     assert big.domain.r_inner < 0.5
+    assert rows.start == cau.PAD_RINGS
     assert np.allclose(big.r[rows], g.r)
 
 
@@ -528,7 +529,7 @@ def test_quintic_cutoff_near_its_ends():
 
 
 def test_reflect_extend_supported_in_pad(grid):
-    big, rows = cau.extend_grid(grid, 8)
+    big, rows = cau.extend_grid(grid)
     vals = np.ones(grid.shape, dtype=complex)
     out = cau.reflect_extend(big, rows, vals, mode="c1")
     assert np.allclose(out[rows], vals)
@@ -541,11 +542,12 @@ def test_reflect_extend_supported_in_pad(grid):
     [(geo.disk(1.0), 6, 8), (geo.annulus(0.5, 1.0), 32, 3)],
     ids=["disk-clamped", "annulus-both-sides"],
 )
-def test_reflect_extend_mirrors_each_pad_ring(domain, n_r, pad, mode):
+def test_reflect_extend_mirrors_each_pad_ring(domain, n_r, pad, mode, monkeypatch):
     """Pad ring k past an edge holds ring min(k, n_r - 1) in from that edge
     (for c1, twice the edge ring minus it), tapered by quintic_cutoff(k / pad)."""
+    monkeypatch.setattr(cau, "PAD_RINGS", pad)
     g = geo.PolarGrid(domain, n_r, 16)
-    big, rows = cau.extend_grid(g, pad)
+    big, rows = cau.extend_grid(g)
     vals = np.random.default_rng(0).standard_normal(g.shape)
     out = cau.reflect_extend(big, rows, vals, mode)
     assert np.array_equal(out[rows], vals)

@@ -50,6 +50,16 @@ def test_dirac_kills_antiholomorphic(grid):
     assert geo.norm_l2(out.u) < 1e-10 and geo.norm_l2(out.omega) < 1e-10
 
 
+def test_sigma_section_refuses_10_part(grid):
+    """The second component is pure (0,1) under `dbar_inverse`'s rule: a
+    (1,0) part above 1e-12 max(max|c01|, 1) is refused, not dropped."""
+    u = geo.ScalarField(grid, np.zeros(grid.shape))
+    c01 = np.full(grid.shape, 3.0)
+    dc.SigmaSection(u, geo.OneForm(grid, np.full(grid.shape, 2.9e-12), c01))
+    with pytest.raises(ValueError, match="SigmaSection requires a pure \\(0,1\\)-form"):
+        dc.SigmaSection(u, geo.OneForm(grid, np.full(grid.shape, 3.1e-12), c01))
+
+
 def test_reduction_consistency(manufactured):
     _, V, _, U = manufactured
     resid = dc.dirac_apply(V, U)

@@ -117,8 +117,11 @@ def test_cgo_decay_small_grid(tmp_path):
         assert manifest["results"][tag] == slopes[tag]
 
 
-def test_gauge_check_passes(tmp_path):
-    res = ex.run_gauge_check(small_cfg(), out=tmp_path)
+@pytest.mark.parametrize(
+    "over", [{}, dict(domain_kind="annulus", r_inner=0.6, r_outer=1.2)], ids=["disk", "annulus"]
+)
+def test_gauge_check_passes(tmp_path, over):
+    res = ex.run_gauge_check(small_cfg(**over), out=tmp_path)
     assert res["gauge_over_floor"] <= 10.0
     assert res["control_over_floor"] >= 100.0
     manifest = json.loads((tmp_path / "gauge_check.json").read_text())
@@ -238,7 +241,7 @@ def test_cli_holonomy(tmp_path):
     assert rep["defect"] < 1e-5
 
 
-def test_cli_study_subcommand(tmp_path):
+def test_cli_study_subcommand(tmp_path, capsys, monkeypatch):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({
         "n_r": 48, "n_theta": 64, "order": 5,
@@ -247,6 +250,25 @@ def test_cli_study_subcommand(tmp_path):
     code = cli.main(["gauge-check", "--config", str(cfg_path), "--out", str(tmp_path / "s")])
     assert code == 0
     assert (tmp_path / "s" / "gauge_check.json").exists()
+
+    # a study that returns its records prints their count
+    capsys.readouterr()
+    code = cli.main(["stability-sweep", "--config", str(cfg_path), "--out", str(tmp_path / "w")])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out) == {"records": 3}
+
+    # a failed study check exits 1 and names its anchor on stderr
+    real = ho.holonomy_defect
+    monkeypatch.setattr(
+        ho, "holonomy_defect", lambda *a: dataclasses.replace(real(*a), defect=1e-3)
+    )
+    cfg_path.write_text(json.dumps({
+        "n_r": 48, "n_theta": 64, "order": 5,
+        "domain": {"kind": "annulus", "r_inner": 0.6, "r_outer": 1.2},
+    }))
+    code = cli.main(["holonomy-study", "--config", str(cfg_path), "--out", str(tmp_path / "h")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("CHECK FAILED [holonomy-gauge-invariance]")
 
 
 @pytest.mark.parametrize(

@@ -449,10 +449,10 @@ def test_dtn_csv_rejects_incomplete_file(tmp_path, edit, message):
         fw.load_dtn_csv(path)
 
 
-def test_eigenvalue_collision_perturbation(caplog):
+def test_eigenvalue_collision_perturbation(caplog, monkeypatch):
     """On a Dirichlet eigenvalue of the discrete disk problem the solver
     retries with a complex-shifted potential instead of failing, and logs
-    the retry."""
+    the retry; the operator itself refuses."""
     g = geo.PolarGrid(geo.disk(1.0), 96, 16)
     z = np.zeros(g.shape)
 
@@ -461,29 +461,31 @@ def test_eigenvalue_collision_perturbation(caplog):
 
     # lowest Dirichlet eigenvalue of the unit disk: j_{0,1}^2 = 5.7832...
     lam = 5.783185962946785
-    with pytest.raises(fw.EigenvalueCollision):
-        fw.MagneticOperator(pot_at(lam), condition_limit=1e8)
+    with monkeypatch.context() as m:
+        m.setattr(fw, "CONDITION_LIMIT", 1e8)
+        with pytest.raises(fw.EigenvalueCollision):
+            fw.MagneticOperator(pot_at(lam))
 
     # the discrete eigenvalue: a simple pole of the solution for f = 1, so
     # the secant method on its reciprocal converges in a few steps
     def inv_value(lam):
-        op = fw.MagneticOperator(pot_at(lam), condition_limit=np.inf)
+        op = fw.MagneticOperator(pot_at(lam))
         return 1.0 / op.solve(np.ones(g.n_theta))[0, 0].real
 
     a, b = lam, lam + 1e-3
-    fa = inv_value(a)
-    for _ in range(3):
-        fb = inv_value(b)
-        a, fa, b = b, fb, b - fb * (b - a) / (fb - fa)
+    with monkeypatch.context() as m:
+        m.setattr(fw, "CONDITION_LIMIT", np.inf)
+        fa = inv_value(a)
+        for _ in range(3):
+            fb = inv_value(b)
+            a, fa, b = b, fb, b - fb * (b - a) / (fb - fa)
     with pytest.raises(fw.EigenvalueCollision):
-        fw.MagneticOperator(pot_at(b))
+        fw.MagneticOperator(pot_at(b)).solve(np.ones(g.n_theta))
     with caplog.at_level(logging.WARNING, logger="dbarlab"):
-        u = fw.solve_dirichlet(pot_at(b), np.ones(g.n_theta), allow_perturbation=True)
+        u = fw.solve_dirichlet(pot_at(b), np.ones(g.n_theta))
     assert np.all(np.isfinite(u.values))
     assert [r.levelname for r in caplog.records] == ["WARNING"]
     assert "q + 1e-6i" in caplog.records[0].getMessage()
-    with pytest.raises(fw.EigenvalueCollision):
-        fw.solve_dirichlet(pot_at(b), np.ones(g.n_theta), allow_perturbation=False)
 
 
 def test_cauchy_pair_packaging(grid, zero_pot):
@@ -564,7 +566,7 @@ def test_batched_solve_columns_match_dense_system(domain):
     [(geo.disk(1.0), 1.0), (geo.annulus(0.5, 1.5), 3.3)],
     ids=["disk", "annulus"],
 )
-def test_sweep_matches_dense_near_resonance(domain, scale):
+def test_sweep_matches_dense_near_resonance(domain, scale, monkeypatch):
     """The sweep on explicit ring inverses stays accurate on a q = -lambda
     ladder through the first Dirichlet eigenvalue (j_{0,1}^2 = 5.7832 on
     the unit disk)."""
@@ -573,9 +575,10 @@ def test_sweep_matches_dense_near_resonance(domain, scale):
     rng = np.random.default_rng(5)
     n_c = len(g.boundary_rings)
     f = rng.standard_normal((n_c, g.n_theta, 3)) + 1j * rng.standard_normal((n_c, g.n_theta, 3))
+    monkeypatch.setattr(fw, "CONDITION_LIMIT", np.inf)
     for lam in (0.0, 3.0, 5.0, 5.7, 5.78, 5.7832, 6.5):
         q = geo.ScalarField(g, np.full(g.shape, -lam * scale))
-        op = fw.MagneticOperator(fw.PotentialPair(X, q), condition_limit=np.inf)
+        op = fw.MagneticOperator(fw.PotentialPair(X, q))
         got = op.solve(f)
         for k in range(f.shape[-1]):
             want = _dense_solve(op, f[:, :, k])

@@ -160,3 +160,26 @@ def test_loop_refinement_stability(grid):
     r1 = ho.holonomy_defect(X1, X2, l1)
     r2 = ho.holonomy_defect(X1, X2, l2)
     assert abs(r1.integral - r2.integral) < 1e-6 * abs(r2.integral)
+
+
+@pytest.mark.parametrize("k, doublings", [(-3, 1), (3, 1), (5, 2)])
+def test_winding_refines_coarse_loop(k, doublings, monkeypatch):
+    """On an 8-sample loop some log increments of z^k e^{sin z} exceed
+    pi/2, so the loop is doubled until none does; the winding is still k
+    and the value matches a 1024-sample loop."""
+    g = geo.PolarGrid(geo.annulus(0.5, 1.0), 48, 64)
+    Z = g.nodes
+    th = geo.ScalarField(g, Z**k * np.exp(np.sin(Z)))
+    refine, sizes = geo.Loop.refine, []
+
+    def counted(self):
+        sizes.append(len(self.samples))
+        return refine(self)
+
+    monkeypatch.setattr(geo.Loop, "refine", counted)
+    rep = ho.winding_integral(th, geo.circle_loop(0.75, 8))
+    assert sizes == [9, 17, 33][:doublings]
+    assert rep["winding"] == k
+    fine = ho.winding_integral(th, geo.circle_loop(0.75, 1024))
+    assert len(sizes) == doublings
+    assert abs(rep["value"] - fine["value"]) <= 1e-13

@@ -175,8 +175,7 @@ def test_defect_of_holomorphic_trace():
 def test_defect_single_negative_mode():
     theta = 2 * np.pi * np.arange(64) / 64
     t = trace_of(np.exp(-1j * theta))
-    for r in (0.0, 0.5, 1.0):
-        assert abs(me.holomorphic_defect(t, r) - 2 ** (r / 2)) < 1e-12
+    assert abs(me.holomorphic_defect(t) - 1.0) < 1e-12
 
 
 def test_defect_of_random_holomorphic_polynomials():
@@ -210,9 +209,8 @@ def test_holo_project_on_grid():
     g = geo.PolarGrid(geo.disk(1.0), 32, 64)
     theta = g.theta
     t = trace_of(np.exp(1j * theta) + 0.2 * np.exp(-2j * theta), order=8)
-    proj, ext = me.holo_project(t, grid=g)
-    assert isinstance(ext, geo.ScalarField)
-    assert np.max(np.abs(ext.values - g.nodes)) < 1e-10
+    proj, G = me.holo_project(t)
+    assert np.max(np.abs(G(g.nodes) - g.nodes)) < 1e-10
 
 
 def test_defect_of_pipeline_gauge_equivalent_pair():
