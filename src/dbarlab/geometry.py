@@ -34,7 +34,6 @@ import math
 from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import solve_banded
 
 __all__ = [
     "Domain",
@@ -575,28 +574,49 @@ def norm_l2(a) -> float:
 
 
 def _spline_curvatures(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Second derivatives at the nodes x of the not-a-knot cubic spline
-    through y along axis 0 (any trailing batch axes): one banded solve
-    (de Boor, A Practical Guide to Splines, ch. IV)."""
+    """Second derivatives M at the nodes x (at least 4) of the not-a-knot
+    cubic spline through y along axis 0 (any trailing batch axes).
+
+    Continuity of the first derivative at the interior nodes gives
+    h[i-1] M[i-1] + 2 (h[i-1] + h[i]) M[i] + h[i] M[i+1] = 6 (slope[i] -
+    slope[i-1]) (de Boor, A Practical Guide to Splines, ch. IV).  The
+    not-a-knot conditions make M linear across [x[0], x[2]] and across
+    [x[-3], x[-1]]; they eliminate M[0] and M[-1] into the first and last
+    of these rows, which leaves a strictly diagonally dominant tridiagonal
+    system in M[1:-1], solved without pivoting.  Its elimination depends on
+    the knots only; the right-hand sides then take one vector update per
+    row in each direction.
+    """
     n = len(x)
     h = np.diff(x)
-    # continuity of the first derivative at the interior nodes; ab[2 + i - j, j]
-    # holds row i, column j
-    ab = np.zeros((5, n))
-    ab[3, :-2] = h[:-1]
-    ab[2, 1:-1] = 2.0 * (h[:-1] + h[1:])
-    ab[1, 2:] = h[1:]
-    # not-a-knot: the third derivative is continuous at x[1] and x[-2]
-    ab[2, 0], ab[1, 1], ab[0, 2] = h[1], -(h[0] + h[1]), h[0]
-    ab[4, -3], ab[3, -2], ab[2, -1] = h[-1], -(h[-2] + h[-1]), h[-2]
+    h0, h1, h_1, h_2 = h[0], h[1], h[-1], h[-2]
+    # row k of the system in M[1:-1] (node k + 1): h[k], diag[k], h[k + 1]
+    diag = (2.0 * (h[:-1] + h[1:])).tolist()
+    lower, upper = h[1:-1].tolist(), h[1:-1].tolist()
+    diag[0] += h0 * (h0 + h1) / h1
+    upper[0] -= h0**2 / h1
+    diag[-1] += h_1 * (h_2 + h_1) / h_2
+    lower[-1] -= h_1**2 / h_2
+    # rows scaled to a unit pivot: M[k] + up[k] M[k + 1] = d[k] after the
+    # forward pass d[k] = rhs[k] / pivot[k] - low[k] d[k - 1]
+    pivot, low, up = [diag[0]], [0.0], []
+    for k in range(1, n - 2):
+        up.append(upper[k - 1] / pivot[k - 1])
+        pivot.append(diag[k] - lower[k - 1] * up[k - 1])
+        low.append(lower[k - 1] / pivot[k])
     slope = np.diff(y, axis=0) / h.reshape((-1,) + (1,) * (y.ndim - 1))
-    # empty_like keeps y's memory order: where axis 0 is y's contiguous axis
-    # the right-hand sides reach LAPACK (column-major) without a transpose
-    rhs = np.empty_like(y, dtype=slope.dtype)
-    rhs[0] = rhs[-1] = 0.0
-    np.subtract(slope[1:], slope[:-1], out=rhs[1:-1])
-    rhs[1:-1] *= 6.0
-    return solve_banded((2, 2), ab, rhs.reshape(n, -1), overwrite_b=True).reshape(y.shape)
+    M = np.empty(y.shape, dtype=slope.dtype)
+    d = M.reshape(n, -1)[1:-1]
+    np.subtract(slope[1:], slope[:-1], out=M[1:-1])
+    d *= (6.0 / np.array(pivot))[:, None]
+    rows = list(d)  # views: each update below is one in-place vector operation
+    for k in range(1, n - 2):
+        rows[k] -= low[k] * rows[k - 1]
+    for k in range(n - 4, -1, -1):
+        rows[k] -= up[k] * rows[k + 1]
+    M[0] = ((h0 + h1) * M[1] - h0 * M[2]) / h1
+    M[-1] = ((h_2 + h_1) * M[-2] - h_1 * M[-3]) / h_2
+    return M
 
 
 def _spline_weights(x: np.ndarray, xq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -637,7 +657,7 @@ class Interpolator:
         c = np.empty((2, 2, len(r), len(self._theta)), dtype=complex)
         c[0, 0] = np.concatenate([v[:, -w:], v, v[:, :w]], axis=1)
         c[1, 0] = _spline_curvatures(r, c[0, 0])
-        # theta moved to axis 0 of a view, where it is the contiguous axis
+        # the theta splines, with theta moved to axis 0 of a view
         c[:, 1] = np.moveaxis(_spline_curvatures(self._theta, np.moveaxis(c[:, 0], 2, 0)), 0, 2)
         self._c = c
 

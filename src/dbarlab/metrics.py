@@ -200,11 +200,11 @@ def holomorphic_defect(t: BoundaryTrace) -> float:
     return float(np.sqrt(np.sum(np.abs(neg) ** 2)))
 
 
-def holo_project(t: BoundaryTrace, radius: float = 1.0, center: complex = 0.0):
+def holo_project(t: BoundaryTrace):
     """Zero the negative modes and return the power-series extension.
 
     Returns (projected trace, G) with G the callable extension
-    G(z) = sum f_n ((z-c)/R)^n.
+    G(z) = sum f_n z^n of a trace on the unit circle.
     """
     if t.n_circles != 1:
         raise ValueError("holo_project is defined for disk traces only")
@@ -214,7 +214,6 @@ def holo_project(t: BoundaryTrace, radius: float = 1.0, center: complex = 0.0):
     pos = proj[0, t.order :]
 
     def G(z):
-        w = (np.asarray(z) - center) / radius
-        return np.polynomial.polynomial.polyval(w, pos)
+        return np.polynomial.polynomial.polyval(np.asarray(z), pos)
 
     return ptrace, G

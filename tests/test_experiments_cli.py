@@ -347,10 +347,18 @@ def test_config_refuses_domain_given_twice(config):
 
 
 def test_cli_import_leaves_heavy_scipy_unloaded():
-    """Every lab process imports the CLI.  It must not pull in the parts of
-    scipy the lab does not use (interpolate alone costs about 0.3 s, mostly
-    through optimize, special, spatial and sparse)."""
-    heavy = ["scipy.interpolate", "scipy.optimize", "scipy.special", "scipy.spatial", "scipy.sparse"]
+    """Every lab process imports the CLI.  The lab's linear algebra runs on
+    numpy alone, so the import must load no scipy subpackage: `linalg`
+    alone costs about 0.2 s and a second OpenBLAS build, `interpolate`
+    about 0.3 s, mostly through optimize, special, spatial and sparse."""
+    heavy = [
+        "scipy.linalg",
+        "scipy.interpolate",
+        "scipy.optimize",
+        "scipy.special",
+        "scipy.spatial",
+        "scipy.sparse",
+    ]
     code = f"import sys, dbarlab.cli; print([m for m in {heavy!r} if m in sys.modules])"
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)

@@ -498,8 +498,8 @@ def test_cauchy_pair_packaging(grid, zero_pot):
     assert abs(g.coeffs[0, 6 + 2] - 2.0) < 1e-4
 
 
-def _small_pot(domain):
-    g = geo.PolarGrid(domain, 10, 16)
+def _small_pot(domain, n_theta=16):
+    g = geo.PolarGrid(domain, 10, n_theta)
     X, _ = smooth_real_connection(g)
     q = geo.ScalarField(g, 0.3 * np.exp(-2 * np.abs(g.nodes - 0.2) ** 2))
     return fw.PotentialPair(X, q)
@@ -508,13 +508,15 @@ def _small_pot(domain):
 def _dense_solve(op, f):
     """Interior values from a dense solve of the unreduced interior
     equations (on a disk with the center unknown and its equation) for the
-    boundary samples f of shape (n_boundary_rings, n_theta)."""
+    boundary samples f of shape (n_boundary_rings, n_theta, ...)."""
     g = op.grid
+    batch = f.shape[2:]
+    f = f.reshape(f.shape[:2] + (-1,))
     n_t, J = g.n_theta, len(op.int_rings)
     disk = g.domain.kind == "disk"
     c = 1 if disk else 0  # dense index of ring block a starts at c + a n_t
     A = np.zeros((c + J * n_t,) * 2, dtype=complex)
-    b = np.zeros(c + J * n_t, dtype=complex)
+    b = np.zeros((c + J * n_t, f.shape[2]), dtype=complex)
     for a in range(J):
         rows = slice(c + a * n_t, c + (a + 1) * n_t)
         A[rows, rows] = op._block(a)
@@ -523,15 +525,15 @@ def _dense_solve(op, f):
         elif disk:
             A[rows, 0] = op.lo[0]
         else:
-            b[rows] -= op.lo[0] * f[0]
+            b[rows] -= op.lo[0][:, None] * f[0]
         if a < J - 1:
             A[rows, c + (a + 1) * n_t : c + (a + 2) * n_t] = np.diag(op.hi[a])
         else:
-            b[rows] -= op.hi[a] * f[-1]
+            b[rows] -= op.hi[a][:, None] * f[-1]
     if disk:
         A[0, 0] = op.center_diag
         A[0, 1 : 1 + n_t] = op.center_row
-    return np.linalg.solve(A, b)[c:].reshape(J, n_t)
+    return np.linalg.solve(A, b)[c:].reshape((J, n_t) + batch)
 
 
 @pytest.mark.parametrize("domain", [geo.disk(1.0), geo.annulus(0.5, 1.5)], ids=["disk", "annulus"])
@@ -562,46 +564,56 @@ def test_batched_solve_columns_match_dense_system(domain):
 
 
 @pytest.mark.parametrize(
-    "domain, scale",
-    [(geo.disk(1.0), 1.0), (geo.annulus(0.5, 1.5), 3.3)],
-    ids=["disk", "annulus"],
+    "domain, scale, n_r, n_theta",
+    [
+        (geo.disk(1.0), 1.0, 24, 32),
+        (geo.annulus(0.5, 1.5), 3.3, 24, 32),
+        (geo.disk(1.0), 1.0, 10, 128),
+        (geo.annulus(0.5, 1.5), 3.3, 10, 128),
+    ],
+    ids=["disk", "annulus", "disk-split", "annulus-split"],
 )
-def test_sweep_matches_dense_near_resonance(domain, scale, monkeypatch):
+def test_sweep_matches_dense_near_resonance(domain, scale, n_r, n_theta, monkeypatch):
     """The sweep on explicit ring inverses stays accurate on a q = -lambda
     ladder through the first Dirichlet eigenvalue (j_{0,1}^2 = 5.7832 on
-    the unit disk)."""
-    g = geo.PolarGrid(domain, 24, 32)
+    the unit disk) and beyond it.  At n_theta = 32 each ring inverse is one
+    pivoted leaf; at 128 it is split twice (128 -> 64 -> 32), and the split
+    does not pivot across its halves."""
+    g = geo.PolarGrid(domain, n_r, n_theta)
     X, _ = smooth_real_connection(g, scale=0.05)
     rng = np.random.default_rng(5)
     n_c = len(g.boundary_rings)
     f = rng.standard_normal((n_c, g.n_theta, 3)) + 1j * rng.standard_normal((n_c, g.n_theta, 3))
     monkeypatch.setattr(fw, "CONDITION_LIMIT", np.inf)
-    for lam in (0.0, 3.0, 5.0, 5.7, 5.78, 5.7832, 6.5):
+    for lam in (0.0, 3.0, 5.0, 5.7, 5.78, 5.7832, 6.5, 20.0):
         q = geo.ScalarField(g, np.full(g.shape, -lam * scale))
         op = fw.MagneticOperator(fw.PotentialPair(X, q))
         got = op.solve(f)
+        want = _dense_solve(op, f)
         for k in range(f.shape[-1]):
-            want = _dense_solve(op, f[:, :, k])
-            err = np.max(np.abs(got[op.int_rings, :, k] - want))
-            assert err <= 1e-10 * np.max(np.abs(want)), (lam, k)
+            err = np.max(np.abs(got[op.int_rings, :, k] - want[:, :, k]))
+            assert err <= 1e-10 * np.max(np.abs(want[:, :, k])), (lam, k)
 
 
 def test_singular_block_names_its_ring(monkeypatch):
     """An exactly singular ring block is refused by name, not left to the
     condition probe.  Ring 0 of an annulus carries no Schur or center term,
-    so a zero row there makes its factor singular."""
-    pot = _small_pot(geo.annulus(0.5, 1.5))
+    so a zero row there makes its factor singular: at n_theta = 16 in a
+    pivoted leaf, at 64 in the trailing half's Schur complement of the
+    block recursion."""
     block = fw.MagneticOperator._block
+    for n_theta, row in ((16, 3), (64, 40)):
 
-    def zero_row(self, a):
-        B = block(self, a)
-        if a == 0:
-            B[3] = 0.0
-        return B
+        def zero_row(self, a, row=row):
+            B = block(self, a)
+            if a == 0:
+                B[row] = 0.0
+            return B
 
-    monkeypatch.setattr(fw.MagneticOperator, "_block", zero_row)
-    with pytest.raises(fw.EigenvalueCollision, match="singular block at interior ring 0"):
-        fw.MagneticOperator(pot)
+        pot = _small_pot(geo.annulus(0.5, 1.5), n_theta)
+        monkeypatch.setattr(fw.MagneticOperator, "_block", zero_row)
+        with pytest.raises(fw.EigenvalueCollision, match="singular block at interior ring 0"):
+            fw.MagneticOperator(pot)
 
 
 @pytest.mark.parametrize("domain", [geo.disk(1.0), geo.annulus(0.5, 1.5)], ids=["disk", "annulus"])

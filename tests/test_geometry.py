@@ -533,6 +533,35 @@ def test_spline_reproduces_cubics(n_r, n_theta, domain, seed):
         assert abs(g.center_value(poly(zeta)) - cxy[0, 0]) <= 1e-12 * scale
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(4, 60),
+    st.sampled_from([(), (3,), (2, 5)]),
+    st.integers(0, 2**32 - 1),
+)
+def test_spline_curvatures_match_dense_solve(n, batch, seed):
+    """The banded not-a-knot solve agrees with `np.linalg.solve` on the
+    dense n x n system, for random increasing knots whose neighbouring
+    spacings lie within a factor 4 of each other and random complex data."""
+    rng = np.random.default_rng(seed)
+    spacing = 10.0 ** rng.uniform(-3, 3) * rng.uniform(1.0, 4.0, n - 1)
+    x = rng.uniform(-1.0, 1.0) + np.concatenate([[0.0], np.cumsum(spacing)])
+    y = rng.standard_normal((n,) + batch) + 1j * rng.standard_normal((n,) + batch)
+    h = np.diff(x)
+    A = np.zeros((n, n))
+    A[0, :3] = h[1], -(h[0] + h[1]), h[0]
+    A[-1, -3:] = h[-1], -(h[-2] + h[-1]), h[-2]
+    for i in range(1, n - 1):
+        A[i, i - 1 : i + 2] = h[i - 1], 2.0 * (h[i - 1] + h[i]), h[i]
+    slope = np.diff(y, axis=0) / h.reshape((-1,) + (1,) * len(batch))
+    rhs = np.zeros_like(y)
+    rhs[1:-1] = 6.0 * (slope[1:] - slope[:-1])
+    want = np.linalg.solve(A, rhs.reshape(n, -1)).reshape(y.shape)
+    got = geo._spline_curvatures(x, y)
+    assert got.shape == y.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 # -- snapshots -------------------------------------------------------------------
 
 
