@@ -75,8 +75,6 @@ from .geometry import (
     OneForm,
     PolarGrid,
     ScalarField,
-    annulus,
-    disk,
     wirtinger,
     norm_l2,
 )
@@ -545,7 +543,7 @@ def beurling_norm_report(grid: PolarGrid, num_samples: int = 64, seed: int = 0) 
     numerical signature of L2 boundedness.
     """
     rng = np.random.default_rng(seed)
-    z = (grid.nodes - grid.domain.center) / grid.domain.r_outer
+    z = grid.nodes / grid.domain.r_outer
     ratios = []
     for _ in range(num_samples):
         coeffs = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
@@ -575,18 +573,12 @@ def extend_grid(grid: PolarGrid) -> tuple[PolarGrid, slice]:
     Returns the enlarged grid and the row slice that restricts fields on
     it back to the original rings.  An annulus is also padded inward, by
     up to `PAD_RINGS` rings as the spacing allows, so the original grid
-    sits strictly inside.
+    sits strictly inside; a disk (r_inner 0) gets no inward pad.
     """
     d = grid.domain
     dr = grid.dr
-    if d.kind == "disk":
-        n_new = grid.n_r + PAD_RINGS
-        dom = disk(d.r_outer + PAD_RINGS * dr, d.center)
-        big = PolarGrid(dom, n_new, grid.n_theta)
-        return big, slice(0, grid.n_r)
     pad_in = min(PAD_RINGS, int((d.r_inner - 0.25 * dr) / dr))
-    r_in = d.r_inner - pad_in * dr
-    dom = annulus(r_in, d.r_outer + PAD_RINGS * dr, d.center)
+    dom = Domain(d.r_inner - pad_in * dr, d.r_outer + PAD_RINGS * dr)
     big = PolarGrid(dom, grid.n_r + PAD_RINGS + pad_in, grid.n_theta)
     return big, slice(pad_in, pad_in + grid.n_r)
 

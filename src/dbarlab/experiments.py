@@ -19,7 +19,6 @@ from dataclasses import dataclass, asdict, fields
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from . import geometry as geo
@@ -80,7 +79,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         # JSON types first: each number or list must be of its field's type
-        # (domain_kind is checked by geometry's rule below)
+        # (domain_kind is checked by `domain` below)
         for f in fields(self):
             v = getattr(self, f.name)
             if f.type == "int" and not _is_int(v):
@@ -91,7 +90,7 @@ class ExperimentConfig:
                 isinstance(v, (tuple, list)) and all(map(_is_real, v))
             ):
                 raise ValueError(f"{f.name} must be a list of finite reals, got {v!r}")
-        # the domain and both grids are checked by geometry's own rules
+        # the config checks the domain kind; geometry checks the radii and grids
         self.domain()
         for keys, grid in (("n_r, n_theta", self.grid), ("cgo_n_r, cgo_n_theta", self.cgo_grid)):
             try:
@@ -111,6 +110,8 @@ class ExperimentConfig:
             raise ValueError("delta_list values must be positive")
         if any(t < 0 for t in self.t_list):
             raise ValueError("t_list values must be non-negative")
+        if not _is_increasing(self.t_list):
+            raise ValueError("t_list must be ascending")
         me.truncation_modes(self.order, self.n_theta)
 
     @classmethod
@@ -141,7 +142,13 @@ class ExperimentConfig:
             return cls.from_dict(json.load(fh))
 
     def domain(self) -> geo.Domain:
-        return geo.Domain(self.domain_kind, float(self.r_inner), float(self.r_outer))
+        if self.domain_kind not in ("disk", "annulus"):
+            raise geo.GridError(f"unknown domain kind {self.domain_kind!r}")
+        if self.domain_kind == "annulus":
+            return geo.annulus(float(self.r_inner), float(self.r_outer))
+        if self.r_inner != 0:
+            raise geo.GridError("disk requires r_inner == 0")
+        return geo.disk(float(self.r_outer))
 
     def grid(self) -> geo.PolarGrid:
         return geo.PolarGrid(self.domain(), self.n_r, self.n_theta)
@@ -218,10 +225,8 @@ def write_manifest(path, cfg: ExperimentConfig, study: str, extras: dict) -> Non
         "versions": {
             "dbarlab": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "python": platform.python_version(),
             "numpy_blas": _blas_build(np),
-            "scipy_blas": _blas_build(scipy),
             **{var: os.environ.get(var) for var in _BLAS_THREAD_VARS},
         },
         "results": extras,
@@ -261,7 +266,7 @@ def default_potentials(cfg: ExperimentConfig, grid=None) -> PotentialFamily:
     """Smooth interior-supported default family: Gaussian profiles in the
     radius, low angular order, scaled to sit inside the a-priori class."""
     g = grid if grid is not None else cfg.grid()
-    Z = g.nodes - g.domain.center
+    Z = g.nodes
     R = g.domain.r_outer
     if g.domain.kind == "disk":
         envelope = np.exp(-6.0 * (np.abs(Z) / R) ** 2)
@@ -337,7 +342,7 @@ def run_gauge_check(cfg: ExperimentConfig, out="out") -> dict:
     floor; a trace-violating control exceeds it by orders of magnitude."""
     outdir = Path(out)
     g = cfg.grid()
-    Z = g.nodes - g.domain.center
+    Z = g.nodes
     R = g.domain.r_outer
     fam = default_potentials(cfg, g)
     pot, _ = fam.reduction(0.0)
@@ -418,9 +423,7 @@ def run_stability_sweep(cfg: ExperimentConfig, out="out") -> list[StabilityRecor
         dpot = dc.difference_potential(red1, red2)
         qt_max = float(np.max(np.abs(dpot.Qtilde.values[off_mask])))
         ft_max = float(np.max(np.abs(dpot.Ftilde.values[off_mask])))
-        ratio = geo.ScalarField(g, red2.F.values / red1.F.values)
-        trace = me.trace_from_samples(ratio.values[g.boundary_rings[-1]], cfg.order)
-        defect = me.holomorphic_defect(trace) if g.domain.kind == "disk" else float("nan")
+        defect = _ratio_defect(red1, red2, cfg.order) if g.domain.kind == "disk" else float("nan")
         dxid = curvature_difference_residual(red1, red2, pot1.X, pot2.X)
         d_clip = min(max(d_sur, 1e-300), 0.3678794411714423)  # below 1/e
         h_sched = cfg.h_schedule_c / (cfg.h_schedule_alpha * abs(math.log(d_clip)))
@@ -484,6 +487,12 @@ def run_stability_sweep(cfg: ExperimentConfig, out="out") -> list[StabilityRecor
             "stability-distance-monotone", f"values {[r.d_surrogate for r in records]}"
         )
     return records
+
+
+def _ratio_defect(red1, red2, order: int) -> float:
+    """Holomorphic defect of the factor ratio F2/F1 on the outer boundary circle."""
+    ratio = (red2.F.values / red1.F.values)[red1.F.grid.boundary_rings[-1]]
+    return me.holomorphic_defect(me.trace_from_samples(ratio, order))
 
 
 def _is_increasing(vals) -> bool:
@@ -598,9 +607,7 @@ def run_boundary_defect(cfg: ExperimentConfig, out="out") -> dict:
     seeds = [(i, j) for i in range(2) for j in range(2)]
     for t in cfg.t_list:
         _, red2 = fam.reduction(t)
-        ratio = red2.F.values / red1.F.values
-        trace = me.trace_from_samples(ratio[g.boundary_rings[-1]], cfg.order)
-        defect = me.holomorphic_defect(trace)
+        defect = _ratio_defect(red1, red2, cfg.order)
         defects.append(defect)
         for (i, j) in seeds:
             a = geo.ScalarField(g, Z**i)

@@ -74,41 +74,40 @@ class GridError(ValueError):
 
 @dataclass(frozen=True)
 class Domain:
-    """A disk or annulus in the plane, described in a global chart.
+    """A disk or annulus in the plane, centred at 0 in a global chart (the
+    Cauchy data do not depend on where the chart puts the domain).
 
-    ``r_inner == 0`` means a disk; an annulus requires ``r_inner > 0``.
+    ``r_inner == 0`` means a disk, ``r_inner > 0`` an annulus.
     """
 
-    kind: str
     r_inner: float
     r_outer: float
-    center: complex = 0.0 + 0.0j
 
     def __post_init__(self):
-        if self.kind not in ("disk", "annulus"):
-            raise GridError(f"unknown domain kind {self.kind!r}")
-        if not 0.0 <= self.r_inner < self.r_outer:
-            raise GridError("need 0 <= r_inner < r_outer")
-        if self.kind == "annulus" and self.r_inner <= 0.0:
-            raise GridError("annulus requires r_inner > 0")
-        if self.kind == "disk" and self.r_inner != 0.0:
-            raise GridError("disk requires r_inner == 0")
+        if not 0.0 <= self.r_inner < self.r_outer < math.inf:
+            raise GridError("need 0 <= r_inner < r_outer < inf")
+
+    @property
+    def kind(self) -> str:
+        return "disk" if self.r_inner == 0.0 else "annulus"
 
     @property
     def area(self) -> float:
         return math.pi * (self.r_outer**2 - self.r_inner**2)
 
     def contains(self, z: np.ndarray) -> np.ndarray:
-        r = np.abs(np.asarray(z) - self.center)
+        r = np.abs(np.asarray(z))
         return (r <= self.r_outer + 1e-9) & (r >= self.r_inner - 1e-9)
 
 
-def disk(radius: float = 1.0, center: complex = 0.0) -> Domain:
-    return Domain("disk", 0.0, float(radius), complex(center))
+def disk(radius: float = 1.0) -> Domain:
+    return Domain(0.0, float(radius))
 
 
-def annulus(r_inner: float, r_outer: float, center: complex = 0.0) -> Domain:
-    return Domain("annulus", float(r_inner), float(r_outer), complex(center))
+def annulus(r_inner: float, r_outer: float) -> Domain:
+    if r_inner <= 0.0:
+        raise GridError("annulus requires r_inner > 0")
+    return Domain(float(r_inner), float(r_outer))
 
 
 def _fornberg_weights(x0, x: np.ndarray, m: int) -> np.ndarray:
@@ -196,7 +195,7 @@ class PolarGrid:
         self.theta = self.dtheta * np.arange(n_theta)
 
         eit = np.exp(1j * self.theta)
-        self.nodes = domain.center + self.r[:, None] * eit[None, :]
+        self.nodes = self.r[:, None] * eit[None, :]
 
         # radial quadrature weights for integral of g(r) r dr; on the disk a
         # phantom node at r = 0 carries integrand value 0, so only its
@@ -456,9 +455,9 @@ class Loop:
         return Loop(np.array(pts))
 
 
-def circle_loop(radius: float, n: int = 512, center: complex = 0.0) -> Loop:
+def circle_loop(radius: float, n: int = 512) -> Loop:
     t = np.linspace(0.0, 2.0 * math.pi, n + 1)
-    return Loop(center + radius * np.exp(1j * t))
+    return Loop(radius * np.exp(1j * t))
 
 
 # ---------------------------------------------------------------------------
@@ -662,17 +661,13 @@ class Interpolator:
         self._c = c
 
     def __call__(self, z) -> np.ndarray:
-        zz = np.asarray(z, dtype=complex) - self.grid.domain.center
+        zz = np.asarray(z, dtype=complex)
         r = np.abs(zz)
         t = np.mod(np.angle(zz), 2 * math.pi)
-        rmax = self.grid.domain.r_outer
-        if np.any(r > rmax * (1 + 1e-9)):
+        d = self.grid.domain
+        if np.any(r > d.r_outer * (1 + 1e-9)) or np.any(r < d.r_inner * (1 - 1e-9)):
             raise GridError("evaluation point outside domain")
-        r = np.minimum(r, rmax)
-        if self.grid.domain.kind == "annulus":
-            if np.any(r < self.grid.domain.r_inner * (1 - 1e-9)):
-                raise GridError("evaluation point outside domain")
-            r = np.maximum(r, self.grid.domain.r_inner)
+        r = np.clip(r, d.r_inner, d.r_outer)
         i, wr = _spline_weights(self._r, r.ravel())
         k, wt = _spline_weights(self._theta, t.ravel())
         s = np.arange(2)
@@ -721,14 +716,13 @@ def _blocks_of(obj) -> tuple[str, list[np.ndarray]]:
 
 
 def save_snapshot(path, obj) -> None:
-    """Write a field to the text snapshot container (17 significant digits)."""
+    """Write a field to the text snapshot container (17 significant digits).
+    The header's two center fields are always 0 0: every domain is centred
+    at 0."""
     kind, blocks = _blocks_of(obj)
     g = obj.grid
     d = g.domain
-    lines = [
-        f"FIELD v1 {kind} {g.n_r} {g.n_theta} "
-        f"{d.r_inner:.17g} {d.r_outer:.17g} {d.center.real:.17g} {d.center.imag:.17g}"
-    ]
+    lines = [f"FIELD v1 {kind} {g.n_r} {g.n_theta} {d.r_inner:.17g} {d.r_outer:.17g} 0 0"]
     for b in blocks:
         for k in range(g.n_theta):
             for j in range(g.n_r):
@@ -749,9 +743,9 @@ def load_snapshot(path):
             raise GridError(f"bad snapshot kind {kind!r}")
         n_r, n_theta = int(header[3]), int(header[4])
         r_in, r_out = float(header[5]), float(header[6])
-        center = complex(float(header[7]), float(header[8]))
-        dom = disk(r_out, center) if r_in == 0.0 else annulus(r_in, r_out, center)
-        grid = PolarGrid(dom, n_r, n_theta)
+        if complex(float(header[7]), float(header[8])) != 0:
+            raise GridError(f"snapshot center must be 0 0, got {header[7]} {header[8]}")
+        grid = PolarGrid(Domain(r_in, r_out), n_r, n_theta)
         data = np.loadtxt(fh)
     n_blocks = _KINDS[kind]
     expected = n_blocks * n_r * n_theta

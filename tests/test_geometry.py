@@ -19,12 +19,12 @@ def ann_grid():
 
 
 def test_domain_validation():
-    with pytest.raises(geo.GridError):
-        geo.Domain("disk", 0.5, 1.0)
-    with pytest.raises(geo.GridError):
+    with pytest.raises(geo.GridError, match="annulus requires r_inner > 0"):
         geo.annulus(0.0, 1.0)
-    with pytest.raises(geo.GridError):
-        geo.Domain("triangle", 0.0, 1.0)
+    for r_inner, r_outer in ((1.0, 0.5), (-0.1, 1.0), (0.5, math.inf), (math.nan, 1.0)):
+        with pytest.raises(geo.GridError, match="need 0 <= r_inner < r_outer < inf"):
+            geo.Domain(r_inner, r_outer)
+    assert geo.Domain(0.0, 1.0).kind == "disk" and geo.Domain(0.5, 1.0).kind == "annulus"
 
 
 def test_grid_requires_power_of_two_angles():
@@ -145,7 +145,7 @@ def test_batched_derivatives_match_columns(domain, n_r, n_theta):
 @given(
     st.integers(8, 200),
     st.sampled_from([8, 16, 64, 128]),
-    st.sampled_from([geo.disk(1.0), geo.disk(0.7, 0.3 + 0.1j)]),
+    st.sampled_from([geo.disk(1.0), geo.disk(0.7)]),
     st.integers(0, 2**32 - 1),
 )
 def test_center_value_matches_interpolator(n_r, n_theta, domain, seed):
@@ -155,14 +155,14 @@ def test_center_value_matches_interpolator(n_r, n_theta, domain, seed):
     rng = np.random.default_rng(seed)
     f = rng.standard_normal(g.shape + (3,)) + 1j * rng.standard_normal(g.shape + (3,))
     got = g.center_value(f)
-    want = [geo.Interpolator(g, f[:, :, k])(domain.center) for k in range(3)]
+    want = [geo.Interpolator(g, f[:, :, k])(0.0) for k in range(3)]
     assert got.shape == (3,)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(f))
     with pytest.raises(geo.GridError):
         geo.PolarGrid(geo.annulus(0.5, 1.0), n_r, n_theta).center_value(f)
 
 
-@pytest.mark.parametrize("dom", [geo.disk(1.0), geo.annulus(0.5, 1.5), geo.disk(0.7, 0.3 + 0.1j)])
+@pytest.mark.parametrize("dom", [geo.disk(1.0), geo.annulus(0.5, 1.5), geo.disk(0.7)])
 def test_quadrature_weights_match_area(dom):
     g = geo.PolarGrid(dom, 256, 256)
     assert abs(g.weights.sum() - dom.area) / dom.area < 1e-12
@@ -444,9 +444,8 @@ def _fitpack_interpolant(grid, values):
     im = RectBivariateSpline(r, theta, v.imag, kx=3, ky=3)
 
     def evaluate(z):
-        zz = z - grid.domain.center
-        rr = np.clip(np.abs(zz), grid.domain.r_inner, grid.domain.r_outer)
-        t = np.mod(np.angle(zz), 2 * math.pi)
+        rr = np.clip(np.abs(z), grid.domain.r_inner, grid.domain.r_outer)
+        t = np.mod(np.angle(z), 2 * math.pi)
         return re(rr, t, grid=False) + 1j * im(rr, t, grid=False)
 
     return evaluate
@@ -456,7 +455,7 @@ def _fitpack_interpolant(grid, values):
     "domain, n_r, n_theta",
     [
         (geo.disk(1.0), 96, 128),
-        (geo.disk(0.7, 0.3 + 0.1j), 8, 16),
+        (geo.disk(0.7), 8, 16),
         (geo.annulus(0.5, 1.0), 96, 128),
         (geo.annulus(1.0, 2.0), 6, 8),
     ],
@@ -474,7 +473,7 @@ def test_interpolator_matches_fitpack(domain, n_r, n_theta):
     rr = domain.r_inner + (domain.r_outer - domain.r_inner) * rng.random(500)
     rr[:50] = domain.r_inner + rng.random(50) * g.dr  # a disk's centre gap, an annulus's inner ring
     rr[50:60] = [domain.r_inner, domain.r_outer] * 5
-    z = domain.center + rr * np.exp(2j * math.pi * rng.random(500))
+    z = rr * np.exp(2j * math.pi * rng.random(500))
     got = geo.Interpolator(g, f)(z)
     assert np.max(np.abs(got - _fitpack_interpolant(g, f)(z))) <= 1e-13 * np.max(np.abs(f))
     if domain.kind == "disk":
@@ -493,7 +492,7 @@ def _spline_1d(x, y, xq):
 @given(
     st.integers(4, 64),
     st.sampled_from([8, 16, 64]),
-    st.sampled_from([geo.disk(1.0), geo.disk(0.7, 0.3 + 0.1j), geo.annulus(0.4, 1.3)]),
+    st.sampled_from([geo.disk(1.0), geo.disk(0.7), geo.annulus(0.4, 1.3)]),
     st.integers(0, 2**32 - 1),
 )
 def test_spline_reproduces_cubics(n_r, n_theta, domain, seed):
@@ -516,7 +515,6 @@ def test_spline_reproduces_cubics(n_r, n_theta, domain, seed):
         want = np.polyval(coef, xq)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(np.polyval(np.abs(coef), np.abs(x))))
 
-    zeta = g.nodes - domain.center
     cxy = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     cxy[np.add.outer(np.arange(4), np.arange(4)) > 3] = 0.0
 
@@ -526,11 +524,11 @@ def test_spline_reproduces_cubics(n_r, n_theta, domain, seed):
     k = rng.integers(0, n_theta, 64)
     rr = domain.r_inner + (domain.r_outer - domain.r_inner) * rng.random(64)
     pts = rr * np.exp(1j * g.theta[k])
-    scale = np.max(np.abs(poly(zeta))) + np.max(np.abs(cxy))
-    got = geo.Interpolator(g, poly(zeta))(domain.center + pts)
+    scale = np.max(np.abs(poly(g.nodes))) + np.max(np.abs(cxy))
+    got = geo.Interpolator(g, poly(g.nodes))(pts)
     assert np.max(np.abs(got - poly(pts))) <= 1e-12 * scale
     if domain.kind == "disk":
-        assert abs(g.center_value(poly(zeta)) - cxy[0, 0]) <= 1e-12 * scale
+        assert abs(g.center_value(poly(g.nodes)) - cxy[0, 0]) <= 1e-12 * scale
 
 
 @settings(max_examples=100, deadline=None)
@@ -593,3 +591,29 @@ def test_snapshot_header_format(tmp_path, disk_grid):
     header = open(path).readline().split()
     assert header[:3] == ["FIELD", "v1", "scalar"]
     assert header[3:5] == ["128", "256"]
+    assert header[5:] == ["0", "1", "0", "0"]
+
+
+@pytest.mark.parametrize("center", ["1 0", "nan 0", "0 inf"])
+def test_snapshot_refuses_off_origin_center(tmp_path, center):
+    """Every domain is centred at 0, so a header whose center fields read
+    anything else is refused by name instead of loading a shifted grid."""
+    g = geo.PolarGrid(geo.annulus(0.5, 1.0), 6, 8)
+    path = tmp_path / "field.txt"
+    geo.save_snapshot(path, geo.ScalarField(g, np.ones(g.shape)))
+    # the data lines read "1 0", so only the header ends in " 0 0"
+    path.write_text(path.read_text().replace(" 0 0\n", f" {center}\n"))
+    with pytest.raises(geo.GridError, match=f"snapshot center must be 0 0, got {center}"):
+        geo.load_snapshot(path)
+
+
+@pytest.mark.parametrize("radii", ["0.5 inf", "nan 1"])
+def test_snapshot_refuses_non_finite_radii(tmp_path, radii):
+    """A header radius that is not finite is refused instead of loading a
+    grid whose nodes are all non-finite."""
+    g = geo.PolarGrid(geo.annulus(0.5, 1.0), 6, 8)
+    path = tmp_path / "field.txt"
+    geo.save_snapshot(path, geo.ScalarField(g, np.ones(g.shape)))
+    path.write_text(path.read_text().replace(" 0.5 1 0 0\n", f" {radii} 0 0\n", 1))
+    with pytest.raises(geo.GridError, match="need 0 <= r_inner < r_outer < inf"):
+        geo.load_snapshot(path)
