@@ -1,5 +1,5 @@
-"""Solid Cauchy transforms: right inverses of dbar and dbar*, Beurling
-composition, and primitives used to build integrating factors.
+"""Solid Cauchy transforms: right inverses of dbar and dbar*, and
+primitives used to build integrating factors.
 
 The basic object is the transform
 
@@ -75,8 +75,6 @@ from .geometry import (
     OneForm,
     PolarGrid,
     ScalarField,
-    wirtinger,
-    norm_l2,
 )
 
 __all__ = [
@@ -85,8 +83,6 @@ __all__ = [
     "dbar_inverse",
     "dbar_star_inverse",
     "primitive_alpha",
-    "beurling_compose",
-    "beurling_norm_report",
     "extend_grid",
     "quintic_cutoff",
     "reflect_extend",
@@ -320,7 +316,15 @@ class CauchyKernelTable:
         integrals that replace the product rule there, each (source ring,
         offset) at most once; the self cell is among them.  The offsets run
         from minus to plus the largest one, every angle once where the
-        window wraps."""
+        window wraps.
+
+        Oracle: it recomputes at every angle the near cells that
+        `_build_window_tables` writes into the window tables from half the
+        angles, so it checks the tables' near field.  `apply_direct` and
+        `test_window_covers_ratio_range_and_near_field` (each window holds
+        its near field) use it as the reference;
+        `test_window_wider_than_circle_corrects_each_cell_once` and
+        `test_self_cell_correction_is_exact_sector` check it in turn."""
         n_t = self.grid.n_theta
         lo, hi, kt = (int(v) for v in self._near_window(j))
         dks = np.arange(-kt, min(kt, n_t - 1 - kt) + 1)
@@ -460,7 +464,12 @@ class CauchyKernelTable:
         """Reference: the dense double sum over every source cell, the
         product rule with ring j's near cells replaced by their accurate
         integrals, each integrated at its own angle over the full circle
-        (no mirror symmetry used); small grids only."""
+        (no mirror symmetry used); small grids only.
+
+        Oracle: it checks `apply`, the FFT, window-table and far-field
+        sweep path behind `dbar_inverse`, `dbar_star_inverse`,
+        `primitive_alpha` and the CGO series;
+        `test_fast_path_matches_direct_sum` uses it as the reference."""
         g = self.grid
         n_r, n_t = g.shape
         f = np.asarray(fvals, dtype=complex)
@@ -529,37 +538,6 @@ def primitive_alpha(A: OneForm) -> ScalarField:
     g = reflect_extend(big, rows, A.c01, mode="c1")
     u = kernel_table(big).apply(g)
     return ScalarField(A.grid, u[rows])
-
-
-def beurling_compose(omega: OneForm) -> OneForm:
-    """d(dbar_inverse omega): the Beurling-type composition, a (1,0)-form."""
-    return wirtinger(dbar_inverse(omega), "dz")
-
-
-def beurling_norm_report(grid: PolarGrid, num_samples: int = 64, seed: int = 0) -> dict:
-    """Sampled L2 -> L2 ratio of the Beurling composition on random smooth data.
-
-    Returns the per-sample ratios and their max; a bounded max is the
-    numerical signature of L2 boundedness.
-    """
-    rng = np.random.default_rng(seed)
-    z = grid.nodes / grid.domain.r_outer
-    ratios = []
-    for _ in range(num_samples):
-        coeffs = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        vals = np.zeros(grid.shape, dtype=complex)
-        for a in range(4):
-            for b in range(4):
-                vals += coeffs[a, b] * z**a * np.conj(z) ** b
-        om = OneForm(grid, np.zeros(grid.shape), vals)
-        ratios.append(norm_l2(beurling_compose(om)) / norm_l2(om))
-    ratios = np.array(ratios)
-    return {
-        "sample_max": float(ratios.max()),
-        "sample_mean": float(ratios.mean()),
-        "num_samples": num_samples,
-        "ratios": ratios,
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -111,16 +111,6 @@ class PotentialMatrix:
     def grid(self) -> PolarGrid:
         return self.Qplus.grid
 
-    @classmethod
-    def zero(cls, grid: PolarGrid) -> "PotentialMatrix":
-        z = np.zeros(grid.shape)
-        return cls(
-            ScalarField(grid, z),
-            OneForm(grid, z, z),
-            OneForm(grid, z, z),
-            ScalarField(grid, z),
-        )
-
 
 @dataclass(frozen=True)
 class DiagonalPotential:
@@ -407,22 +397,6 @@ def neumann_cgo(
         contraction_estimate=est,
         residuals=(res / scale,),
     )
-
-
-def cgo_section(sol: CgoSolution) -> SigmaSection:
-    """Assemble the full diagonal-system solution
-    (e^{Phi/h}(a + r), e^{conj Phi / h}(b + s))."""
-    g = sol.r_h.grid
-    phi = sol.phase(g.nodes)
-    eplus = np.exp(phi / sol.h)
-    eminus = np.exp(np.conj(phi) / sol.h)
-    if sol.seed_kind == "b":
-        u = eplus * sol.r_h.values
-        om = eminus * (sol.seed.c01 + sol.s_h.c01)
-    else:
-        u = eplus * (sol.seed.values + sol.r_h.values)
-        om = eminus * sol.s_h.c01
-    return SigmaSection(ScalarField(g, u), OneForm(g, np.zeros(g.shape), om))
 
 
 # ---------------------------------------------------------------------------

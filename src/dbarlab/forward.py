@@ -1,5 +1,5 @@
 """Assembly and Dirichlet solution of the magnetic Schrodinger operator,
-boundary data production (Cauchy pairs, truncated DtN matrices), and gauge
+boundary data production (truncated DtN matrices), and gauge
 transformations.
 
 The operator acts as
@@ -30,14 +30,13 @@ Boundary data has one layout, samples of shape (n_boundary_rings,
 n_theta, ...) ordered as `PolarGrid.boundary_rings`: `MagneticOperator.solve`
 runs all trailing (batch) columns in one sweep of matrix products, leaves
 no state behind and eliminates forward only the span of columns with
-inner-circle data (none on a disk).  Neumann data, Cauchy pairs and the
-boundary jets that the DtN builders post-map share that layout; a batch
-takes one `PolarGrid.boundary_jet` and one `diff_theta` call.
+inner-circle data (none on a disk).  The boundary jets that the DtN
+builders post-map share that layout; a batch takes one
+`PolarGrid.boundary_jet` and one `diff_theta` call.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, replace
 
@@ -55,7 +54,7 @@ from .geometry import (
     project,
     wirtinger,
 )
-from .metrics import BoundaryTrace, trace_from_samples, truncation_modes
+from .metrics import trace_from_samples, truncation_modes
 
 # `_inverse` hands blocks of at most this order to `np.linalg.inv`.  One
 # 96x128 operator (2-core x86-64, one BLAS thread) took 0.173, 0.156, 0.169
@@ -67,15 +66,11 @@ CONDITION_LIMIT = 1e12
 
 __all__ = [
     "PotentialPair",
-    "CauchyPair",
     "DtnMatrix",
     "EigenvalueCollision",
     "magnetic_apply",
     "magnetic_apply_factored",
     "MagneticOperator",
-    "solve_dirichlet",
-    "neumann_data",
-    "cauchy_pair",
     "dtn",
     "system_dtn",
     "dtn_and_diagonalized_system_dtn",
@@ -129,15 +124,6 @@ class PotentialPair:
 
 
 @dataclass(frozen=True)
-class CauchyPair:
-    """Boundary pair (f, g) = (trace, magnetic normal derivative) in
-    truncated Fourier form."""
-
-    f: BoundaryTrace
-    g: BoundaryTrace
-
-
-@dataclass(frozen=True)
 class DtnMatrix:
     """Truncated-Fourier Dirichlet-to-Neumann matrix.
 
@@ -176,7 +162,12 @@ def magnetic_apply(pot: PotentialPair, u: ScalarField) -> ScalarField:
 
 def magnetic_apply_factored(pot: PotentialPair, u: ScalarField, F: ScalarField) -> ScalarField:
     """L u through the factored form 2 F_bar dbar*(F_bar^{-1} F^{-1} dbar(F u)) + Q u,
-    with F an integrating factor for the (0,1)-part of X."""
+    with F an integrating factor for the (0,1)-part of X.
+
+    Oracle: it checks `magnetic_apply`, the coordinate expansion from which
+    `manufactured_potential` builds its q, against the factored form that
+    `dirac.reduce_schrodinger` rests on; `test_expansion_matches_factored_form`
+    uses it as the reference."""
     g = u.grid
     Q = -hodge_star(exterior_d(pot.X)).values + pot.q.values
     inner = wirtinger(ScalarField(g, F.values * u.values), "dzbar")
@@ -288,7 +279,10 @@ class MagneticOperator:
         (a disk also takes (n_theta,)), to values of shape (n_r, n_theta, ...).
         The forward elimination carries only the span of columns with
         nonzero inner-circle data."""
-        f = _boundary_samples(self.grid, f)
+        f = np.atleast_2d(np.asarray_chkfinite(f, dtype=complex))
+        want = (len(self.grid.boundary_rings), self.n_theta)
+        if f.shape[:2] != want:
+            raise ValueError(f"boundary samples must have shape {want} + (batch...), got {f.shape}")
         batch = f.shape[2:]
         f = f.reshape(f.shape[:2] + (-1,))
         u = np.zeros((self.grid.n_r,) + f.shape[1:], dtype=complex)
@@ -312,7 +306,13 @@ class MagneticOperator:
     def residual(self, vals: np.ndarray) -> float:
         """Relative residual of the discrete interior equations for values
         (n_r, n_theta).  On a disk the center value comes from the center
-        equation center_diag * u_c + center_row . u[0] = 0, met by `solve`."""
+        equation center_diag * u_c + center_row . u[0] = 0, met by `solve`.
+
+        Oracle: it checks `solve`, the block sweep behind every DtN matrix,
+        by applying the unfactored ring blocks (`_block`) and couplings
+        directly; `test_discrete_residual_small` and
+        `test_residual_independent_of_later_solves` use it as the
+        reference."""
         if self.kind == "disk":
             u_c = -(self.center_row @ vals[0]) / self.center_diag
         res = 0.0
@@ -347,32 +347,6 @@ def _inverse(D: np.ndarray) -> np.ndarray:
     return out
 
 
-def _boundary_samples(g: PolarGrid, f: np.ndarray) -> np.ndarray:
-    """f as finite boundary samples of shape (n_boundary_rings, n_theta, ...)."""
-    f = np.atleast_2d(np.asarray_chkfinite(f, dtype=complex))
-    want = (len(g.boundary_rings), g.n_theta)
-    if f.shape[:2] != want:
-        raise ValueError(f"boundary samples must have shape {want} + (batch...), got {f.shape}")
-    return f
-
-
-def solve_dirichlet(pot: PotentialPair, f: np.ndarray) -> ScalarField:
-    """Solve L u = 0 with Dirichlet samples f in the layout of
-    `MagneticOperator.solve`.
-
-    On an eigenvalue collision the potential is retried once with
-    q + 1e-6 i, which moves the spectrum off the real axis, and the retry
-    is logged; `MagneticOperator(pot).solve(f)` refuses instead.
-    """
-    f = _boundary_samples(pot.grid, f)  # refuse bad data before factoring
-    try:
-        op = MagneticOperator(pot)
-    except EigenvalueCollision as exc:
-        logging.getLogger("dbarlab").warning("%s; retrying once with q + 1e-6i", exc)
-        op = MagneticOperator(PotentialPair(pot.X, pot.q + 1e-6j))
-    return ScalarField(pot.grid, op.solve(f))
-
-
 # ---------------------------------------------------------------------------
 # boundary data
 # ---------------------------------------------------------------------------
@@ -400,21 +374,6 @@ def _omega01_pullback(pot: PotentialPair, trace: np.ndarray, d_r: np.ndarray) ->
     d_t = g.diff_theta(trace)
     om01 = 0.5 * eit * (d_r + 1j * d_t / r) + 1j * A01 * trace
     return om01 * np.conj(eit)
-
-
-def neumann_data(pot: PotentialPair, u: ScalarField) -> np.ndarray:
-    """Magnetic normal derivative d_nu u + i X(nu) u on the boundary circles,
-    shape (n_boundary_rings, n_theta), with the outward normal (inner
-    circle of an annulus points inward)."""
-    jet = pot.grid.boundary_jet(u.values[:, :, None])
-    return _magnetic_normal(pot, *jet)[:, :, 0]
-
-
-def cauchy_pair(pot: PotentialPair, f: np.ndarray, order: int) -> CauchyPair:
-    """Solve with Dirichlet samples f and package (f, magnetic Neumann data)
-    as truncated Fourier traces."""
-    gdata = neumann_data(pot, solve_dirichlet(pot, f))
-    return CauchyPair(f=trace_from_samples(f, order), g=trace_from_samples(gdata, order))
 
 
 def _unit_fourier_response(pot: PotentialPair, order: int) -> tuple[np.ndarray, np.ndarray]:

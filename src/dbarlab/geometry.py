@@ -91,10 +91,6 @@ class Domain:
     def kind(self) -> str:
         return "disk" if self.r_inner == 0.0 else "annulus"
 
-    @property
-    def area(self) -> float:
-        return math.pi * (self.r_outer**2 - self.r_inner**2)
-
     def contains(self, z: np.ndarray) -> np.ndarray:
         r = np.abs(np.asarray(z))
         return (r <= self.r_outer + 1e-9) & (r >= self.r_inner - 1e-9)
@@ -355,9 +351,6 @@ class ScalarField:
     def conj(self) -> "ScalarField":
         return ScalarField(self.grid, np.conj(self.values))
 
-    def __add__(self, other):
-        return ScalarField(self.grid, self.values + _coerce(self.grid, other))
-
     def __sub__(self, other):
         return ScalarField(self.grid, self.values - _coerce(self.grid, other))
 
@@ -404,10 +397,6 @@ class OneForm:
     def __sub__(self, other: "OneForm") -> "OneForm":
         self.grid.check_same(other.grid)
         return OneForm(self.grid, self.c10 - other.c10, self.c01 - other.c01)
-
-    def pointwise_norm(self) -> np.ndarray:
-        """|omega|_g with |dz|^2 = 2."""
-        return np.sqrt(2.0 * (np.abs(self.c10) ** 2 + np.abs(self.c01) ** 2))
 
 
 @dataclass(frozen=True)

@@ -19,17 +19,13 @@ from .geometry import (
     Loop,
     OneForm,
     ScalarField,
-    exterior_d,
     loop_quadrature,
 )
 
 __all__ = [
     "HolonomyReport",
     "holonomy_defect",
-    "theta_field",
-    "theta_decomposition",
     "winding_integral",
-    "gauge_residual",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -60,23 +56,6 @@ def holonomy_defect(X1: OneForm, X2: OneForm, gamma: Loop) -> HolonomyReport:
     )
 
 
-def theta_field(F1: ScalarField, F2: ScalarField) -> ScalarField:
-    """Pointwise ratio F1 / F2 (F2 must be bounded away from zero)."""
-    F1.grid.check_same(F2.grid)
-    if float(np.min(np.abs(F2.values))) < 1e-12:
-        raise ValueError("F2 vanishes; ratio field undefined")
-    return ScalarField(F1.grid, F1.values / F2.values)
-
-
-def theta_decomposition(theta_ratio: ScalarField) -> tuple[ScalarField, float]:
-    """Deviation of the ratio from unimodularity:
-    theta := conj(ratio)^{-1} - ratio, returned with its sup norm."""
-    vals = theta_ratio.values
-    pert = 1.0 / np.conj(vals) - vals
-    f = ScalarField(theta_ratio.grid, pert)
-    return f, float(np.max(np.abs(pert)))
-
-
 def winding_integral(theta_ratio: ScalarField, gamma: Loop) -> dict:
     """Integral of d(ratio)/ratio along a closed loop.
 
@@ -102,17 +81,3 @@ def winding_integral(theta_ratio: ScalarField, gamma: Loop) -> dict:
     value = complex(np.sum(np.log(ratios)))
     k = int(round(value.imag / TWO_PI))
     return {"value": value, "winding": k, "distance": abs(value - TWO_PI * 1j * k)}
-
-
-def gauge_residual(X1: OneForm, X2: OneForm, theta_ratio: ScalarField) -> tuple[OneForm, float]:
-    """Residual 1-form i(X1 - X2) - d(ratio)/ratio and its sup norm."""
-    g = theta_ratio.grid
-    X1.grid.check_same(g)
-    dTheta = exterior_d(theta_ratio)
-    vals = theta_ratio.values
-    resid = OneForm(
-        g,
-        1j * (X1.c10 - X2.c10) - dTheta.c10 / vals,
-        1j * (X1.c01 - X2.c01) - dTheta.c01 / vals,
-    )
-    return resid, float(np.max(resid.pointwise_norm()))

@@ -1,5 +1,5 @@
-"""Boundary Sobolev norms, Cauchy-data distances, and the holomorphic
-defect of boundary traces on the disk.
+"""Cauchy-data distances and the holomorphic defect of boundary traces on
+the disk.
 
 All boundary data lives in truncated Fourier form, one coefficient row
 per boundary circle, modes n = -N..N.  The H^s norm is the exact
@@ -7,23 +7,19 @@ multiplier norm on the truncation:
 
     ||f||_{H^s}^2 = sum over circles and modes of (1 + n^2)^s |f_n|^2.
 
-The scalar Cauchy-data distance normalizes differences by the H^{1/2}
-size of the first trace; ensembles of Cauchy pairs are compared either
-through the H^{1/2} -> H^{-1/2} operator-norm surrogate or through the
-sup-inf construction with a least-squares inner minimization.
+Ensembles of Cauchy pairs are compared either through the
+H^{1/2} -> H^{-1/2} operator-norm surrogate or through the sup-inf
+construction with a least-squares inner minimization.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "BoundaryTrace",
-    "boundary_norm",
-    "pair_distance",
     "ensemble_distance",
     "holomorphic_defect",
     "holo_project",
@@ -53,24 +49,6 @@ class BoundaryTrace:
     @property
     def n_circles(self) -> int:
         return self.coeffs.shape[0]
-
-    def __sub__(self, other: "BoundaryTrace") -> "BoundaryTrace":
-        if other.order != self.order or other.n_circles != self.n_circles:
-            raise ValueError("trace truncation mismatch")
-        return BoundaryTrace(self.order, self.coeffs - other.coeffs)
-
-    def __add__(self, other: "BoundaryTrace") -> "BoundaryTrace":
-        if other.order != self.order or other.n_circles != self.n_circles:
-            raise ValueError("trace truncation mismatch")
-        return BoundaryTrace(self.order, self.coeffs + other.coeffs)
-
-    def scaled(self, c: complex) -> "BoundaryTrace":
-        return BoundaryTrace(self.order, c * self.coeffs)
-
-    def is_real(self) -> bool:
-        flipped = np.conj(self.coeffs[:, ::-1])
-        scale = max(np.max(np.abs(self.coeffs)), 1e-300)
-        return bool(np.max(np.abs(self.coeffs - flipped)) <= 1e-10 * scale)
 
 
 def truncation_modes(order: int, n_theta: int) -> np.ndarray:
@@ -103,24 +81,6 @@ def trace_from_samples(samples: np.ndarray, order: int) -> BoundaryTrace:
 def _weights(order: int, s: float) -> np.ndarray:
     n = np.arange(-order, order + 1)
     return (1.0 + n.astype(float) ** 2) ** (s / 2.0)
-
-
-def boundary_norm(t: BoundaryTrace, s: float) -> float:
-    """The H^s norm of a truncated trace."""
-    w = _weights(t.order, s)
-    return math.sqrt(float(np.sum((w[None, :] * np.abs(t.coeffs)) ** 2)))
-
-
-def pair_distance(p1, p2) -> float:
-    """Cauchy-pair distance (||f1-f2||_{1/2} + ||g1-g2||_{-1/2}) / ||f1||_{1/2}."""
-    f1, g1 = p1.f, p1.g
-    f2, g2 = p2.f, p2.g
-    den = boundary_norm(f1, 0.5)
-    if den == 0.0:
-        raise ValueError("pair_distance needs a nonzero first trace")
-    return (
-        boundary_norm(f1 - f2, 0.5) + boundary_norm(g1 - g2, -0.5)
-    ) / den
 
 
 # ---------------------------------------------------------------------------
@@ -200,20 +160,11 @@ def holomorphic_defect(t: BoundaryTrace) -> float:
     return float(np.sqrt(np.sum(np.abs(neg) ** 2)))
 
 
-def holo_project(t: BoundaryTrace):
-    """Zero the negative modes and return the power-series extension.
-
-    Returns (projected trace, G) with G the callable extension
-    G(z) = sum f_n z^n of a trace on the unit circle.
-    """
+def holo_project(t: BoundaryTrace) -> BoundaryTrace:
+    """The disk trace with its negative modes zeroed: the boundary values
+    of the holomorphic extension sum_{n >= 0} f_n z^n."""
     if t.n_circles != 1:
         raise ValueError("holo_project is defined for disk traces only")
     proj = t.coeffs.copy()
     proj[0, : t.order] = 0.0
-    ptrace = BoundaryTrace(t.order, proj)
-    pos = proj[0, t.order :]
-
-    def G(z):
-        return np.polynomial.polynomial.polyval(np.asarray(z), pos)
-
-    return ptrace, G
+    return BoundaryTrace(t.order, proj)

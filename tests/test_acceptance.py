@@ -325,7 +325,7 @@ def test_criterion_10_boundary_defect_chain():
 
     ratio0 = red1.F.values / red1.F.values
     trace0 = me.trace_from_samples(ratio0[g.boundary_rings[-1]], cfg.order)
-    proj, _ = me.holo_project(trace0)
+    proj = me.holo_project(trace0)
     d0 = me.holomorphic_defect(proj)
     assert d0 <= 1e-10
     report(

@@ -30,10 +30,16 @@ def manufactured(grid):
     return pot, V, red, dc.SigmaSection(ustar, om)
 
 
+def _zero_matrix(grid):
+    z = np.zeros(grid.shape)
+    scalar, form = geo.ScalarField(grid, z), geo.OneForm(grid, z, z)
+    return dc.PotentialMatrix(scalar, form, form, scalar)
+
+
 def test_dirac_kills_holomorphic(grid):
     Z = grid.nodes
     zeros = np.zeros(grid.shape)
-    V0 = dc.PotentialMatrix.zero(grid)
+    V0 = _zero_matrix(grid)
     U = dc.SigmaSection(geo.ScalarField(grid, Z**2 + 1), geo.OneForm(grid, zeros, zeros))
     out = dc.dirac_apply(V0, U)
     assert geo.norm_l2(out.u) < 1e-10 and geo.norm_l2(out.omega) < 1e-10
@@ -42,7 +48,7 @@ def test_dirac_kills_holomorphic(grid):
 def test_dirac_kills_antiholomorphic(grid):
     Z = grid.nodes
     zeros = np.zeros(grid.shape)
-    V0 = dc.PotentialMatrix.zero(grid)
+    V0 = _zero_matrix(grid)
     U = dc.SigmaSection(
         geo.ScalarField(grid, zeros), geo.OneForm(grid, zeros, np.conj(Z) ** 2 + 0.5)
     )
@@ -276,15 +282,6 @@ def test_cgo_matches_dense_solve():
     assert diff < 1e-6
 
 
-def test_cgo_section_solves_diagonal_system(small_diag, grid):
-    """The assembled CGO section satisfies the system in the quadrature-
-    consistent sense: the remainder equations hold to series tolerance."""
-    sol = dc.neumann_cgo(small_diag, ph.base_phase(0.0), 0.05)
-    assert max(sol.residuals) < 1e-8
-    sec = dc.cgo_section(sol)
-    assert np.all(np.isfinite(sec.u.values))
-
-
 # -- pairings ----------------------------------------------------------------------
 
 
@@ -330,7 +327,7 @@ def test_green_identity_with_adjoint_solution(grid):
     V, _ = dc.reduce_schrodinger(pot, alpha=geo.ScalarField(grid, alpha))
     Vadj = dc.adjoint_matrix(V)
     assert np.max(np.abs(Vadj.Qplus.values - V.Qplus.values)) < 1e-12
-    u = fw.solve_dirichlet(pot, np.exp(1j * grid.theta))
+    u = geo.ScalarField(grid, fw.MagneticOperator(pot).solve(np.exp(1j * grid.theta)))
     om = geo.OneForm(grid, np.zeros(grid.shape), geo.wirtinger(u, "dzbar").c01 + 1j * A.c01 * u.values)
     Uprime = dc.SigmaSection(u, om)
     rng = np.random.default_rng(7)
@@ -386,13 +383,19 @@ def test_contraction_estimate_decreases_with_h(small_diag):
 
 
 def test_h1_growth_bounded(small_diag):
-    """h * log of the assembled solution's H1 size stays bounded over the
-    sweep (exponential-in-1/h growth envelope)."""
+    """h * log of the H1 size of the assembled solution
+    (e^{Phi/h} r, e^{conj Phi/h} (b + s)) stays bounded over the sweep
+    (exponential-in-1/h growth envelope)."""
     hs = [0.2, 0.1, 0.05, 0.025]
     vals = []
     for h in hs:
         sol = dc.neumann_cgo(small_diag, ph.base_phase(0.0), h)
-        sec = dc.cgo_section(sol)
+        g = sol.r_h.grid
+        phi = sol.phase(g.nodes)
+        sec = dc.SigmaSection(
+            geo.ScalarField(g, np.exp(phi / h) * sol.r_h.values),
+            geo.OneForm(g, np.zeros(g.shape), np.exp(np.conj(phi) / h) * (sol.seed.c01 + sol.s_h.c01)),
+        )
         vals.append(h * np.log(max(dc.h1_norm_section(sec), 1e-300)))
     assert max(vals) < 10.0
     assert vals[-1] <= max(vals[0], 1.0) + 1.0

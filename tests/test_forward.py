@@ -1,5 +1,3 @@
-import logging
-
 import numpy as np
 import pytest
 from scipy.special import hyp1f1, jv, jvp
@@ -88,13 +86,13 @@ def test_expansion_matches_factored_form(grid):
 
 
 def test_solve_harmonic_extension(grid, zero_pot):
-    u = fw.solve_dirichlet(zero_pot, np.cos(grid.theta))
-    assert np.max(np.abs(u.values - grid.nodes.real)) < 1e-6
+    u = fw.MagneticOperator(zero_pot).solve(np.cos(grid.theta))
+    assert np.max(np.abs(u - grid.nodes.real)) < 1e-6
 
 
 def test_solve_constant(grid, zero_pot):
-    u = fw.solve_dirichlet(zero_pot, np.ones(grid.n_theta))
-    assert np.max(np.abs(u.values - 1.0)) < 1e-10
+    u = fw.MagneticOperator(zero_pot).solve(np.ones(grid.n_theta))
+    assert np.max(np.abs(u - 1.0)) < 1e-10
 
 
 def test_solve_manufactured(grid):
@@ -102,8 +100,8 @@ def test_solve_manufactured(grid):
     Z = grid.nodes
     ustar = geo.ScalarField(grid, np.exp(0.3 * Z) + 2.0)
     pot = fw.manufactured_potential(ustar, X)
-    u = fw.solve_dirichlet(pot, ustar.values[-1])
-    assert np.max(np.abs(u.values - ustar.values)) < 1e-4
+    u = fw.MagneticOperator(pot).solve(ustar.values[-1])
+    assert np.max(np.abs(u - ustar.values)) < 1e-4
 
 
 def test_discrete_residual_small(grid):
@@ -160,13 +158,13 @@ def test_solve_annulus_harmonic():
     # harmonic log|z| scaled: boundary data log(r)
     f_in = np.full(g.n_theta, np.log(0.5), dtype=complex)
     f_out = np.full(g.n_theta, np.log(1.5), dtype=complex)
-    u = fw.solve_dirichlet(pot, np.stack([f_in, f_out]))
-    assert np.max(np.abs(u.values - np.log(np.abs(g.nodes)))) < 1e-5
+    u = fw.MagneticOperator(pot).solve(np.stack([f_in, f_out]))
+    assert np.max(np.abs(u - np.log(np.abs(g.nodes)))) < 1e-5
 
 
 def test_neumann_data_trivial(grid, zero_pot):
-    u = fw.solve_dirichlet(zero_pot, np.ones(grid.n_theta))
-    nd = fw.neumann_data(zero_pot, u)
+    u = fw.MagneticOperator(zero_pot).solve(np.ones(grid.n_theta))
+    nd = fw._magnetic_normal(zero_pot, *grid.boundary_jet(u[:, :, None]))[:, :, 0]
     assert np.max(np.abs(nd[-1])) < 1e-8
 
 
@@ -177,8 +175,8 @@ def test_neumann_dtheta_connection_on_annulus():
     Z = g.nodes
     dth = geo.OneForm(g, 1 / (2j * Z), -1 / (2j * np.conj(Z)))
     pot = fw.PotentialPair(dth, geo.ScalarField(g, np.zeros(g.shape)))
-    u = fw.solve_dirichlet(pot, np.ones((2, g.n_theta)))
-    nd = fw.neumann_data(pot, u)
+    u = fw.MagneticOperator(pot).solve(np.ones((2, g.n_theta)))
+    nd = fw._magnetic_normal(pot, *g.boundary_jet(u[:, :, None]))[:, :, 0]
     for row in nd:
         assert np.max(np.abs(row.imag)) < 1e-8
 
@@ -269,7 +267,7 @@ def _oracle_matrices(pot, F, order, op):
             boundary = np.zeros((len(rings), n_t), dtype=complex)
             boundary[j] = np.exp(1j * n * g.theta)
             u = geo.ScalarField(g, op.solve(boundary))
-            nd = fw.neumann_data(pot, u)
+            nd = fw._magnetic_normal(pot, *g.boundary_jet(u.values[:, :, None]))[:, :, 0]
             om01 = g.d_zbar(u.values) + 1j * A01 * u.values
             lam = [om01[r] * np.conj(eit) for r in rings]
             cols["dtn"].append(column(nd))
@@ -449,10 +447,10 @@ def test_dtn_csv_rejects_incomplete_file(tmp_path, edit, message):
         fw.load_dtn_csv(path)
 
 
-def test_eigenvalue_collision_perturbation(caplog, monkeypatch):
-    """On a Dirichlet eigenvalue of the discrete disk problem the solver
-    retries with a complex-shifted potential instead of failing, and logs
-    the retry; the operator itself refuses."""
+def test_eigenvalue_collision_perturbation(monkeypatch):
+    """The operator refuses a Dirichlet eigenvalue of the disk problem: the
+    continuum one under a tightened condition limit, the discrete one
+    (found by the secant method) under the default limit."""
     g = geo.PolarGrid(geo.disk(1.0), 96, 16)
     z = np.zeros(g.shape)
 
@@ -481,21 +479,6 @@ def test_eigenvalue_collision_perturbation(caplog, monkeypatch):
             a, fa, b = b, fb, b - fb * (b - a) / (fb - fa)
     with pytest.raises(fw.EigenvalueCollision):
         fw.MagneticOperator(pot_at(b)).solve(np.ones(g.n_theta))
-    with caplog.at_level(logging.WARNING, logger="dbarlab"):
-        u = fw.solve_dirichlet(pot_at(b), np.ones(g.n_theta))
-    assert np.all(np.isfinite(u.values))
-    assert [r.levelname for r in caplog.records] == ["WARNING"]
-    assert "q + 1e-6i" in caplog.records[0].getMessage()
-
-
-def test_cauchy_pair_packaging(grid, zero_pot):
-    pair = fw.cauchy_pair(zero_pot, np.exp(2j * grid.theta), order=6)
-    f, g = pair.f, pair.g
-    assert f.coeffs.shape == (1, 13)
-    assert abs(f.coeffs[0, 6 + 2] - 1.0) < 1e-12
-    assert np.sum(np.abs(f.coeffs) > 1e-10) == 1
-    # harmonic extension r^2 e^{2 i theta}: normal derivative 2 e^{2 i theta}
-    assert abs(g.coeffs[0, 6 + 2] - 2.0) < 1e-4
 
 
 def _small_pot(domain, n_theta=16):
@@ -636,17 +619,11 @@ def test_solve_rejects_nonfinite_boundary_data():
 
 
 @pytest.mark.parametrize("domain", [geo.disk(1.0), geo.annulus(0.5, 1.5)], ids=["disk", "annulus"])
-def test_solve_rejects_misshapen_boundary_data(domain, monkeypatch):
+def test_solve_rejects_misshapen_boundary_data(domain):
     """Boundary samples must have one row per boundary circle and n_theta
-    columns; anything else is refused by shape, not broadcast or dropped,
-    and `solve_dirichlet` refuses it before factoring."""
+    columns; anything else is refused by shape, not broadcast or dropped."""
     pot = _small_pot(domain)
     op = fw.MagneticOperator(pot)
-
-    def no_factoring(*args, **kwargs):
-        raise AssertionError("factored before the shape check")
-
-    monkeypatch.setattr(fw, "MagneticOperator", no_factoring)
     n_t = pot.grid.n_theta
     if domain.kind == "disk":
         bad = [np.ones((2, n_t)), np.ones(n_t - 4)]
@@ -655,5 +632,3 @@ def test_solve_rejects_misshapen_boundary_data(domain, monkeypatch):
     for f in bad:
         with pytest.raises(ValueError, match="boundary samples must have shape"):
             op.solve(f)
-        with pytest.raises(ValueError, match="boundary samples must have shape"):
-            fw.solve_dirichlet(pot, f)
