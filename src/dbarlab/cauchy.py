@@ -491,11 +491,11 @@ def _binomials(x: np.ndarray) -> np.ndarray:
 
 def kernel_table(grid: PolarGrid) -> CauchyKernelTable:
     """The kernel table of `grid`, shared by every grid of the same shape
-    on the same domain (the three most recently used are kept)."""
+    on the same domain; the last two used are kept (a grid and its `extend_grid`)."""
     return _cached_table(grid.domain, grid.n_r, grid.n_theta)
 
 
-@functools.lru_cache(maxsize=3)
+@functools.lru_cache(maxsize=2)
 def _cached_table(domain: Domain, n_r: int, n_theta: int) -> CauchyKernelTable:
     return CauchyKernelTable(PolarGrid(domain, n_r, n_theta))
 

@@ -42,6 +42,14 @@ __all__ = [
     "run_holonomy_study",
 ]
 
+# fixed constants of the stability estimates: the a-priori bound, the exclusion
+# radius and the log-log schedule h = c / (alpha |log d|), delta = (log |log d|)^(-eps)
+APRIORI_K = 2.0
+EXCLUSION_DELTA = 0.05
+H_SCHEDULE_C = 1.0
+H_SCHEDULE_ALPHA = 0.75
+DELTA_SCHEDULE_EPS = 0.25
+
 
 class CheckFailure(AssertionError):
     """A study-level check failed; `anchor` names the violated property."""
@@ -61,14 +69,9 @@ class ExperimentConfig:
     n_r: int = 96
     n_theta: int = 128
     order: int = 8
-    K: float = 2.0
     h_list: tuple = (0.2, 0.1, 0.05, 0.025, 0.0125)
-    delta_list: tuple = (0.2, 0.1, 0.05)
     t_list: tuple = (0.02, 0.04, 0.08, 0.16, 0.32, 0.64)
     seed: int = 0
-    h_schedule_c: float = 1.0
-    h_schedule_alpha: float = 0.75
-    delta_schedule_eps: float = 0.25
     amplitude: float = 0.3
     # CGO decay study: the sweep must be oscillatory at its coarse end
     # (h <= radius^2/pi) and resolved at its fine end, which needs an
@@ -97,7 +100,7 @@ class ExperimentConfig:
                 grid()
             except geo.GridError as exc:
                 raise ValueError(f"{keys}: {exc}") from None
-        for name in ("h_list", "cgo_h_list", "delta_list", "t_list"):
+        for name in ("h_list", "cgo_h_list", "t_list"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must not be empty")
         for name in ("h_list", "cgo_h_list"):
@@ -106,8 +109,6 @@ class ExperimentConfig:
                 raise ValueError(f"{name} values must be positive")
             if list(hs) != sorted(hs, reverse=True):
                 raise ValueError(f"{name} must be descending")
-        if any(d <= 0 for d in self.delta_list):
-            raise ValueError("delta_list values must be positive")
         if any(t < 0 for t in self.t_list):
             raise ValueError("t_list values must be non-negative")
         if not _is_increasing(self.t_list):
@@ -208,7 +209,7 @@ def write_csv(path, header, rows) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-# CSVs are byte-identical only at a fixed BLAS thread count
+# recorded, not set: the lab leaves the BLAS thread count to the environment
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -402,8 +403,7 @@ def run_stability_sweep(cfg: ExperimentConfig, out="out") -> list[StabilityRecor
     pot1, red1 = fam.reduction(0.0)
     d1, dsys1 = fw.dtn_and_diagonalized_system_dtn(pot1, red1.F, cfg.order)
     base = ph.base_phase(0.0 + 0.0j)
-    delta = cfg.delta_list[-1]
-    excl = ph.exclusion_set(base, delta)
+    excl = ph.exclusion_set(base, EXCLUSION_DELTA)
     off_mask = ~excl.contains(g.nodes)
 
     # diagonalized-system distances vs the log-augmented scalar distance:
@@ -426,8 +426,8 @@ def run_stability_sweep(cfg: ExperimentConfig, out="out") -> list[StabilityRecor
         defect = _ratio_defect(red1, red2, cfg.order) if g.domain.kind == "disk" else float("nan")
         dxid = curvature_difference_residual(red1, red2, pot1.X, pot2.X)
         d_clip = min(max(d_sur, 1e-300), 0.3678794411714423)  # below 1/e
-        h_sched = cfg.h_schedule_c / (cfg.h_schedule_alpha * abs(math.log(d_clip)))
-        del_sched = (math.log(abs(math.log(d_clip)))) ** (-cfg.delta_schedule_eps) if abs(
+        h_sched = H_SCHEDULE_C / (H_SCHEDULE_ALPHA * abs(math.log(d_clip)))
+        del_sched = (math.log(abs(math.log(d_clip)))) ** (-DELTA_SCHEDULE_EPS) if abs(
             math.log(d_clip)
         ) > 1 else float("nan")
         records.append(
@@ -470,7 +470,7 @@ def run_stability_sweep(cfg: ExperimentConfig, out="out") -> list[StabilityRecor
             "max_dxid_residual": max(r.dxid_residual for r in records),
             "syst_cauchy_fitted_C": fitted_c,
             "syst_cauchy_ratios": syst_ratios,
-            "apriori": dict(pot1.apriori_report(), K=cfg.K),
+            "apriori": dict(pot1.apriori_report(), K=APRIORI_K),
         },
     )
     for r in records:

@@ -7,7 +7,6 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the reports.
 import time
 
 import numpy as np
-import pytest
 
 from dbarlab import geometry as geo
 from dbarlab import cauchy as cau

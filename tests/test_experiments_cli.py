@@ -29,10 +29,6 @@ def small_cfg(**over):
 def test_config_validation():
     with pytest.raises(ValueError):
         ex.ExperimentConfig(h_list=(0.05, 0.1))  # not descending
-    with pytest.raises(ValueError, match="delta_list values must be positive"):
-        ex.ExperimentConfig(delta_list=(0.1, -0.2))
-    with pytest.raises(ValueError, match="delta_list values must be positive"):
-        ex.ExperimentConfig(delta_list=(0.0,))
     with pytest.raises(ValueError, match="t_list values must be non-negative"):
         ex.ExperimentConfig(t_list=(-0.1,))
     assert ex.ExperimentConfig.from_dict({"t_list": [0.0, 0.1]}).t_list == (0.0, 0.1)
@@ -51,6 +47,11 @@ def test_config_validation():
         ex.ExperimentConfig.from_dict({"n_rings": 48})
     with pytest.raises(ValueError, match="unknown config key.*domain.radius"):
         ex.ExperimentConfig.from_dict({"domain": {"kind": "disk", "radius": 1.0}})
+    # the stability estimates' fixed constants are not keys, even at their values
+    for key, value in (("K", 2.0), ("delta_list", [0.2, 0.1, 0.05]), ("h_schedule_c", 1.0),
+                       ("h_schedule_alpha", 0.75), ("delta_schedule_eps", 0.25)):
+        with pytest.raises(ValueError, match=rf"^unknown config key\(s\): {key}$"):
+            ex.ExperimentConfig.from_dict({key: value})
     with pytest.raises(ValueError, match="order 8 needs n_theta >= 17, got 16"):
         ex.ExperimentConfig(n_theta=16, order=8)
     assert ex.ExperimentConfig(n_theta=16, order=7).order == 7
@@ -58,7 +59,7 @@ def test_config_validation():
         ex.ExperimentConfig(order=-1)
     with pytest.raises(ValueError, match="order must be non-negative"):
         ex.ExperimentConfig.from_dict({"order": -1})
-    for key in ("h_list", "cgo_h_list", "t_list", "delta_list"):
+    for key in ("h_list", "cgo_h_list", "t_list"):
         with pytest.raises(ValueError, match=f"{key} must not be empty"):
             ex.ExperimentConfig.from_dict({key: []})
     with pytest.raises(ValueError, match="n_r, n_theta: n_theta must be a power of two"):
@@ -72,6 +73,17 @@ def test_config_validation():
     # every field is a valid key
     cfg = ex.ExperimentConfig.from_dict(json.loads(ex.ExperimentConfig().canonical()))
     assert cfg == ex.ExperimentConfig()
+
+
+def test_readme_config_schema_is_the_default_config():
+    """The JSON block under README's "Config file schema" names every key
+    and loads as the default config."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("### Config file schema (JSON)", 1)[1]
+    block = json.loads(section.split("```json", 1)[1].split("```", 1)[0])
+    assert ex.ExperimentConfig.from_dict(block) == ex.ExperimentConfig()
+    keys = set(block) - {"domain"} | {f"domain_{k}" if k == "kind" else k for k in block["domain"]}
+    assert keys == {f.name for f in dataclasses.fields(ex.ExperimentConfig)}
 
 
 def test_manifest_records_library_versions(tmp_path, monkeypatch):
@@ -286,6 +298,7 @@ def test_cli_study_subcommand(tmp_path, capsys, monkeypatch):
             {"domain": {"kind": "annulus", "r_inner": 0.5}},
             "boundary-defect needs a disk domain",
         ),
+        (["stability-sweep"], {"delta_list": [0.2, 0.1, 0.05]}, "unknown config key(s): delta_list"),
     ],
 )
 def test_cli_refuses_bad_input_in_one_line(tmp_path, args, config, message):
@@ -347,6 +360,31 @@ def test_config_refuses_domain_given_twice(config):
     refused: neither may silently override the other."""
     with pytest.raises(ValueError, match="domain given twice"):
         ex.ExperimentConfig.from_dict(config)
+
+
+def test_outputs_do_not_depend_on_blas_thread_variables(tmp_path):
+    """The lab leaves the BLAS thread count to the environment, so the same
+    config must give the same numbers with the thread variables unset and
+    at one thread: a byte-identical sweep CSV and equal manifest results."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(SMALL))
+    env = {k: v for k, v in os.environ.items() if k not in ex._BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+    runs = {"unset": env, "one": dict(env, **{k: "1" for k in ex._BLAS_THREAD_VARS})}
+    for label, run_env in runs.items():
+        for cmd in ("stability-sweep", "gauge-check"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "dbarlab.cli", cmd,
+                 "--config", str(cfg_path), "--out", str(tmp_path / label)],
+                capture_output=True, text=True, env=run_env, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+    unset, one = tmp_path / "unset", tmp_path / "one"
+    csv = "stability_sweep.csv"
+    assert (unset / csv).read_bytes() == (one / csv).read_bytes()
+    for name in ("stability_sweep.json", "gauge_check.json"):
+        results = [json.loads((d / name).read_text())["results"] for d in (unset, one)]
+        assert results[0] == results[1]
 
 
 def test_cli_import_leaves_heavy_scipy_unloaded():

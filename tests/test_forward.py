@@ -3,6 +3,7 @@ import pytest
 from scipy.special import hyp1f1, jv, jvp
 
 from dbarlab import geometry as geo
+from dbarlab import experiments as ex
 from dbarlab import forward as fw
 from dbarlab import metrics as me
 
@@ -246,6 +247,76 @@ def test_selfadjoint_green_identity(grid):
     rhs = geo.inner_l2(u, fw.magnetic_apply(pot, v))
     scale = geo.norm_l2(u) * geo.norm_l2(v)
     assert abs(lhs - rhs) < 1e-4 * scale
+
+
+# Exact identities of the discrete DtN map: they hold on the grid itself, for
+# any potential, so each is checked to roundoff (1e-12 of max |Lambda|), far
+# below the O(dr^2) error of the closed-form oracles
+_ID_ORDER = 6
+_ID_GRIDS = pytest.mark.parametrize("n_r, n_theta", [(24, 32), (48, 64)])
+_ID_ANNULUS = geo.annulus(0.5, 1.0)
+
+
+def _pair(g, c10, c01, q):
+    return fw.PotentialPair(geo.OneForm(g, c10, c01), geo.ScalarField(g, q))
+
+
+def _identity_pot(domain, n_r, n_theta):
+    """The default family's t = 0.64 pair with 0.2i|z|^2 added to q, so that
+    q is complex."""
+    g = geo.PolarGrid(domain, n_r, n_theta)
+    pot, _ = ex.default_potentials(ex.ExperimentConfig(), g).reduction(0.64)
+    return _pair(g, pot.X.c10, pot.X.c01, pot.q.values + 0.2j * np.abs(g.nodes) ** 2)
+
+
+def _circle_blocks(pot):
+    """The DtN matrix indexed [circle i, mode m, circle j, mode n]."""
+    d = fw.dtn(pot, _ID_ORDER)
+    n_c, n_m = len(d.circles), 2 * _ID_ORDER + 1
+    return d.matrix.reshape(n_c, n_m, n_c, n_m)
+
+
+@_ID_GRIDS
+@pytest.mark.parametrize("domain", [geo.disk(1.0), _ID_ANNULUS], ids=["disk", "annulus"])
+def test_dtn_conjugation_identity(domain, n_r, n_theta):
+    """Lambda_{-X, conj q}[m, n] = conj Lambda_{X, q}[-m, -n] in each circle block."""
+    pot = _identity_pot(domain, n_r, n_theta)
+    lam = _circle_blocks(pot)
+    conj = _circle_blocks(_pair(pot.grid, -pot.X.c10, -pot.X.c01, np.conj(pot.q.values)))
+    assert np.max(np.abs(conj - np.conj(lam[:, ::-1, :, ::-1]))) <= 1e-12 * np.max(np.abs(lam))
+
+
+@_ID_GRIDS
+def test_dtn_rotation_identity_on_annulus(n_r, n_theta):
+    """X and q rolled by one grid angle alpha (c10 e^{-i alpha}, c01 e^{i alpha})
+    give Lambda_rot[m, n] = e^{-i alpha (m - n)} Lambda[m, n].  The disk is
+    left out: its centre value reads the theta = 0/pi diameter only, which
+    breaks the rotation at 6.5e-9 (24x32) and 3.0e-11 (48x64)."""
+    pot = _identity_pot(_ID_ANNULUS, n_r, n_theta)
+    g = pot.grid
+    alpha = 2 * np.pi / n_theta
+    c10, c01, q = (np.roll(v, 1, axis=1) for v in (pot.X.c10, pot.X.c01, pot.q.values))
+    rot = _pair(g, c10 * np.exp(-1j * alpha), c01 * np.exp(1j * alpha), q)
+    lam = _circle_blocks(pot)
+    m = np.arange(-_ID_ORDER, _ID_ORDER + 1)
+    phase = np.exp(-1j * alpha * (m[:, None] - m[None, :]))[None, :, None, :]
+    assert np.max(np.abs(_circle_blocks(rot) - phase * lam)) <= 1e-12 * np.max(np.abs(lam))
+
+
+@_ID_GRIDS
+@pytest.mark.parametrize("k", [1, 2])
+def test_dtn_integer_flux_identity_on_annulus(n_r, n_theta, k):
+    """Adding k dtheta (c10 = 1/(2iz), c01 = conj c10) to X shifts the DtN
+    map by k modes: Lambda_{X + k dtheta}[m, n] = Lambda_X[m + k, n + k] on
+    the modes both matrices hold."""
+    pot = _identity_pot(_ID_ANNULUS, n_r, n_theta)
+    g = pot.grid
+    dtheta = 1 / (2j * g.nodes)
+    flux = _pair(g, pot.X.c10 + k * dtheta, pot.X.c01 + k * np.conj(dtheta), pot.q.values)
+    lam = _circle_blocks(pot)
+    n_m = lam.shape[1]
+    shifted = _circle_blocks(flux)[:, : n_m - k, :, : n_m - k]
+    assert np.max(np.abs(shifted - lam[:, k:, :, k:])) <= 1e-12 * np.max(np.abs(lam))
 
 
 def _oracle_matrices(pot, F, order, op):
