@@ -160,7 +160,7 @@ def main(argv=None) -> int:
     except CheckFailure as exc:
         print(f"CHECK FAILED {exc}", file=sys.stderr)
         return 1
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"dbarlab: {exc}", file=sys.stderr)
         return 2
 

@@ -51,7 +51,6 @@ from .cauchy import (
     _require_type01,
     extend_grid,
     kernel_table,
-    primitive_alpha,
     reflect_extend,
 )
 from .phases import HolomorphicPhase
@@ -172,18 +171,16 @@ class ReductionData:
     Q: ScalarField
 
 
-def reduce_schrodinger(pot, alpha: ScalarField | None = None):
+def reduce_schrodinger(pot, alpha: ScalarField):
     """Rewrite L = Delta^X + q as the first-order system (D + V) U = 0.
 
-    Returns (V, ReductionData).  When `alpha` is given it is used as the
-    primitive for the (0,1)-part of X (useful when a closed form exists);
-    otherwise the Cauchy-transform primitive is taken.
+    Returns (V, ReductionData).  `alpha` is a primitive of the (0,1)-part
+    of X, dbar alpha = A: a closed form where one exists, else
+    `cauchy.primitive_alpha`.
     """
     g = pot.grid
     A = project(pot.X, "p01")
     Q = ScalarField(g, -hodge_star(exterior_d(pot.X)).values + pot.q.values)
-    if alpha is None:
-        alpha = primitive_alpha(A)
     F = ScalarField(g, np.exp(1j * alpha.values))
     V = PotentialMatrix(
         Qplus=Q * 0.5,
@@ -285,19 +282,13 @@ class OscillatoryCauchy:
 class CgoSolution:
     phase: HolomorphicPhase
     h: float
-    seed_kind: str
-    seed: object
+    seed: OneForm
     r_h: ScalarField
     s_h: OneForm
     norms: dict
     terms_used: int
     contraction_estimate: float
     residuals: tuple
-
-
-def _poly_field(grid: PolarGrid, coeffs, conjugate: bool) -> np.ndarray:
-    z = np.conj(grid.nodes) if conjugate else grid.nodes
-    return np.polynomial.polynomial.polyval(z, np.asarray(coeffs, dtype=complex))
 
 
 # series controls: a term below SERIES_TOL times the first term ends the
@@ -318,24 +309,22 @@ def neumann_cgo(
     Vt: DiagonalPotential,
     phase: HolomorphicPhase,
     h: float,
-    seed_kind: str = "b",
     seed_coeffs=(1.0,),
 ) -> CgoSolution:
-    """Remainders (r_h, s_h) of the diagonal-system CGO solution.
+    """Remainders (r_h, s_h) of the diagonal-system CGO solution seeded by
+    the anti-holomorphic (0,1)-form b = sum_k seed_coeffs[k] conj(z)^k dzbar
+    (and a = 0).
 
-    Both remainder equations, r + P(Ft (b + s)) = 0 and
-    s + P*(Qt (a + r)) = 0, read x + outer(c + y) = 0 with y = -inner(x),
-    and x is summed as the Neumann series of S = outer o inner.  Seed 'b'
-    (anti-holomorphic 1-form c = b) puts the series on the scalar slot,
-    outer = P; seed 'a' (holomorphic function c = a) on the form slot,
-    outer = P*.  Each term is S applied to the one before, so the ratio
-    of successive term norms is S's gain along the series; the largest
+    The remainder equations r + P(Ft (b + s)) = 0 and s + P*(Qt r) = 0
+    give r + P(Ft b) = S r with S = P Ft P* Qt, and r is summed as the
+    Neumann series of S.  Each term is S applied to the one before, so the
+    ratio of successive term norms is S's gain along the series; the largest
     ratio seen is ``contraction_estimate`` (0.0 when the first term
     vanishes).  Raises ContractionError when a ratio reaches
     CONTRACTION_LIMIT; below it, term k is under CONTRACTION_LIMIT^k
     times the first, so the stop is met within MAX_TERMS terms.
     ``residuals`` holds the relative residual of the equation the series
-    solves; y is defined by the other equation, which holds exactly.
+    solves; s is defined by the other equation, which holds exactly.
     """
     g = Vt.grid
     Qt = Vt.Qtilde.values
@@ -349,24 +338,17 @@ def neumann_cgo(
     def Pstar(v):  # function values -> (0,1) coefficients
         return op.dbar_star_inv(ScalarField(g, Qt * v)).c01
 
-    if seed_kind == "b":
-        outer, inner = P, Pstar
-    elif seed_kind == "a":
-        outer, inner = Pstar, P
-    else:
-        raise ValueError(f"seed_kind must be 'a' or 'b', got {seed_kind!r}")
-    on_scalar = outer is P
-    c = _poly_field(g, seed_coeffs, conjugate=on_scalar)
+    b = np.polynomial.polynomial.polyval(np.conj(g.nodes), np.asarray(seed_coeffs, dtype=complex))
 
-    t0 = -outer(c)
+    t0 = -P(b)
     scale = max(_l2(g, t0), 1e-300)
-    x = term = t0
+    r = term = t0
     used = 1
     prev = scale
     est = 0.0
     while True:
-        term = outer(inner(term))
-        x = x + term
+        term = P(Pstar(term))
+        r = r + term
         used += 1
         norm = _l2(g, term)
         ratio = norm / prev
@@ -379,17 +361,15 @@ def neumann_cgo(
         if norm < SERIES_TOL * scale:
             break
         prev = norm
-    y = -inner(x)
-    res = _l2(g, x + outer(c + y))
+    s = -Pstar(r)
+    res = _l2(g, r + P(b + s))
 
-    r, s = (x, y) if on_scalar else (y, x)
     r_h = ScalarField(g, r)
     s_h = OneForm(g, zeros, s)
     return CgoSolution(
         phase=phase,
         h=h,
-        seed_kind=seed_kind,
-        seed=OneForm(g, zeros, c) if on_scalar else ScalarField(g, c),
+        seed=OneForm(g, zeros, b),
         r_h=r_h,
         s_h=s_h,
         norms={"norm_r_l2": norm_l2(r_h), "norm_s_l2": norm_l2(s_h)},
@@ -467,20 +447,17 @@ def auxiliary_functional(
     F2: ScalarField,
     a: ScalarField,
     b: OneForm,
-    A1: OneForm | None = None,
-    A2: OneForm | None = None,
+    A1: OneForm,
+    A2: OneForm,
 ) -> dict:
-    """Interior and boundary forms of the reduction functional.
+    """Interior and boundary forms of the reduction functional of the
+    factors F_k = e^{i alpha_k} with dbar alpha_k = A_k.
 
     interior = i * integral of F2 F1^{-1} a (A2 - A1) ^ star(conj b),
     boundary = integral over the boundary of iota*(F2 F1^{-1} a star(conj b));
     the two agree by the Green identity whenever b is antiholomorphic.
     """
     g = F1.grid
-    if A1 is None:
-        A1 = OneForm(g, np.zeros(g.shape), wirtinger(F1, "dzbar").c01 / (1j * F1.values))
-    if A2 is None:
-        A2 = OneForm(g, np.zeros(g.shape), wirtinger(F2, "dzbar").c01 / (1j * F2.values))
     G = F2.values / F1.values
     lam = OneForm(g, np.zeros(g.shape), G * a.values * (A2.c01 - A1.c01))
     two = wedge(lam, hodge_star(b.conj()))

@@ -63,7 +63,6 @@ class CheckFailure(AssertionError):
 class ExperimentConfig:
     """Inputs shared by the studies; see README for the file schema."""
 
-    domain_kind: str = "disk"
     r_inner: float = 0.0
     r_outer: float = 1.0
     n_r: int = 96
@@ -82,7 +81,6 @@ class ExperimentConfig:
 
     def __post_init__(self):
         # JSON types first: each number or list must be of its field's type
-        # (domain_kind is checked by `domain` below)
         for f in fields(self):
             v = getattr(self, f.name)
             if f.type == "int" and not _is_int(v):
@@ -93,7 +91,7 @@ class ExperimentConfig:
                 isinstance(v, (tuple, list)) and all(map(_is_real, v))
             ):
                 raise ValueError(f"{f.name} must be a list of finite reals, got {v!r}")
-        # the config checks the domain kind; geometry checks the radii and grids
+        # geometry checks the radii and grids
         self.domain()
         for keys, grid in (("n_r, n_theta", self.grid), ("cgo_n_r, cgo_n_theta", self.cgo_grid)):
             try:
@@ -117,25 +115,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        dom = d.get("domain", {})
-        if not isinstance(dom, dict):
-            raise ValueError(f"domain must be an object, got {dom!r}")
-        flat = sorted({"domain_kind", "r_inner", "r_outer"} & set(d))
-        if "domain" in d and flat:
-            raise ValueError(f"domain given twice: a domain object and {', '.join(flat)}")
-        unknown = sorted(set(d) - {f.name for f in fields(cls)} - {"domain"})
-        unknown += sorted(f"domain.{k}" for k in set(dom) - {"kind", "r_inner", "r_outer"})
+        if not isinstance(d, dict):
+            raise ValueError(f"config must be a JSON object, got {type(d).__name__}")
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
-        kw = {k: v for k, v in d.items() if k != "domain"}
-        for key, v in kw.items():
-            if isinstance(v, list):
-                kw[key] = tuple(v)
-        if dom:
-            kw["domain_kind"] = dom.get("kind", "disk")
-            kw["r_inner"] = dom.get("r_inner", 0.0)
-            kw["r_outer"] = dom.get("r_outer", 1.0)
-        return cls(**kw)
+        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in d.items()})
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -143,13 +128,7 @@ class ExperimentConfig:
             return cls.from_dict(json.load(fh))
 
     def domain(self) -> geo.Domain:
-        if self.domain_kind not in ("disk", "annulus"):
-            raise geo.GridError(f"unknown domain kind {self.domain_kind!r}")
-        if self.domain_kind == "annulus":
-            return geo.annulus(float(self.r_inner), float(self.r_outer))
-        if self.r_inner != 0:
-            raise geo.GridError("disk requires r_inner == 0")
-        return geo.disk(float(self.r_outer))
+        return geo.Domain(float(self.r_inner), float(self.r_outer))
 
     def grid(self) -> geo.PolarGrid:
         return geo.PolarGrid(self.domain(), self.n_r, self.n_theta)
@@ -523,7 +502,7 @@ def run_cgo_decay(cfg: ExperimentConfig, out="out") -> dict:
         diag = dc.diagonalize(red)
         rn, sn = [], []
         for h in hs:
-            sol = dc.neumann_cgo(diag, base, h, seed_kind="b", seed_coeffs=(1.0, 0.25))
+            sol = dc.neumann_cgo(diag, base, h, seed_coeffs=(1.0, 0.25))
             rows.append(
                 [
                     h,
@@ -594,8 +573,8 @@ def run_stationary_phase(cfg: ExperimentConfig, out="out") -> dict:
 def run_boundary_defect(cfg: ExperimentConfig, out="out") -> dict:
     """Boundary functional over a basis of seed pairs plus the holomorphic
     defect of the factor ratio, swept over the perturbation scale."""
-    if cfg.domain_kind != "disk":
-        raise ValueError(f"boundary-defect needs a disk domain, got {cfg.domain_kind}")
+    if cfg.r_inner != 0:
+        raise ValueError(f"boundary-defect needs a disk domain (r_inner = 0), got {cfg.r_inner}")
     outdir = Path(out)
     g = cfg.grid()
     Z = g.nodes

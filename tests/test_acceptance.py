@@ -156,7 +156,7 @@ def test_criterion_04_cgo_remainders():
         diag = dc.diagonalize(red)
         rn, sn = [], []
         for h in hs:
-            sol = dc.neumann_cgo(diag, base, h, seed_kind="b", seed_coeffs=(1.0, 0.25))
+            sol = dc.neumann_cgo(diag, base, h, seed_coeffs=(1.0, 0.25))
             rn.append(sol.norms["norm_r_l2"])
             sn.append(sol.norms["norm_s_l2"])
         slopes[tag] = (ph.fit_loglog_slope(hs, rn), ph.fit_loglog_slope(hs, sn))
@@ -171,7 +171,7 @@ def test_criterion_04_cgo_remainders():
     Ft = geo.ScalarField(g2, -(1 + 0.2 * np.exp(-6 * np.abs(Z + 0.1) ** 2)))
     Vt = dc.DiagonalPotential(Qt, Ft)
     h = 0.1
-    sol = dc.neumann_cgo(Vt, base, h, seed_kind="b", seed_coeffs=(1.0,))
+    sol = dc.neumann_cgo(Vt, base, h, seed_coeffs=(1.0,))
     op = dc.OscillatoryCauchy(g2, base, h)
 
     def S_vals(x):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dbarlab import geometry as geo
+from dbarlab import cauchy as cau
 from dbarlab import forward as fw
 from dbarlab import dirac as dc
 from dbarlab import phases as ph
@@ -73,10 +74,16 @@ def test_reduction_consistency(manufactured):
     assert (geo.norm_l2(resid.u) + geo.norm_l2(resid.omega)) < 1e-3 * scale
 
 
+def _cauchy_alpha(pot):
+    """The Cauchy-transform primitive of the (0,1)-part of X."""
+    return cau.primitive_alpha(geo.project(pot.X, "p01"))
+
+
 def test_reduce_trivials(grid):
     zeros = np.zeros(grid.shape)
     q = geo.ScalarField(grid, 0.3 * np.exp(-np.abs(grid.nodes) ** 2))
-    V, red = dc.reduce_schrodinger(fw.PotentialPair(geo.OneForm(grid, zeros, zeros), q))
+    pot = fw.PotentialPair(geo.OneForm(grid, zeros, zeros), q)
+    V, red = dc.reduce_schrodinger(pot, _cauchy_alpha(pot))
     assert np.max(np.abs(red.F.values - 1.0)) < 1e-12
     assert np.max(np.abs(red.Q.values - q.values)) < 1e-12
 
@@ -87,7 +94,7 @@ def test_reduce_closed_connection_kills_Q(grid):
     f = (0.25 - np.abs(Z) ** 2) ** 2
     df = geo.exterior_d(geo.ScalarField(grid, f + 0j))
     pot = fw.PotentialPair(df, geo.ScalarField(grid, np.zeros(grid.shape)))
-    _, red = dc.reduce_schrodinger(pot)
+    _, red = dc.reduce_schrodinger(pot, _cauchy_alpha(pot))
     assert np.max(np.abs(red.Q.values)) < 1e-6
 
 
@@ -199,15 +206,13 @@ def small_diag(grid):
 
 
 def test_cgo_residuals_and_seeds(small_diag):
-    for kind, coeffs in (("b", (1.0, 0.5)), ("a", (1.0, 0.0, 0.3))):
-        sol = dc.neumann_cgo(small_diag, ph.base_phase(0.0), 0.05, seed_kind=kind, seed_coeffs=coeffs)
-        assert max(sol.residuals) < 1e-8
-        assert sol.contraction_estimate < 0.9
-        assert sol.norms["norm_r_l2"] > 0 and sol.norms["norm_s_l2"] > 0
+    sol = dc.neumann_cgo(small_diag, ph.base_phase(0.0), 0.05, seed_coeffs=(1.0, 0.5))
+    assert max(sol.residuals) < 1e-8
+    assert sol.contraction_estimate < 0.9
+    assert sol.norms["norm_r_l2"] > 0 and sol.norms["norm_s_l2"] > 0
 
 
-@pytest.mark.parametrize("kind", ["a", "b"])
-def test_cgo_stopping_rule_is_relative(kind):
+def test_cgo_stopping_rule_is_relative():
     """The series stops relative to its first term, so the residual does
     not depend on the seed's scale."""
     g = geo.PolarGrid(geo.disk(0.5), 32, 64)
@@ -217,7 +222,7 @@ def test_cgo_stopping_rule_is_relative(kind):
         geo.ScalarField(g, -(1 + 0.2 * np.exp(-6 * np.abs(Z + 0.1) ** 2))),
     )
     for scale in (1.0, 1e-6, 1e-10):
-        sol = dc.neumann_cgo(Vt, ph.base_phase(0.0), 0.2, seed_kind=kind, seed_coeffs=(scale,))
+        sol = dc.neumann_cgo(Vt, ph.base_phase(0.0), 0.2, seed_coeffs=(scale,))
         assert sol.residuals[0] < 1e-12, (scale, sol.residuals)
 
 
@@ -231,8 +236,7 @@ def test_cgo_contraction_refusal(grid):
         dc.neumann_cgo(huge, ph.base_phase(0.0), 0.2)
 
 
-@pytest.mark.parametrize("kind", ["a", "b"])
-def test_cgo_refusal_boundary(small_diag, kind):
+def test_cgo_refusal_boundary(small_diag):
     """Scaling the potential by s scales S by s^2.  s = 5 converges.  From
     s = 7.05 the terms shrink too slowly to meet the stop within the term
     cap, so a term ratio reaches the limit and the series is refused."""
@@ -241,15 +245,15 @@ def test_cgo_refusal_boundary(small_diag, kind):
     def scaled(s):
         return dc.DiagonalPotential(small_diag.Qtilde * s, small_diag.Ftilde * s)
 
-    sol = dc.neumann_cgo(scaled(5.0), base, 0.2, seed_kind=kind)
+    sol = dc.neumann_cgo(scaled(5.0), base, 0.2)
     assert sol.terms_used < dc.MAX_TERMS
     assert sol.residuals[0] < 1e-12
     assert sol.contraction_estimate < dc.CONTRACTION_LIMIT
     with pytest.raises(dc.ContractionError):
-        dc.neumann_cgo(scaled(7.05), base, 0.2, seed_kind=kind)
+        dc.neumann_cgo(scaled(7.05), base, 0.2)
     for s in (7.2, 8.0):
         with pytest.raises(dc.ContractionError, match=r"term ratio \S+ >= "):
-            dc.neumann_cgo(scaled(s), base, 0.2, seed_kind=kind)
+            dc.neumann_cgo(scaled(s), base, 0.2)
 
 
 def test_cgo_matches_dense_solve():
@@ -262,7 +266,7 @@ def test_cgo_matches_dense_solve():
     Vt = dc.DiagonalPotential(Qt, Ft)
     h = 0.1
     base = ph.base_phase(0.0)
-    sol = dc.neumann_cgo(Vt, base, h, seed_kind="b", seed_coeffs=(1.0,))
+    sol = dc.neumann_cgo(Vt, base, h, seed_coeffs=(1.0,))
     op = dc.OscillatoryCauchy(g, base, h)
 
     def S_vals(x):
@@ -350,15 +354,14 @@ def test_auxiliary_functional(manufactured, grid):
     F2 = geo.ScalarField(grid, np.exp(1j * alpha2))
     a = geo.ScalarField(grid, Z + 2)
     b = geo.OneForm(grid, zeros, np.conj(Z) + 1)
-    rep = dc.auxiliary_functional(red.F, F2, a, b)
+    A2 = geo.wirtinger(geo.ScalarField(grid, alpha2), "dzbar")
+    rep = dc.auxiliary_functional(red.F, F2, a, b, A1=red.A, A2=A2)
     assert rep["difference"] < 1e-3 * max(abs(rep["interior"]), 1e-12)
     # A1 = A2 kills the interior form
     rep0 = dc.auxiliary_functional(red.F, red.F, a, b, A1=red.A, A2=red.A)
     assert abs(rep0["interior"]) < 1e-12
     # zero seeds kill everything
-    rep1 = dc.auxiliary_functional(
-        red.F, F2, geo.ScalarField(grid, zeros), b
-    )
+    rep1 = dc.auxiliary_functional(red.F, F2, geo.ScalarField(grid, zeros), b, A1=red.A, A2=A2)
     assert abs(rep1["interior"]) < 1e-12 and abs(rep1["boundary"]) < 1e-12
 
 

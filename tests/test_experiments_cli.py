@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dbarlab import geometry as geo
 from dbarlab import forward as fw
@@ -39,14 +40,13 @@ def test_config_validation():
         ex.ExperimentConfig(cgo_h_list=(0.02, 0.04))
     with pytest.raises(ValueError, match="cgo_h_list values must be positive"):
         ex.ExperimentConfig(cgo_h_list=(0.04, 0.0))
-    with pytest.raises(ValueError, match="'square'"):
-        ex.ExperimentConfig(domain_kind="square")
-    with pytest.raises(ValueError, match="'square'"):
-        ex.ExperimentConfig.from_dict({"domain": {"kind": "square"}})
     with pytest.raises(ValueError, match="unknown config key.*n_rings"):
         ex.ExperimentConfig.from_dict({"n_rings": 48})
-    with pytest.raises(ValueError, match="unknown config key.*domain.radius"):
+    # the domain is its two radii: no nested object, no kind
+    with pytest.raises(ValueError, match=r"^unknown config key\(s\): domain$"):
         ex.ExperimentConfig.from_dict({"domain": {"kind": "disk", "radius": 1.0}})
+    with pytest.raises(ValueError, match=r"^unknown config key\(s\): domain_kind$"):
+        ex.ExperimentConfig.from_dict({"domain_kind": "annulus", "r_inner": 0.5})
     # the stability estimates' fixed constants are not keys, even at their values
     for key, value in (("K", 2.0), ("delta_list", [0.2, 0.1, 0.05]), ("h_schedule_c", 1.0),
                        ("h_schedule_alpha", 0.75), ("delta_schedule_eps", 0.25)):
@@ -66,13 +66,30 @@ def test_config_validation():
         ex.ExperimentConfig.from_dict({"n_theta": 100})
     with pytest.raises(ValueError, match="cgo_n_r, cgo_n_theta: n_theta must be a power of two"):
         ex.ExperimentConfig.from_dict({"cgo_n_theta": 100})
-    with pytest.raises(ValueError, match="annulus requires r_inner > 0"):
-        ex.ExperimentConfig.from_dict({"domain": {"kind": "annulus"}})
-    with pytest.raises(ValueError, match="disk requires r_inner == 0"):
-        ex.ExperimentConfig.from_dict({"domain": {"kind": "disk", "r_inner": 0.5}})
+    assert ex.ExperimentConfig.from_dict({"r_inner": 0.5}).domain() == geo.annulus(0.5, 1.0)
     # every field is a valid key
     cfg = ex.ExperimentConfig.from_dict(json.loads(ex.ExperimentConfig().canonical()))
     assert cfg == ex.ExperimentConfig()
+
+
+_RADII = st.one_of(st.just(0.0), st.floats(-100.0, 100.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_RADII, st.floats(-100.0, 100.0))
+def test_config_domain_is_its_two_radii(a, b):
+    """The two radii are the domain: a finite pair 0 <= a < b is the domain
+    (a disk iff a == 0) and survives the canonical round trip; any other
+    pair is refused with geometry's message."""
+    d = {"r_inner": a, "r_outer": b}
+    if not 0 <= a < b:
+        with pytest.raises(ValueError, match=r"^need 0 <= r_inner < r_outer < inf$"):
+            ex.ExperimentConfig.from_dict(d)
+        return
+    cfg = ex.ExperimentConfig.from_dict(d)
+    assert cfg.domain() == geo.Domain(a, b)
+    assert (cfg.domain().kind == "disk") == (a == 0)
+    assert ex.ExperimentConfig.from_dict(json.loads(cfg.canonical())) == cfg
 
 
 def test_readme_config_schema_is_the_default_config():
@@ -82,8 +99,7 @@ def test_readme_config_schema_is_the_default_config():
     section = readme.split("### Config file schema (JSON)", 1)[1]
     block = json.loads(section.split("```json", 1)[1].split("```", 1)[0])
     assert ex.ExperimentConfig.from_dict(block) == ex.ExperimentConfig()
-    keys = set(block) - {"domain"} | {f"domain_{k}" if k == "kind" else k for k in block["domain"]}
-    assert keys == {f.name for f in dataclasses.fields(ex.ExperimentConfig)}
+    assert set(block) == {f.name for f in dataclasses.fields(ex.ExperimentConfig)}
 
 
 def test_manifest_records_library_versions(tmp_path, monkeypatch):
@@ -106,7 +122,7 @@ def test_config_roundtrip(tmp_path):
     cfg = small_cfg(seed=7)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({
-        "domain": {"kind": "disk", "r_outer": 1.0},
+        "r_outer": 1.0,
         "n_r": 48, "n_theta": 64, "order": 5, "seed": 7,
         "t_list": [0.05, 0.1, 0.2], "h_list": [0.2, 0.1, 0.05],
     }))
@@ -133,7 +149,7 @@ def test_cgo_decay_small_grid(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "over", [{}, dict(domain_kind="annulus", r_inner=0.6, r_outer=1.2)], ids=["disk", "annulus"]
+    "over", [{}, dict(r_inner=0.6, r_outer=1.2)], ids=["disk", "annulus"]
 )
 def test_gauge_check_passes(tmp_path, over):
     res = ex.run_gauge_check(small_cfg(**over), out=tmp_path)
@@ -169,7 +185,7 @@ def test_boundary_defect_monotone(tmp_path):
 
 
 def test_holonomy_study(tmp_path):
-    cfg = small_cfg(domain_kind="annulus", r_inner=0.6, r_outer=1.2)
+    cfg = small_cfg(r_inner=0.6, r_outer=1.2)
     res = ex.run_holonomy_study(cfg, out=tmp_path)
     assert res["windings_checked"] == 5
     assert res["max_gauge_defect"] < 1e-4
@@ -180,7 +196,7 @@ def test_holonomy_study_writes_its_record_before_refusing(tmp_path, monkeypatch)
     monkeypatch.setattr(
         ho, "holonomy_defect", lambda *a: dataclasses.replace(real(*a), defect=1e-3)
     )
-    cfg = small_cfg(domain_kind="annulus", r_inner=0.6, r_outer=1.2)
+    cfg = small_cfg(r_inner=0.6, r_outer=1.2)
     with pytest.raises(ex.CheckFailure) as err:
         ex.run_holonomy_study(cfg, out=tmp_path)
     assert err.value.anchor == "holonomy-gauge-invariance"
@@ -279,7 +295,7 @@ def test_cli_study_subcommand(tmp_path, capsys, monkeypatch):
     )
     cfg_path.write_text(json.dumps({
         "n_r": 48, "n_theta": 64, "order": 5,
-        "domain": {"kind": "annulus", "r_inner": 0.6, "r_outer": 1.2},
+        "r_inner": 0.6, "r_outer": 1.2,
     }))
     code = cli.main(["holonomy-study", "--config", str(cfg_path), "--out", str(tmp_path / "h")])
     assert code == 1
@@ -295,10 +311,11 @@ def test_cli_study_subcommand(tmp_path, capsys, monkeypatch):
         (["gauge-check"], "missing", "No such file or directory"),
         (
             ["boundary-defect"],
-            {"domain": {"kind": "annulus", "r_inner": 0.5}},
+            {"r_inner": 0.5},
             "boundary-defect needs a disk domain",
         ),
         (["stability-sweep"], {"delta_list": [0.2, 0.1, 0.05]}, "unknown config key(s): delta_list"),
+        (["gauge-check"], "directory", "Is a directory"),
     ],
 )
 def test_cli_refuses_bad_input_in_one_line(tmp_path, args, config, message):
@@ -306,7 +323,9 @@ def test_cli_refuses_bad_input_in_one_line(tmp_path, args, config, message):
     traceback, and leaves no output directory behind."""
     if config is not None:
         cfg_path = tmp_path / "cfg.json"
-        if config != "missing":
+        if config == "directory":
+            cfg_path.mkdir()
+        elif config != "missing":
             cfg_path.write_text(json.dumps(config))
         args = args + ["--config", str(cfg_path)]
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
@@ -329,9 +348,9 @@ def test_cli_refuses_bad_input_in_one_line(tmp_path, args, config, message):
         ({"t_list": ["a"]}, "t_list must be a list of finite reals"),
         ({"amplitude": "x"}, "amplitude must be a finite real"),
         ({"order": True}, "order must be an integer"),
-        ({"domain": 5}, "domain must be an object"),
+        ([SMALL], "config must be a JSON object, got list"),
     ],
-    ids=["h_list", "order-real", "n_r", "t_list", "amplitude", "order-bool", "domain"],
+    ids=["h_list", "order-real", "n_r", "t_list", "amplitude", "order-bool", "list"],
 )
 def test_config_refuses_wrong_json_type(tmp_path, capsys, config, message):
     """A config value of the wrong JSON type is refused by name, and the CLI
@@ -356,9 +375,10 @@ def test_config_refuses_wrong_json_type(tmp_path, capsys, config, message):
     ],
 )
 def test_config_refuses_domain_given_twice(config):
-    """A nested domain object and the flat domain keys together are
-    refused: neither may silently override the other."""
-    with pytest.raises(ValueError, match="domain given twice"):
+    """The flat radii are the one way to give the domain: a nested domain
+    object or a kind beside them is an unknown key, so neither may
+    silently override the other."""
+    with pytest.raises(ValueError, match=r"^unknown config key\(s\): domain"):
         ex.ExperimentConfig.from_dict(config)
 
 

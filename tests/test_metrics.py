@@ -135,6 +135,7 @@ def test_holo_project_on_grid():
 def test_defect_of_pipeline_gauge_equivalent_pair():
     """Factor ratio of a gauge-equivalent pair built through the transform
     pipeline is holomorphic on the boundary up to quadrature error."""
+    from dbarlab import cauchy as cau
     from dbarlab import forward as fw
     from dbarlab import dirac as dc
 
@@ -146,8 +147,8 @@ def test_defect_of_pipeline_gauge_equivalent_pair():
     pot1 = fw.PotentialPair(X, geo.ScalarField(g, np.zeros(g.shape)))
     f = np.maximum(0.0, 1 - (np.abs(Z) / 0.8) ** 2) ** 3
     pot2 = fw.gauge_transform(pot1, geo.ScalarField(g, f))
-    _, red1 = dc.reduce_schrodinger(pot1)
-    _, red2 = dc.reduce_schrodinger(pot2)
+    _, red1 = dc.reduce_schrodinger(pot1, cau.primitive_alpha(geo.project(pot1.X, "p01")))
+    _, red2 = dc.reduce_schrodinger(pot2, cau.primitive_alpha(geo.project(pot2.X, "p01")))
     ratio = red2.F.values / red1.F.values
     trace = me.trace_from_samples(ratio[g.boundary_rings[-1]], 16)
     assert me.holomorphic_defect(trace) < 1e-3
