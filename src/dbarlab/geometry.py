@@ -254,13 +254,15 @@ class PolarGrid:
 
     def center_value(self, values: np.ndarray) -> np.ndarray:
         """Value at the disk center of each field in values (n_r, n_theta,
-        ...): the not-a-knot cubic spline through the theta = 0 / pi radial
-        line, extended through the center, read at r = 0.  theta = 0 is a
-        node, so this is the bicubic `Interpolator`'s value there."""
+        ...): the mean over the n_theta columns of the not-a-knot cubic
+        spline through the column, extended through the center, read at
+        r = 0.  No direction is preferred, so the value turns with the
+        field.  The spline is linear in its data, so the mean is the one
+        spline through the ring means."""
         if self.domain.kind != "disk":
             raise GridError("the center is a point of the domain only on a disk")
         x = self._ghost_radii()
-        y = self._ghost_extend(values)[:, 0]
+        y = self._ghost_extend(values.mean(axis=1, keepdims=True))[:, 0]
         (i,), w = _spline_weights(x, np.zeros(1))
         c = np.stack([y, _spline_curvatures(x, y)])[:, i : i + 2]
         return np.tensordot(w[..., 0], c, axes=2)

@@ -287,12 +287,11 @@ def test_dtn_conjugation_identity(domain, n_r, n_theta):
 
 
 @_ID_GRIDS
-def test_dtn_rotation_identity_on_annulus(n_r, n_theta):
+@pytest.mark.parametrize("domain", [geo.disk(1.0), _ID_ANNULUS], ids=["disk", "annulus"])
+def test_dtn_rotation_identity(domain, n_r, n_theta):
     """X and q rolled by one grid angle alpha (c10 e^{-i alpha}, c01 e^{i alpha})
-    give Lambda_rot[m, n] = e^{-i alpha (m - n)} Lambda[m, n].  The disk is
-    left out: its centre value reads the theta = 0/pi diameter only, which
-    breaks the rotation at 6.5e-9 (24x32) and 3.0e-11 (48x64)."""
-    pot = _identity_pot(_ID_ANNULUS, n_r, n_theta)
+    give Lambda_rot[m, n] = e^{-i alpha (m - n)} Lambda[m, n]."""
+    pot = _identity_pot(domain, n_r, n_theta)
     g = pot.grid
     alpha = 2 * np.pi / n_theta
     c10, c01, q = (np.roll(v, 1, axis=1) for v in (pot.X.c10, pot.X.c01, pot.q.values))
