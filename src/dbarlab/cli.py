@@ -39,16 +39,14 @@ def _load_config(args) -> ExperimentConfig:
 
 def _cmd_forward(args) -> int:
     cfg = _load_config(args)
-    order = args.order if args.order is not None else cfg.order
-    fam = default_potentials(cfg)
-    pot, _ = fam.reduction(args.t)
-    d = fw.dtn(pot, order)
-    # made only now, so a refused order leaves no directory behind
+    pot, _ = default_potentials(cfg).reduction(args.t)
+    d = fw.dtn(pot, cfg.order)
+    # made only now, so a refused input leaves no directory behind
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "dtn.csv"
     fw.save_dtn_csv(path, d)
-    print(f"wrote {path} (order {order}, circles {d.circles})")
+    print(f"wrote {path} (order {d.order}, circles {d.circles})")
     return 0
 
 
@@ -71,8 +69,6 @@ def _cmd_distance(args) -> int:
 def _cmd_holonomy(args) -> int:
     x1 = geo.load_snapshot(args.field_a)
     x2 = geo.load_snapshot(args.field_b)
-    if not isinstance(x1, geo.OneForm) or not isinstance(x2, geo.OneForm):
-        raise ValueError("holonomy expects oneform snapshots")
     if args.loop_file:
         data = np.loadtxt(args.loop_file)
         pts = data[:, 0] + 1j * data[:, 1] if data.ndim == 2 else data.astype(complex)
@@ -126,7 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", help="output directory", default="out")
 
     fwd = sub.add_parser("forward", parents=[common], help="solve and export a DtN matrix")
-    fwd.add_argument("--order", type=int, default=None, help="Fourier truncation")
     fwd.add_argument("--t", type=float, default=0.0, help="perturbation scale")
     fwd.set_defaults(func=_cmd_forward)
 

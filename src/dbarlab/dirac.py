@@ -179,7 +179,7 @@ def reduce_schrodinger(pot, alpha: ScalarField):
     `cauchy.primitive_alpha`.
     """
     g = pot.grid
-    A = project(pot.X, "p01")
+    A = project(pot.X)
     Q = ScalarField(g, -hodge_star(exterior_d(pot.X)).values + pot.q.values)
     F = ScalarField(g, np.exp(1j * alpha.values))
     V = PotentialMatrix(

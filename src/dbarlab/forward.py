@@ -51,7 +51,6 @@ from .geometry import (
     exterior_d,
     hodge_star,
     laplacian,
-    project,
     wirtinger,
 )
 from .metrics import trace_from_samples, truncation_modes
@@ -185,7 +184,6 @@ class MagneticOperator:
     """Factorized interior collocation operator for one potential pair."""
 
     def __init__(self, pot: PotentialPair):
-        self.pot = pot
         g = pot.grid
         self.grid = g
         n_r, n_t = g.shape
@@ -368,7 +366,7 @@ def _omega01_pullback(pot: PotentialPair, trace: np.ndarray, d_r: np.ndarray) ->
     jet's radial derivative is the boundary row of `diff_r`."""
     g = pot.grid
     rings = list(g.boundary_rings)
-    A01 = project(pot.X, "p01").c01[rings][:, :, None]
+    A01 = pot.X.c01[rings][:, :, None]
     eit = np.exp(1j * g.theta)[:, None]
     r = g.r[rings][:, None, None]
     d_t = g.diff_theta(trace)
@@ -393,7 +391,7 @@ def _dtn_matrix(g: PolarGrid, order: int, rows: np.ndarray) -> DtnMatrix:
     """Matrix whose column k stacks, circle by circle, the modes
     -order..order of the boundary samples rows[:, :, k]."""
     radii = tuple(float(g.r[r]) for r in g.boundary_rings)
-    coeffs = trace_from_samples(rows, order).coeffs
+    coeffs = trace_from_samples(rows, order)
     return DtnMatrix(order=order, circles=radii, matrix=coeffs.reshape(-1, rows.shape[2]))
 
 

@@ -9,11 +9,11 @@ Conventions, fixed once and verified by the test suite:
   ``dz ^ dz_bar = -2i dx ^ dy``.  A :class:`TwoForm` stores the coefficient
   ``c`` of ``dz ^ dz_bar``; the Euclidean area form corresponds to
   ``c = i/2``.
-* Hodge star: ``star(u dz + v dz_bar) = -i u dz + i v dz_bar`` on 1-forms,
-  ``star f = f * (i/2) dz ^ dz_bar`` on functions, and
-  ``star(c dz ^ dz_bar) = -2i c`` on 2-forms.  With these choices
-  ``star 1`` integrates to the domain area, ``star star = -1`` on 1-forms,
-  and the scalar Laplacian below is positive.
+* Hodge star, on 1- and 2-forms only: ``star(u dz + v dz_bar) = -i u dz +
+  i v dz_bar`` and ``star(c dz ^ dz_bar) = -2i c``.  With these choices the
+  area form ``(i/2) dz ^ dz_bar`` integrates to the domain area and its
+  star is 1, ``star star = -1`` on 1-forms, and the scalar Laplacian below
+  is positive.
 * The scalar Laplacian is ``laplacian(f) = -(f_xx + f_yy)``; the
   composition ``-2i star d(dbar f)`` reproduces it exactly in the flat
   chart.
@@ -475,18 +475,13 @@ def wirtinger(f: ScalarField, which: str) -> OneForm:
     raise ValueError(f"which must be 'dz' or 'dzbar', got {which!r}")
 
 
-def project(omega: OneForm, which: str) -> OneForm:
-    if which == "p10":
-        return OneForm(omega.grid, omega.c10, np.zeros(omega.grid.shape))
-    if which == "p01":
-        return OneForm(omega.grid, np.zeros(omega.grid.shape), omega.c01)
-    raise ValueError(f"which must be 'p10' or 'p01', got {which!r}")
+def project(omega: OneForm) -> OneForm:
+    """The (0,1) part ``c01 dz_bar`` of a 1-form."""
+    return OneForm(omega.grid, np.zeros(omega.grid.shape), omega.c01)
 
 
 def hodge_star(obj):
-    """Hodge star on 0-, 1-, and 2-forms (see module docstring)."""
-    if isinstance(obj, ScalarField):
-        return TwoForm(obj.grid, 0.5j * obj.values)
+    """Hodge star on 1- and 2-forms (see module docstring)."""
     if isinstance(obj, OneForm):
         return OneForm(obj.grid, -1j * obj.c10, 1j * obj.c01)
     if isinstance(obj, TwoForm):
@@ -693,28 +688,14 @@ def loop_quadrature(gamma: Loop, omega: OneForm) -> complex:
 # snapshot I/O
 # ---------------------------------------------------------------------------
 
-_KINDS = {"scalar": 1, "oneform": 2, "twoform": 1}
-
-
-def _blocks_of(obj) -> tuple[str, list[np.ndarray]]:
-    if isinstance(obj, ScalarField):
-        return "scalar", [obj.values]
-    if isinstance(obj, OneForm):
-        return "oneform", [obj.c10, obj.c01]
-    if isinstance(obj, TwoForm):
-        return "twoform", [obj.c]
-    raise TypeError(f"cannot snapshot {type(obj).__name__}")
-
-
-def save_snapshot(path, obj) -> None:
-    """Write a field to the text snapshot container (17 significant digits).
-    The header's two center fields are always 0 0: every domain is centred
-    at 0."""
-    kind, blocks = _blocks_of(obj)
-    g = obj.grid
+def save_snapshot(path, form: OneForm) -> None:
+    """Write a connection 1-form to the text snapshot container (17
+    significant digits).  The header's two center fields are always 0 0:
+    every domain is centred at 0."""
+    g = form.grid
     d = g.domain
-    lines = [f"FIELD v1 {kind} {g.n_r} {g.n_theta} {d.r_inner:.17g} {d.r_outer:.17g} 0 0"]
-    for b in blocks:
+    lines = [f"FIELD v1 oneform {g.n_r} {g.n_theta} {d.r_inner:.17g} {d.r_outer:.17g} 0 0"]
+    for b in (form.c10, form.c01):
         for k in range(g.n_theta):
             for j in range(g.n_r):
                 v = b[j, k]
@@ -723,32 +704,23 @@ def save_snapshot(path, obj) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def load_snapshot(path):
-    """Read a field snapshot; reconstructs the grid from the header."""
+def load_snapshot(path) -> OneForm:
+    """Read a 1-form snapshot; reconstructs the grid from the header."""
     with open(path) as fh:
         header = fh.readline().split()
         if len(header) != 9 or header[0] != "FIELD" or header[1] != "v1":
             raise GridError("bad snapshot header")
-        kind = header[2]
-        if kind not in _KINDS:
-            raise GridError(f"bad snapshot kind {kind!r}")
+        if header[2] != "oneform":
+            raise GridError(f"bad snapshot kind {header[2]!r}: only 'oneform' snapshots are read")
         n_r, n_theta = int(header[3]), int(header[4])
         r_in, r_out = float(header[5]), float(header[6])
         if complex(float(header[7]), float(header[8])) != 0:
             raise GridError(f"snapshot center must be 0 0, got {header[7]} {header[8]}")
         grid = PolarGrid(Domain(r_in, r_out), n_r, n_theta)
         data = np.loadtxt(fh)
-    n_blocks = _KINDS[kind]
-    expected = n_blocks * n_r * n_theta
-    if data.shape != (expected, 2):
+    n = n_r * n_theta
+    if data.shape != (2 * n, 2):
         raise GridError("snapshot value count does not match header")
     vals = data[:, 0] + 1j * data[:, 1]
-    blocks = [
-        vals[i * n_r * n_theta : (i + 1) * n_r * n_theta].reshape(n_theta, n_r).T
-        for i in range(n_blocks)
-    ]
-    if kind == "scalar":
-        return ScalarField(grid, blocks[0])
-    if kind == "oneform":
-        return OneForm(grid, blocks[0], blocks[1])
-    return TwoForm(grid, blocks[0])
+    c10, c01 = (vals[i * n : (i + 1) * n].reshape(n_theta, n_r).T for i in range(2))
+    return OneForm(grid, c10, c01)

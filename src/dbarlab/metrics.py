@@ -14,41 +14,15 @@ construction with a least-squares inner minimization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "BoundaryTrace",
     "ensemble_distance",
     "holomorphic_defect",
     "holo_project",
     "trace_from_samples",
     "truncation_modes",
 ]
-
-
-@dataclass(frozen=True)
-class BoundaryTrace:
-    """Fourier coefficients (circles x modes), modes ordered n = -N..N.
-    Trailing axes, if any, index a batch of traces."""
-
-    order: int
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=complex)
-        if c.ndim == 1:
-            c = c[None, :]
-        if c.shape[1] != 2 * self.order + 1:
-            raise ValueError("coefficient count does not match order")
-        c = c.copy()
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
-
-    @property
-    def n_circles(self) -> int:
-        return self.coeffs.shape[0]
 
 
 def truncation_modes(order: int, n_theta: int) -> np.ndarray:
@@ -66,16 +40,17 @@ def truncation_modes(order: int, n_theta: int) -> np.ndarray:
     return np.arange(-order, order + 1)
 
 
-def trace_from_samples(samples: np.ndarray, order: int) -> BoundaryTrace:
+def trace_from_samples(samples: np.ndarray, order: int) -> np.ndarray:
     """Truncated Fourier coefficients of per-circle angular samples
-    (circles x angles, then any trailing axes)."""
+    (circles x angles, then any trailing axes): an array of shape
+    (circles, 2 order + 1, ...), modes ordered n = -order..order."""
     s = np.asarray(samples, dtype=complex)
     if s.ndim == 1:
         s = s[None, :]
     n = s.shape[1]
     modes = truncation_modes(order, n)
     full = np.fft.fft(s, axis=1) / n
-    return BoundaryTrace(order, full[:, modes % n])
+    return full[:, modes % n]
 
 
 def _weights(order: int, s: float) -> np.ndarray:
@@ -147,24 +122,25 @@ def ensemble_distance(dtn1, dtn2, mode: str = "surrogate") -> float:
 # ---------------------------------------------------------------------------
 
 
-def holomorphic_defect(t: BoundaryTrace) -> float:
-    """The l2 norm of the negative-frequency content of a disk trace.
+def holomorphic_defect(t: np.ndarray) -> float:
+    """The l2 norm of the negative-frequency content of a disk trace, the
+    (1, 2 order + 1) coefficient array of `trace_from_samples`.
 
     Pairing a trace against the boundary values of antiholomorphic
     1-forms isolates the modes e^{-i m theta}, m >= 1; a trace extends
     holomorphically iff they all vanish.
     """
-    if t.n_circles != 1:
+    if t.shape[0] != 1:
         raise ValueError("holomorphic defect is defined for disk traces only")
-    neg = t.coeffs[0, : t.order][::-1]  # coefficients for n = -1, -2, ...
+    neg = t[0, : t.shape[1] // 2][::-1]  # coefficients for n = -1, -2, ...
     return float(np.sqrt(np.sum(np.abs(neg) ** 2)))
 
 
-def holo_project(t: BoundaryTrace) -> BoundaryTrace:
+def holo_project(t: np.ndarray) -> np.ndarray:
     """The disk trace with its negative modes zeroed: the boundary values
     of the holomorphic extension sum_{n >= 0} f_n z^n."""
-    if t.n_circles != 1:
+    if t.shape[0] != 1:
         raise ValueError("holo_project is defined for disk traces only")
-    proj = t.coeffs.copy()
-    proj[0, : t.order] = 0.0
-    return BoundaryTrace(t.order, proj)
+    proj = t.copy()
+    proj[0, : t.shape[1] // 2] = 0.0
+    return proj

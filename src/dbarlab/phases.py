@@ -35,7 +35,6 @@ from .geometry import (
 
 __all__ = [
     "HolomorphicPhase",
-    "ExclusionBall",
     "ExclusionSet",
     "ExclusionError",
     "base_phase",
@@ -61,32 +60,18 @@ class ExclusionError(ValueError):
 
 
 @dataclass(frozen=True)
-class ExclusionBall:
-    center: complex
-    radius: float
-
-    def contains(self, p):
-        """Whether p lies in the open ball; elementwise for an array of points."""
-        return np.abs(p - self.center) < self.radius
-
-
-@dataclass(frozen=True)
 class ExclusionSet:
-    """Union of balls around the critical-value preimages of a phase."""
+    """Union of the open balls of radius sqrt(delta) around the
+    critical-value preimages ``centers`` of a phase."""
 
-    balls: tuple
+    centers: tuple
     delta: float
 
     def contains(self, p):
         """Whether p lies in some ball; elementwise for an array of points."""
+        radius = math.sqrt(self.delta)
         none = np.zeros(np.shape(p), dtype=bool)
-        return np.logical_or.reduce([none] + [b.contains(p) for b in self.balls])
-
-    def violating_ball(self, p: complex):
-        for b in self.balls:
-            if b.contains(p):
-                return b
-        return None
+        return np.logical_or.reduce([none] + [np.abs(p - c) < radius for c in self.centers])
 
 
 @dataclass(frozen=True)
@@ -94,16 +79,13 @@ class HolomorphicPhase:
     """Polynomial holomorphic phase with certified critical-point data.
 
     ``coeffs`` are polynomial coefficients in increasing powers of z.
-    Critical points carry their Hessian values; for squared phases the
-    case tag records whether they come from critical points of the base
-    phase ('base') or from the level set through p_hat ('level').
+    Critical points carry their Hessian values.
     """
 
     coeffs: np.ndarray
     critical_points: tuple
     critical_values: tuple
     hessians: tuple
-    case_tags: tuple = ()
 
     def __call__(self, z):
         return np.polynomial.polynomial.polyval(z, self.coeffs)
@@ -148,8 +130,7 @@ def exclusion_set(base: HolomorphicPhase, delta: float) -> ExclusionSet:
     for p in pts:
         if all(abs(p - q) > 1e-12 for q in uniq):
             uniq.append(p)
-    balls = tuple(ExclusionBall(p, math.sqrt(delta)) for p in uniq)
-    return ExclusionSet(balls=balls, delta=delta)
+    return ExclusionSet(centers=tuple(uniq), delta=delta)
 
 
 def _newton_polish(phase_coeffs: np.ndarray, z0: complex, steps: int = 8) -> complex:
@@ -174,11 +155,10 @@ def squared_phase(base: HolomorphicPhase, p_hat: complex, delta: float) -> Holom
     a degenerate one is refused.
     """
     ex = exclusion_set(base, delta)
-    ball = ex.violating_ball(p_hat)
-    if ball is not None:
+    if ex.contains(p_hat):
         raise ExclusionError(
-            f"p_hat={p_hat} lies in the exclusion ball around {ball.center} "
-            f"(radius {ball.radius:.4g})"
+            f"p_hat={p_hat} lies in the exclusion set: the balls around "
+            f"{', '.join(map(str, ex.centers))} (radius {math.sqrt(delta):.4g})"
         )
     w = base(p_hat)
     shifted = base.coeffs.copy()
@@ -186,21 +166,14 @@ def squared_phase(base: HolomorphicPhase, p_hat: complex, delta: float) -> Holom
     sq = np.polynomial.polynomial.polymul(shifted, shifted)
 
     # critical points: roots of Phi' (base case) and of Phi - Phi(p_hat)
-    pts: list[complex] = []
-    tags: list[str] = []
-    for r in base.critical_points:
-        pts.append(complex(r))
-        tags.append("base")
-    for r in np.polynomial.polynomial.polyroots(shifted):
-        pts.append(_newton_polish(sq, complex(r)))
-        tags.append("level")
+    pts = [complex(r) for r in base.critical_points]
+    pts += [_newton_polish(sq, complex(r)) for r in np.polynomial.polynomial.polyroots(shifted)]
     # drop duplicates (a base critical point on the level set cannot occur
     # for p_hat outside the exclusion set)
-    uniq, utags = [], []
-    for p, t in zip(pts, tags):
+    uniq: list[complex] = []
+    for p in pts:
         if all(abs(p - q) > 1e-10 for q in uniq):
             uniq.append(p)
-            utags.append(t)
 
     d2 = np.polynomial.polynomial.polyder(sq, 2)
     hessians = tuple(complex(np.polynomial.polynomial.polyval(p, d2)) for p in uniq)
@@ -215,7 +188,6 @@ def squared_phase(base: HolomorphicPhase, p_hat: complex, delta: float) -> Holom
         critical_points=tuple(uniq),
         critical_values=values,
         hessians=hessians,
-        case_tags=tuple(utags),
     )
 
 

@@ -76,7 +76,7 @@ def test_reduction_consistency(manufactured):
 
 def _cauchy_alpha(pot):
     """The Cauchy-transform primitive of the (0,1)-part of X."""
-    return cau.primitive_alpha(geo.project(pot.X, "p01"))
+    return cau.primitive_alpha(geo.project(pot.X))
 
 
 def test_reduce_trivials(grid):

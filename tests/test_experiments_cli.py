@@ -242,7 +242,7 @@ def test_cli_forward_and_distance(tmp_path):
     out_b = tmp_path / "b"
     assert cli.main(["forward", "--config", str(cfg_path), "--out", str(out_a)]) == 0
     assert cli.main([
-        "forward", "--config", str(cfg_path), "--out", str(out_b), "--t", "0.2", "--order", "4",
+        "forward", "--config", str(cfg_path), "--out", str(out_b), "--t", "0.2",
     ]) == 0
     assert cli.main([
         "distance", str(out_a / "dtn.csv"), str(out_b / "dtn.csv"), "--out", str(tmp_path),
@@ -304,8 +304,8 @@ def test_cli_study_subcommand(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize(
     "args, config, message",
     [
-        (["forward", "--order", "-1"], None, "order must be non-negative"),
-        (["forward", "--order", "100"], None, "order exceeds the sample bandwidth"),
+        (["forward"], {"order": -1}, "order must be non-negative"),
+        (["forward"], {"order": 100}, "order exceeds the sample bandwidth"),
         (["gauge-check"], {"order": -1}, "order must be non-negative"),
         (["gauge-check"], "missing", "No such file or directory"),
         (

@@ -325,7 +325,7 @@ def _oracle_matrices(pot, F, order, op):
     rings = g.boundary_rings
     n_t = g.n_theta
     eit = np.exp(1j * g.theta)
-    A01 = geo.project(pot.X, "p01").c01
+    A01 = geo.project(pot.X).c01
 
     def column(samples_by_ring):
         c = [np.fft.fft(s) / n_t for s in samples_by_ring]

@@ -26,29 +26,21 @@ def test_squared_phase_example():
     assert abs(hess[0j] + 1.0) < 1e-10
 
 
-def test_squared_phase_case_tags():
-    b = ph.base_phase(0.2)
-    sq = ph.squared_phase(b, 0.7 + 0.1j, 0.01)
-    tags = dict(zip(sq.critical_points, sq.case_tags))
-    assert tags[(0.2 + 0j)] == "base"
-    assert sum(1 for t in sq.case_tags if t == "level") == 2
-
-
 def test_exclusion_set_geometry():
     b = ph.base_phase(0.0)
     ex = ph.exclusion_set(b, 0.04)
-    assert len(ex.balls) == 1
-    assert abs(ex.balls[0].radius - 0.2) < 1e-14
-    assert ex.contains(0.1)
-    assert not ex.contains(0.3)
+    assert ex.centers == (0j,)
+    # the one radius is sqrt(delta) = 0.2
+    assert ex.contains(0.1) and ex.contains(0.2 - 1e-12)
+    assert not ex.contains(0.2 + 1e-12) and not ex.contains(0.3)
 
 
 def test_exclusion_contains_is_elementwise():
     """One call on the grid nodes gives the per-node mask, with one, two or
-    no balls."""
+    no centres."""
     g = geo.PolarGrid(geo.disk(1.0), 96, 128)
     ex = ph.exclusion_set(ph.base_phase(0.0), 0.05)
-    two = ph.ExclusionSet(ex.balls + (ph.ExclusionBall(0.5 + 0.3j, 0.1),), ex.delta)
+    two = ph.ExclusionSet(ex.centers + (0.5 + 0.3j,), ex.delta)
     for s in (ex, two, ph.ExclusionSet((), ex.delta)):
         mask = s.contains(g.nodes)
         assert mask.shape == g.shape
@@ -58,7 +50,7 @@ def test_exclusion_contains_is_elementwise():
 
 def test_squared_phase_refuses_inside_exclusion():
     b = ph.base_phase(0.0)
-    with pytest.raises(ph.ExclusionError):
+    with pytest.raises(ph.ExclusionError, match=r"the balls around 0j \(radius 0\.2\)"):
         ph.squared_phase(b, 0.1, 0.04)
 
 
