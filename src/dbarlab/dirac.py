@@ -181,7 +181,9 @@ def reduce_schrodinger(pot, alpha: ScalarField):
     g = pot.grid
     A = project(pot.X)
     Q = ScalarField(g, -hodge_star(exterior_d(pot.X)).values + pot.q.values)
-    F = ScalarField(g, np.exp(1j * alpha.values))
+    # a huge alpha overflows; ScalarField then refuses F as NaN/Inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        F = ScalarField(g, np.exp(1j * alpha.values))
     V = PotentialMatrix(
         Qplus=Q * 0.5,
         Aprime=A,

@@ -93,6 +93,10 @@ class ExperimentConfig:
                 raise ValueError(f"{f.name} must be a list of finite reals, got {v!r}")
         # geometry checks the radii and grids
         self.domain()
+        if 0.5 * self.r_outer == 0:
+            raise ValueError(
+                f"r_outer / 2, the cgo-decay disk's radius, must be positive, got r_outer {self.r_outer!r}"
+            )
         for keys, grid in (("n_r, n_theta", self.grid), ("cgo_n_r, cgo_n_theta", self.cgo_grid)):
             try:
                 grid()

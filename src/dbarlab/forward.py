@@ -196,35 +196,38 @@ class MagneticOperator:
             self.int_rings = np.arange(1, n_r - 1)
         self.n_theta = n_t
 
-        eit = np.exp(1j * g.theta)
-        X = pot.X
-        zeroth = _zeroth_coefficient(pot)
+        # the products of a huge X overflow; the finiteness check below then
+        # refuses the coefficients, as the one signal
+        with np.errstate(over="ignore", invalid="ignore"):
+            eit = np.exp(1j * g.theta)
+            X = pot.X
+            zeroth = _zeroth_coefficient(pot)
 
-        # per-ring blocks: the dense diagonal block is rebuilt from these
-        # vectors by `_block`; diagonal off-couplings
-        eye = np.eye(n_t)
-        self._D1t = g.diff_theta(eye).T
-        self._D2t = g.diff_theta(eye, order=2).T
-        self._zeroth = zeroth[self.int_rings]
-        r = g.r[self.int_rings][:, None]
-        X10, X01 = X.c10[self.int_rings], X.c01[self.int_rings]
-        P = X01 * np.conj(eit) + X10 * eit  # X(d/dr)
-        self._t_over_r = 1j * (X10 * eit - X01 * np.conj(eit)) / r  # X(d/dtheta)/r
-        self.lo = -1.0 / dr**2 + 1.0 / (2 * dr * r) + 1j * P / dr
-        self.hi = -1.0 / dr**2 - 1.0 / (2 * dr * r) - 1j * P / dr
-        coeffs = [self._zeroth, self._t_over_r, self.lo, self.hi]
+            # per-ring blocks: the dense diagonal block is rebuilt from these
+            # vectors by `_block`; diagonal off-couplings
+            eye = np.eye(n_t)
+            self._D1t = g.diff_theta(eye).T
+            self._D2t = g.diff_theta(eye, order=2).T
+            self._zeroth = zeroth[self.int_rings]
+            r = g.r[self.int_rings][:, None]
+            X10, X01 = X.c10[self.int_rings], X.c01[self.int_rings]
+            P = X01 * np.conj(eit) + X10 * eit  # X(d/dr)
+            self._t_over_r = 1j * (X10 * eit - X01 * np.conj(eit)) / r  # X(d/dtheta)/r
+            self.lo = -1.0 / dr**2 + 1.0 / (2 * dr * r) + 1j * P / dr
+            self.hi = -1.0 / dr**2 - 1.0 / (2 * dr * r) - 1j * P / dr
+            coeffs = [self._zeroth, self._t_over_r, self.lo, self.hi]
 
-        # disk center closure: mean-value Laplacian + first-order derivatives
-        self.kind = kind
-        if kind == "disk":
-            x0, x1, s0 = g.center_value(np.stack([X.c10, X.c01, zeroth], axis=-1))
-            self.center_diag = 4.0 / dr**2 + s0
-            mean_w = np.full(n_t, 1.0 / n_t)
-            self.center_row = (
-                -(4.0 / dr**2) * mean_w
-                - (4j / dr) * (x1 * np.conj(eit) + x0 * eit) * mean_w
-            )
-            coeffs += [self.center_row, self.center_diag]
+            # disk center closure: mean-value Laplacian + first-order derivatives
+            self.kind = kind
+            if kind == "disk":
+                x0, x1, s0 = g.center_value(np.stack([X.c10, X.c01, zeroth], axis=-1))
+                self.center_diag = 4.0 / dr**2 + s0
+                mean_w = np.full(n_t, 1.0 / n_t)
+                self.center_row = (
+                    -(4.0 / dr**2) * mean_w
+                    - (4j / dr) * (x1 * np.conj(eit) + x0 * eit) * mean_w
+                )
+                coeffs += [self.center_row, self.center_diag]
         if not all(np.isfinite(c).all() for c in coeffs):
             raise ValueError("assembled operator coefficients must be finite")
 

@@ -17,7 +17,6 @@ from dbarlab import metrics as me
 from dbarlab import holonomy as ho
 from dbarlab import experiments as ex
 
-np.seterr(all="ignore")
 
 
 def report(num, text):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dbarlab import geometry as geo
 from dbarlab import forward as fw
@@ -76,13 +76,22 @@ _RADII = st.one_of(st.just(0.0), st.floats(-100.0, 100.0))
 
 @settings(max_examples=60, deadline=None)
 @given(_RADII, st.floats(-100.0, 100.0))
+@example(0.0, 5e-324)
 def test_config_domain_is_its_two_radii(a, b):
     """The two radii are the domain: a finite pair 0 <= a < b is the domain
     (a disk iff a == 0) and survives the canonical round trip; any other
-    pair is refused with geometry's message."""
+    pair is refused with geometry's message, and an r_outer whose half,
+    the cgo-decay disk's radius, underflows to 0 by name."""
     d = {"r_inner": a, "r_outer": b}
     if not 0 <= a < b:
         with pytest.raises(ValueError, match=r"^need 0 <= r_inner < r_outer < inf$"):
+            ex.ExperimentConfig.from_dict(d)
+        return
+    if 0.5 * b == 0:
+        with pytest.raises(
+            ValueError,
+            match=rf"^r_outer / 2, the cgo-decay disk's radius, must be positive, got r_outer {b!r}$",
+        ):
             ex.ExperimentConfig.from_dict(d)
         return
     cfg = ex.ExperimentConfig.from_dict(d)
@@ -315,6 +324,7 @@ def test_cli_study_subcommand(tmp_path, capsys, monkeypatch):
         ),
         (["stability-sweep"], {"delta_list": [0.2, 0.1, 0.05]}, "unknown config key(s): delta_list"),
         (["gauge-check"], "directory", "Is a directory"),
+        (["forward"], {"amplitude": 1e200}, "field contains NaN/Inf"),
     ],
 )
 def test_cli_refuses_bad_input_in_one_line(tmp_path, args, config, message):

@@ -679,6 +679,13 @@ def test_assemble_rejects_overflowing_coefficients(domain):
         fw.MagneticOperator(pot)
 
 
+def test_numpy_floating_point_warnings_stay_on():
+    """No test module switches numpy's floating-point warnings off for the
+    whole run, so under `filterwarnings = ["error"]` an overflow or invalid
+    value fails its test unless the lab handles it where it arises."""
+    assert np.geterr() == {"divide": "warn", "over": "warn", "under": "ignore", "invalid": "warn"}
+
+
 def test_solve_rejects_nonfinite_boundary_data():
     pot = _small_pot(geo.annulus(0.5, 1.5))
     op = fw.MagneticOperator(pot)
