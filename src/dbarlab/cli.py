@@ -1,8 +1,9 @@
 """Command-line interface: forward solves, data distances, and the
 experiment studies, all driven by a JSON config file.
 
-Subcommands: forward, distance, cgo-decay, stationary-phase,
-boundary-defect, stability-sweep, gauge-check, holonomy.
+Subcommands: forward, distance and holonomy, and the studies cgo-decay,
+stationary-phase, boundary-defect, stability-sweep, gauge-check and
+holonomy-study.
 """
 
 from __future__ import annotations
@@ -50,6 +51,16 @@ def _cmd_forward(args) -> int:
     return 0
 
 
+def _report(result: dict, out, name: str) -> int:
+    """Print a JSON report and, given an output directory, write it there too."""
+    text = json.dumps(result, sort_keys=True, indent=1)
+    if out:
+        Path(out).mkdir(parents=True, exist_ok=True)
+        (Path(out) / name).write_text(text + "\n")
+    print(text)
+    return 0
+
+
 def _cmd_distance(args) -> int:
     d1 = fw.load_dtn_csv(args.dtn_a)
     d2 = fw.load_dtn_csv(args.dtn_b)
@@ -58,12 +69,7 @@ def _cmd_distance(args) -> int:
         "sup_inf": me.ensemble_distance(d1, d2, mode="sup_inf"),
         "truncation": d1.order,
     }
-    text = json.dumps(result, sort_keys=True, indent=1)
-    if args.out:
-        Path(args.out).mkdir(parents=True, exist_ok=True)
-        (Path(args.out) / "distance.json").write_text(text + "\n")
-    print(text)
-    return 0
+    return _report(result, args.out, "distance.json")
 
 
 def _cmd_holonomy(args) -> int:
@@ -84,12 +90,7 @@ def _cmd_holonomy(args) -> int:
         "transport_im": rep.transport.imag,
         "loop_length": rep.loop.length,
     }
-    text = json.dumps(result, sort_keys=True, indent=1)
-    if args.out:
-        Path(args.out).mkdir(parents=True, exist_ok=True)
-        (Path(args.out) / "holonomy_report.json").write_text(text + "\n")
-    print(text)
-    return 0
+    return _report(result, args.out, "holonomy_report.json")
 
 
 _STUDIES = {

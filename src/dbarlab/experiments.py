@@ -1,11 +1,14 @@
 """Configuration-driven experiment harness tying the modules into
 reproducible end-to-end studies with tabular output.
 
-Every study consumes an :class:`ExperimentConfig`, writes CSV tables plus
-a JSON manifest (config hash, library versions, fitted constants), and
-returns its headline numbers as a dict.  Identical config and seed give
-byte-identical output.  Check failures raise :class:`CheckFailure`
-carrying a stable anchor string naming the violated check.
+Every study consumes an :class:`ExperimentConfig` and hands its CSV
+tables, its results and its :class:`Check` records to one function.  It
+writes the tables, then a JSON manifest (config hash, library
+versions, the results, and each check with its bound and outcome), and
+only then raises :class:`CheckFailure`, whose anchor names the first
+failing check, so a refused run leaves its full record.  Each study
+returns its headline numbers.  Identical config and seed give
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from . import holonomy as ho
 __all__ = [
     "ExperimentConfig",
     "CheckFailure",
+    "Check",
     "StabilityRecord",
     "default_potentials",
     "curvature_difference_residual",
@@ -57,6 +61,24 @@ class CheckFailure(AssertionError):
     def __init__(self, anchor: str, message: str):
         self.anchor = anchor
         super().__init__(f"[{anchor}] {message}")
+
+
+@dataclass(frozen=True)
+class Check:
+    """One study check: `value` must be at most `bound` (sense "<="), at
+    least it (">=") or strictly above it (">"); `anchor` names the property."""
+
+    anchor: str
+    value: float
+    bound: float
+    sense: str
+
+    @property
+    def ok(self) -> bool:
+        # a NaN value passes "<=" and ">=" and fails ">"
+        if self.sense == ">":
+            return bool(self.value > self.bound)
+        return not (self.value > self.bound if self.sense == "<=" else self.value < self.bound)
 
 
 @dataclass(frozen=True)
@@ -183,15 +205,6 @@ def _fmt(x) -> str:
     return f"{float(x):.12e}"
 
 
-def write_csv(path, header, rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    # the output directory is made only now, so a refused input leaves none
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 # recorded, not set: the lab leaves the BLAS thread count to the environment
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -201,8 +214,19 @@ def _blas_build(module) -> dict:
     return {"name": blas.get("name"), "version": blas.get("version")}
 
 
-def write_manifest(path, cfg: ExperimentConfig, study: str, extras: dict) -> None:
-    manifest = {
+def _finish(cfg, out, study: str, manifest: str, tables: dict, results: dict, checks) -> None:
+    """End a study: write its CSV tables (file name -> (header, rows)),
+    then its manifest with `results` and the `checks` record, then raise
+    the first failing check in list order."""
+    out = Path(out)
+    # the output directory is made only now, so a refused input leaves none
+    out.mkdir(parents=True, exist_ok=True)
+    for name, (header, rows) in tables.items():
+        lines = [",".join(header)]
+        for row in rows:
+            lines.append(",".join(_fmt(v) for v in row))
+        (out / name).write_text("\n".join(lines) + "\n")
+    record = {
         "study": study,
         "config_sha256": cfg.digest(),
         "config": json.loads(cfg.canonical()),
@@ -213,10 +237,13 @@ def write_manifest(path, cfg: ExperimentConfig, study: str, extras: dict) -> Non
             "numpy_blas": _blas_build(np),
             **{var: os.environ.get(var) for var in _BLAS_THREAD_VARS},
         },
-        "results": extras,
+        "results": results,
+        "checks": [dict(asdict(c), ok=c.ok) for c in checks],
     }
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n")
+    (out / manifest).write_text(json.dumps(record, sort_keys=True, indent=1) + "\n")
+    for c in checks:
+        if not c.ok:
+            raise CheckFailure(c.anchor, f"{c.value!r} is not {c.sense} {c.bound!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +351,6 @@ def run_gauge_check(cfg: ExperimentConfig, out="out") -> dict:
     """Gauge invariance of the Cauchy data: distance between the data of
     (X, q) and (X + df, q) with zero-trace f sits at the discretization
     floor; a trace-violating control exceeds it by orders of magnitude."""
-    outdir = Path(out)
     g = cfg.grid()
     Z = g.nodes
     R = g.domain.r_outer
@@ -363,24 +389,16 @@ def run_gauge_check(cfg: ExperimentConfig, out="out") -> dict:
         "gauge_over_floor": dist_gauge / max(floor, 1e-300),
         "control_over_floor": dist_control / max(floor, 1e-300),
     }
-    write_manifest(outdir / "gauge_check.json", cfg, "gauge-check", results)
-    if dist_gauge > 10.0 * floor:
-        raise CheckFailure(
-            "gauge-invariance-floor",
-            f"gauge distance {dist_gauge:.3e} exceeds 10x floor {floor:.3e}",
-        )
-    if dist_control < 100.0 * floor:
-        raise CheckFailure(
-            "gauge-negative-control",
-            f"control distance {dist_control:.3e} below 100x floor {floor:.3e}",
-        )
+    _finish(cfg, out, "gauge-check", "gauge_check.json", {}, results, [
+        Check("gauge-invariance-floor", dist_gauge, 10.0 * floor, "<="),
+        Check("gauge-negative-control", dist_control, 100.0 * floor, ">="),
+    ])
     return results
 
 
 def run_stability_sweep(cfg: ExperimentConfig, out="out") -> list[StabilityRecord]:
     """Perturbation sweep: boundary-data distances against the interior
     differences they control, plus the pointwise and identity checks."""
-    outdir = Path(out)
     g = cfg.grid()
     fam = default_potentials(cfg, g)
     pot1, red1 = fam.reduction(0.0)
@@ -436,39 +454,24 @@ def run_stability_sweep(cfg: ExperimentConfig, out="out") -> list[StabilityRecor
     fitted_c = max(syst_ratios)
 
     header = list(StabilityRecord.__dataclass_fields__)
-    write_csv(outdir / "stability_sweep.csv", header, [
-        [getattr(r, k) for k in header] for r in records
-    ])
-    write_manifest(
-        outdir / "stability_sweep.json",
-        cfg,
-        "stability-sweep",
-        {
-            "monotone_interior": _is_increasing([r.q_diff_l2 + r.dX_diff_l2 for r in records]),
-            "monotone_distance": _is_increasing([r.d_surrogate for r in records]),
-            "spearman": _spearman(
-                [r.q_diff_l2 + r.dX_diff_l2 for r in records],
-                [r.d_surrogate for r in records],
-            ),
-            "max_dxid_residual": max(r.dxid_residual for r in records),
-            "syst_cauchy_fitted_C": fitted_c,
-            "syst_cauchy_ratios": syst_ratios,
-            "apriori": dict(pot1.apriori_report(), K=APRIORI_K),
-        },
-    )
-    for r in records:
-        if r.dxid_residual > 1e-3:
-            raise CheckFailure(
-                "curvature-difference-identity",
-                f"identity residual {r.dxid_residual:.2e} at t={r.t}",
-            )
     interior = [r.q_diff_l2 + r.dX_diff_l2 for r in records]
-    if not _is_increasing(interior):
-        raise CheckFailure("stability-interior-monotone", f"values {interior}")
-    if not _is_increasing([r.d_surrogate for r in records]):
-        raise CheckFailure(
-            "stability-distance-monotone", f"values {[r.d_surrogate for r in records]}"
-        )
+    distance = [r.d_surrogate for r in records]
+    results = {
+        "monotone_interior": _is_increasing(interior),
+        "monotone_distance": _is_increasing(distance),
+        "spearman": _spearman(interior, distance),
+        "max_dxid_residual": max(r.dxid_residual for r in records),
+        "syst_cauchy_fitted_C": fitted_c,
+        "syst_cauchy_ratios": syst_ratios,
+        "apriori": dict(pot1.apriori_report(), K=APRIORI_K),
+    }
+    tables = {"stability_sweep.csv": (header, [[getattr(r, k) for k in header] for r in records])}
+    _finish(cfg, out, "stability-sweep", "stability_sweep.json", tables, results, [
+        Check("curvature-difference-identity",
+              _largest([r.dxid_residual for r in records]), 1e-3, "<="),
+        Check("stability-interior-monotone", _smallest_step(interior), 0.0, ">"),
+        Check("stability-distance-monotone", _smallest_step(distance), 0.0, ">"),
+    ])
     return records
 
 
@@ -480,6 +483,17 @@ def _ratio_defect(red1, red2, order: int) -> float:
 
 def _is_increasing(vals) -> bool:
     return all(b > a for a, b in zip(vals[:-1], vals[1:]))
+
+
+def _smallest_step(vals) -> float:
+    """Smallest consecutive increase; > 0 exactly when `_is_increasing`."""
+    return float(np.min([b - a for a, b in zip(vals[:-1], vals[1:])], initial=np.inf))
+
+
+def _largest(vals) -> float:
+    """Largest value, NaNs skipped: as in a row-by-row "<=" test, a NaN row
+    neither fails nor hides a row that does."""
+    return float(np.fmax.reduce(vals))
 
 
 def _spearman(x, y) -> float:
@@ -494,7 +508,6 @@ def _spearman(x, y) -> float:
 def run_cgo_decay(cfg: ExperimentConfig, out="out") -> dict:
     """Remainder decay of the Neumann-series CGO solutions for two
     potential pairs, with the dense-solve cross-check left to the tests."""
-    outdir = Path(out)
     g = cfg.cgo_grid()
     base = ph.base_phase(0.0 + 0.0j)
     fam = default_potentials(cfg, g)
@@ -524,18 +537,13 @@ def run_cgo_decay(cfg: ExperimentConfig, out="out") -> dict:
             "slope_r": ph.fit_loglog_slope(hs, rn),
             "slope_s": ph.fit_loglog_slope(hs, sn),
         }
-    write_csv(
-        outdir / "cgo_decay.csv",
-        ["h", "delta", "norm_r", "norm_s", "S_term_ratio", "terms_used", "residual"],
-        rows,
-    )
-    write_manifest(outdir / "cgo_decay.json", cfg, "cgo-decay", slopes)
+    header = ["h", "delta", "norm_r", "norm_s", "S_term_ratio", "terms_used", "residual"]
+    _finish(cfg, out, "cgo-decay", "cgo_decay.json", {"cgo_decay.csv": (header, rows)}, slopes, [])
     return slopes
 
 
 def run_stationary_phase(cfg: ExperimentConfig, out="out") -> dict:
     """Oscillatory-integral scaling study on the reference phase."""
-    outdir = Path(out)
     g = geo.PolarGrid(geo.disk(cfg.r_outer), max(cfg.n_r, 256), max(cfg.n_theta, 256))
     Z = g.nodes
     win = ph.bump_window(g, 0.0, 0.6 * cfg.r_outer)
@@ -561,16 +569,13 @@ def run_stationary_phase(cfg: ExperimentConfig, out="out") -> dict:
         )
         ints.append(abs(r.integral))
         resids.append(r.residual)
-    write_csv(
-        outdir / "stationary_phase.csv",
-        ["h", "delta", "integral_re", "integral_im", "leading_re", "leading_im", "residual", "bound"],
-        rows,
-    )
+    header = ["h", "delta", "integral_re", "integral_im", "leading_re", "leading_im", "residual", "bound"]
     results = {
         "slope_integral": ph.fit_loglog_slope(cfg.h_list, ints),
         "slope_residual": ph.fit_loglog_slope(cfg.h_list, resids),
     }
-    write_manifest(outdir / "stationary_phase.json", cfg, "stationary-phase", results)
+    tables = {"stationary_phase.csv": (header, rows)}
+    _finish(cfg, out, "stationary-phase", "stationary_phase.json", tables, results, [])
     return results
 
 
@@ -579,7 +584,6 @@ def run_boundary_defect(cfg: ExperimentConfig, out="out") -> dict:
     defect of the factor ratio, swept over the perturbation scale."""
     if cfg.r_inner != 0:
         raise ValueError(f"boundary-defect needs a disk domain (r_inner = 0), got {cfg.r_inner}")
-    outdir = Path(out)
     g = cfg.grid()
     Z = g.nodes
     fam = default_potentials(cfg, g)
@@ -599,24 +603,18 @@ def run_boundary_defect(cfg: ExperimentConfig, out="out") -> dict:
             rows.append(
                 [t, i, j, af["boundary"].real, af["boundary"].imag, af["difference"], defect]
             )
-    write_csv(
-        outdir / "boundary_defect.csv",
-        ["t", "a_degree", "b_degree", "boundary_re", "boundary_im", "green_gap", "defect"],
-        rows,
-    )
+    header = ["t", "a_degree", "b_degree", "boundary_re", "boundary_im", "green_gap", "defect"]
     results = {"defects": dict(zip(map(str, cfg.t_list), defects))}
-    write_manifest(outdir / "boundary_defect.json", cfg, "boundary-defect", results)
-    if not _is_increasing(defects):
-        raise CheckFailure(
-            "boundary-defect-monotone", f"defect not increasing with t: {defects}"
-        )
+    tables = {"boundary_defect.csv": (header, rows)}
+    _finish(cfg, out, "boundary-defect", "boundary_defect.json", tables, results, [
+        Check("boundary-defect-monotone", _smallest_step(defects), 0.0, ">"),
+    ])
     return results
 
 
 def run_holonomy_study(cfg: ExperimentConfig, out="out") -> dict:
     """Annulus pipeline: winding integrality on synthetic ratio fields and
     the holonomy defect of gauge-perturbed pairs against the data distance."""
-    outdir = Path(out)
     dom = geo.annulus(max(cfg.r_inner, 0.5 * cfg.r_outer), cfg.r_outer)
     g = geo.PolarGrid(dom, cfg.n_r, cfg.n_theta)
     Z = g.nodes
@@ -641,26 +639,18 @@ def run_holonomy_study(cfg: ExperimentConfig, out="out") -> dict:
         d2 = fw.dtn(pot2, cfg.order)
         dist = me.ensemble_distance(d1, d2)
         table.append([t, rep.integral, rep.nearest_k, rep.defect, dist])
-    write_csv(outdir / "holonomy_winding.csv", ["k", "winding", "distance"], rows)
-    write_csv(
-        outdir / "holonomy_defect.csv",
-        ["t", "integral", "nearest_k", "defect", "d_surrogate"],
-        table,
-    )
     results = {
         "max_gauge_defect": max(r[3] for r in table),
         "windings_checked": len(rows),
     }
-    write_manifest(outdir / "holonomy.json", cfg, "holonomy", results)
-    for k, winding, distance in rows:
-        if winding != k or distance > 1e-3:
-            raise CheckFailure(
-                "winding-integrality",
-                f"winding of z^{k} e^g gave {winding} at distance {distance:.2e}",
-            )
-    for t, _, _, defect, _ in table:
-        if defect > 1e-4:
-            raise CheckFailure(
-                "holonomy-gauge-invariance", f"defect {defect:.2e} for an exact gauge at t={t}"
-            )
+    tables = {
+        "holonomy_winding.csv": (["k", "winding", "distance"], rows),
+        "holonomy_defect.csv": (["t", "integral", "nearest_k", "defect", "d_surrogate"], table),
+    }
+    _finish(cfg, out, "holonomy", "holonomy.json", tables, results, [
+        # a winding other than k fails at any distance
+        Check("winding-integrality",
+              _largest([d if w == k else math.inf for k, w, d in rows]), 1e-3, "<="),
+        Check("holonomy-gauge-invariance", _largest([r[3] for r in table]), 1e-4, "<="),
+    ])
     return results

@@ -84,7 +84,6 @@ class HolomorphicPhase:
 
     coeffs: np.ndarray
     critical_points: tuple
-    critical_values: tuple
     hessians: tuple
 
     def __call__(self, z):
@@ -109,7 +108,6 @@ def base_phase(anchor: complex) -> HolomorphicPhase:
     return HolomorphicPhase(
         coeffs=coeffs,
         critical_points=(a,),
-        critical_values=(0.0 + 0.0j,),
         hessians=(2.0 + 0.0j,),
     )
 
@@ -120,9 +118,9 @@ def exclusion_set(base: HolomorphicPhase, delta: float) -> ExclusionSet:
     if delta <= 0:
         raise ValueError("delta must be positive")
     pts = []
-    for cv in base.critical_values:
+    for p in base.critical_points:
         shifted = base.coeffs.copy()
-        shifted[0] -= cv
+        shifted[0] -= base(p)
         roots = np.polynomial.polynomial.polyroots(shifted)
         pts.extend(complex(r) for r in roots)
     # dedupe coincident preimages
@@ -177,16 +175,12 @@ def squared_phase(base: HolomorphicPhase, p_hat: complex, delta: float) -> Holom
 
     d2 = np.polynomial.polynomial.polyder(sq, 2)
     hessians = tuple(complex(np.polynomial.polynomial.polyval(p, d2)) for p in uniq)
-    values = tuple(
-        complex(np.polynomial.polynomial.polyval(p, sq)) for p in uniq
-    )
     min_h = min(abs(h) for h in hessians)
     if min_h == 0.0:
         raise ExclusionError("degenerate critical point; p_hat too close to exclusion set")
     return HolomorphicPhase(
         coeffs=sq,
         critical_points=tuple(uniq),
-        critical_values=values,
         hessians=hessians,
     )
 

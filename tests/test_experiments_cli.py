@@ -27,6 +27,18 @@ def small_cfg(**over):
     return ex.ExperimentConfig(**kw)
 
 
+def assert_checks_pass(manifest, expected):
+    """The manifest's `checks` are `expected`, (anchor, value, bound, sense)
+    in the order they would raise, and each passed."""
+    checks = json.loads(manifest.read_text())["checks"]
+    assert [(c["anchor"], c["value"], c["bound"], c["sense"]) for c in checks] == expected
+    assert all(c["ok"] is True for c in checks)
+
+
+def smallest_step(vals):
+    return min(b - a for a, b in zip(vals, vals[1:]))
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ex.ExperimentConfig(h_list=(0.05, 0.1))  # not descending
@@ -113,7 +125,7 @@ def test_readme_config_schema_is_the_default_config():
 def test_manifest_records_library_versions(tmp_path, monkeypatch):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
     monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
-    ex.write_manifest(tmp_path / "m.json", ex.ExperimentConfig(), "forward", {})
+    ex._finish(ex.ExperimentConfig(), tmp_path, "forward", "m.json", {}, {}, [])
     versions = json.loads((tmp_path / "m.json").read_text())["versions"]
     assert versions["numpy"] == np.__version__
     assert versions["python"] == platform.python_version()
@@ -166,6 +178,10 @@ def test_gauge_check_passes(tmp_path, over):
     manifest = json.loads((tmp_path / "gauge_check.json").read_text())
     assert manifest["study"] == "gauge-check"
     assert "config_sha256" in manifest
+    assert_checks_pass(tmp_path / "gauge_check.json", [
+        ("gauge-invariance-floor", res["gauge_distance"], 10.0 * res["floor"], "<="),
+        ("gauge-negative-control", res["control_distance"], 100.0 * res["floor"], ">="),
+    ])
 
 
 def test_stability_sweep_outputs(tmp_path):
@@ -176,6 +192,11 @@ def test_stability_sweep_outputs(tmp_path):
     assert all(r.dxid_residual < 1e-3 for r in recs)
     text = (tmp_path / "stability_sweep.csv").read_text()
     assert text.startswith("t,")
+    assert_checks_pass(tmp_path / "stability_sweep.json", [
+        ("curvature-difference-identity", max(r.dxid_residual for r in recs), 1e-3, "<="),
+        ("stability-interior-monotone", smallest_step(interior), 0.0, ">"),
+        ("stability-distance-monotone", smallest_step([r.d_surrogate for r in recs]), 0.0, ">"),
+    ])
 
 
 def test_stability_sweep_deterministic(tmp_path):
@@ -190,6 +211,9 @@ def test_boundary_defect_monotone(tmp_path):
     res = ex.run_boundary_defect(small_cfg(), out=tmp_path)
     vals = [float(v) for v in res["defects"].values()]
     assert all(b > a for a, b in zip(vals, vals[1:]))
+    assert_checks_pass(tmp_path / "boundary_defect.json", [
+        ("boundary-defect-monotone", smallest_step(vals), 0.0, ">"),
+    ])
 
 
 def test_holonomy_study(tmp_path):
@@ -197,20 +221,56 @@ def test_holonomy_study(tmp_path):
     res = ex.run_holonomy_study(cfg, out=tmp_path)
     assert res["windings_checked"] == 5
     assert res["max_gauge_defect"] < 1e-4
+    # the CSV prints each winding's distance to 13 digits
+    distances = [float(line.split(",")[2])
+                 for line in (tmp_path / "holonomy_winding.csv").read_text().splitlines()[1:]]
+    assert_checks_pass(tmp_path / "holonomy.json", [
+        ("winding-integrality", pytest.approx(max(distances), rel=1e-12), 1e-3, "<="),
+        ("holonomy-gauge-invariance", res["max_gauge_defect"], 1e-4, "<="),
+    ])
 
 
-def test_holonomy_study_writes_its_record_before_refusing(tmp_path, monkeypatch):
+def _inexact_gauge(monkeypatch):
     real = ho.holonomy_defect
     monkeypatch.setattr(
         ho, "holonomy_defect", lambda *a: dataclasses.replace(real(*a), defect=1e-3)
     )
-    cfg = small_cfg(r_inner=0.6, r_outer=1.2)
+
+
+def _flat_defect(monkeypatch):
+    monkeypatch.setattr(ex, "_ratio_defect", lambda *a: 0.5)
+
+
+@pytest.mark.parametrize(
+    "patch, run, over, anchor, value, files",
+    [
+        pytest.param(
+            _inexact_gauge, ex.run_holonomy_study, dict(r_inner=0.6, r_outer=1.2),
+            "holonomy-gauge-invariance", 1e-3,
+            ("holonomy_winding.csv", "holonomy_defect.csv", "holonomy.json"),
+            id="holonomy-gauge-invariance",
+        ),
+        # equal neighbours fail: the monotone check is strict
+        pytest.param(
+            _flat_defect, ex.run_boundary_defect, {}, "boundary-defect-monotone", 0.0,
+            ("boundary_defect.csv", "boundary_defect.json"),
+            id="boundary-defect-monotone",
+        ),
+    ],
+)
+def test_study_writes_its_record_before_refusing(
+    tmp_path, monkeypatch, patch, run, over, anchor, value, files
+):
+    """A failed check raises its anchor only after every CSV and the
+    manifest are written, and the manifest names the failed check."""
+    patch(monkeypatch)
     with pytest.raises(ex.CheckFailure) as err:
-        ex.run_holonomy_study(cfg, out=tmp_path)
-    assert err.value.anchor == "holonomy-gauge-invariance"
-    for name in ("holonomy_winding.csv", "holonomy_defect.csv", "holonomy.json"):
+        run(small_cfg(**over), out=tmp_path)
+    assert err.value.anchor == anchor
+    for name in files:
         assert (tmp_path / name).exists()
-    assert json.loads((tmp_path / "holonomy.json").read_text())["results"]["max_gauge_defect"] == 1e-3
+    checks = json.loads((tmp_path / files[-1]).read_text())["checks"]
+    assert [(c["anchor"], c["value"]) for c in checks if not c["ok"]] == [(anchor, value)]
 
 
 def test_stationary_phase_study(tmp_path):
@@ -232,13 +292,6 @@ def test_stationary_phase_study_ignores_roundoff_in_diff_r(tmp_path, monkeypatch
     ex.run_stationary_phase(ex.ExperimentConfig(), out=tmp_path / "b")
     csv = "stationary_phase.csv"
     assert (tmp_path / "a" / csv).read_bytes() == (tmp_path / "b" / csv).read_bytes()
-
-
-def test_check_failure_carries_anchor():
-    with pytest.raises(ex.CheckFailure) as err:
-        raise ex.CheckFailure("winding-integrality", "demo")
-    assert err.value.anchor == "winding-integrality"
-    assert "winding-integrality" in str(err.value)
 
 
 # -- CLI ------------------------------------------------------------------------
