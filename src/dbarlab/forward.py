@@ -19,20 +19,27 @@ factoring, so disk and annulus share one factorization and one sweep.
 The factorization keeps the explicit inverse of each ring's Schur
 complement: block LU with explicit diagonal inverses, the block-Thomas
 scheme, which is stable for block-diagonally-dominant systems such as
-these ring blocks.  The Schur term of the next ring is then a diagonal
-scaling of the previous inverse.  Each inverse is a 2x2 block recursion
-(`_inverse`) whose leaves are LU with partial pivoting (`np.linalg.inv`);
-it does not pivot across its halves, a block LU whose stability Demmel,
-Higham and Schreiber analyse (Numer. Linear Algebra Appl. 2 (1995)
-173-190).
+these ring blocks.  The inverses fill one preallocated C-contiguous
+(J, n_theta, n_theta) stack, `MagneticOperator.inv`, slot by slot: the
+Schur term of the next ring, a diagonal scaling of the previous inverse,
+is formed in the slot that its inverse then overwrites, so the factor
+allocates no ring's storage of its own.  Each inverse is a 2x2 block
+recursion (`_inverse`, writing into its slot) whose leaves are LU with
+partial pivoting (`np.linalg.inv`); it does not pivot across its halves,
+a block LU whose stability Demmel, Higham and Schreiber analyse (Numer.
+Linear Algebra Appl. 2 (1995) 173-190).  Every inverse stays stored: the
+condition probe solves random boundary data through every ring.
 
 Boundary data has one layout, samples of shape (n_boundary_rings,
 n_theta, ...) ordered as `PolarGrid.boundary_rings`: `MagneticOperator.solve`
 runs all trailing (batch) columns in one sweep of matrix products, leaves
 no state behind and eliminates forward only the span of columns with
-inner-circle data (none on a disk).  The boundary jets that the DtN
-builders post-map share that layout; a batch takes one
-`PolarGrid.boundary_jet` and one `diff_theta` call.
+inner-circle data (none on a disk).  Given `rings`, it returns only those
+rings and stops the back sweep at the lowest one.  The DtN builders ask
+for `PolarGrid.jet_rings`, the rings the boundary jet reads (6 on a disk,
+12 on an annulus), so a disk's back sweep runs 6 rings, not n_r - 1.  The
+boundary jets that the DtN builders post-map share the boundary layout; a
+batch takes one `PolarGrid.boundary_jet` and one `diff_theta` call.
 """
 
 from __future__ import annotations
@@ -56,8 +63,9 @@ from .geometry import (
 from .metrics import trace_from_samples, truncation_modes
 
 # `_inverse` hands blocks of at most this order to `np.linalg.inv`.  One
-# 96x128 operator (2-core x86-64, one BLAS thread) took 0.173, 0.156, 0.169
-# and 0.231 s with leaves of 16, 32, 64 and 128 (no split)
+# 96x128 disk operator (2-core Xeon, one BLAS thread, warm process, median
+# of 9) took 0.134, 0.127, 0.138 and 0.194 s with leaves of 16, 32, 64 and
+# 128 (no split)
 _LEAF = 32
 
 # `MagneticOperator` refuses a potential whose condition estimate exceeds this
@@ -184,6 +192,11 @@ class MagneticOperator:
     """Factorized interior collocation operator for one potential pair."""
 
     def __init__(self, pot: PotentialPair):
+        self._assemble(pot)
+        self._factor()
+
+    def _assemble(self, pot: PotentialPair) -> None:
+        """Per-ring coefficients; its temporaries are freed before `_factor`."""
         g = pot.grid
         self.grid = g
         n_r, n_t = g.shape
@@ -204,10 +217,11 @@ class MagneticOperator:
             zeroth = _zeroth_coefficient(pot)
 
             # per-ring blocks: the dense diagonal block is rebuilt from these
-            # vectors by `_block`; diagonal off-couplings
+            # vectors by `_block`, C-contiguous like the inverse stack;
+            # diagonal off-couplings
             eye = np.eye(n_t)
-            self._D1t = g.diff_theta(eye).T
-            self._D2t = g.diff_theta(eye, order=2).T
+            self._D1t = np.ascontiguousarray(g.diff_theta(eye).T)
+            self._D2t = np.ascontiguousarray(g.diff_theta(eye, order=2).T)
             self._zeroth = zeroth[self.int_rings]
             r = g.r[self.int_rings][:, None]
             X10, X01 = X.c10[self.int_rings], X.c01[self.int_rings]
@@ -231,8 +245,6 @@ class MagneticOperator:
         if not all(np.isfinite(c).all() for c in coeffs):
             raise ValueError("assembled operator coefficients must be finite")
 
-        self._factor()
-
     def _block(self, a: int) -> np.ndarray:
         """Dense diagonal block of interior ring a (index into int_rings)."""
         r = self.grid.r[self.int_rings[a]]
@@ -241,26 +253,36 @@ class MagneticOperator:
         B.flat[:: self.n_theta + 1] += 2.0 / self.grid.dr**2 + self._zeroth[a]
         return B
 
+    def _schur_complement(self, a: int) -> np.ndarray:
+        """Diagonal block of interior ring a less the coupling to what lies
+        inside it; the term is formed in inv[a], the slot its inverse then
+        fills."""
+        D = self._block(a)
+        if a > 0:
+            # Schur term lo[a] inv[a-1] hi[a-1] of the diagonal couplings
+            S = np.multiply(self.inv[a - 1], self.hi[a - 1], out=self.inv[a])
+            D -= np.multiply(self.lo[a][:, None], S, out=S)
+        elif self.kind == "disk":
+            # ring 0 couples to the center through the `lo` slot; the
+            # center equation gives u_c = -center_row . u[0] / center_diag
+            S = self.inv[0]  # lo[0] center_row^T, one broadcast operand per step
+            S[...] = self.lo[0][:, None]
+            S *= self.center_row
+            D -= np.divide(S, self.center_diag, out=S)
+        return D
+
     def _factor(self) -> None:
         n_t = self.n_theta
-        self.inv = []
-        S = np.empty((n_t, n_t), dtype=complex, order="F")
-        for a in range(len(self.int_rings)):
-            D = self._block(a)
-            if a > 0:
-                # Schur term lo[a] inv[a-1] hi[a-1] of the diagonal couplings
-                np.multiply(self.inv[a - 1], self.hi[a - 1], out=S)
-                D -= np.multiply(self.lo[a][:, None], S, out=S)
-            elif self.kind == "disk":
-                # ring 0 couples to the center through the `lo` slot; the
-                # center equation gives u_c = -center_row . u[0] / center_diag
-                D -= np.outer(self.lo[0], self.center_row) / self.center_diag
+        J = len(self.int_rings)
+        self.inv = np.empty((J, n_t, n_t), dtype=complex)
+        for a in range(J):
             try:
-                self.inv.append(_inverse(D))
+                _inverse(self._schur_complement(a), self.inv[a])
             except np.linalg.LinAlgError:
                 raise EigenvalueCollision(f"exactly singular block at interior ring {a}") from None
         # inverse-norm probe: a resonance amplifies the solve of random
-        # boundary data
+        # boundary data anywhere inside, so it reads every ring and needs
+        # every inverse
         z = np.random.default_rng(0).standard_normal((len(self.grid.boundary_rings), 2, n_t))
         boundary = z[:, 0] + 1j * z[:, 1]
         u = self.solve(boundary)
@@ -274,34 +296,46 @@ class MagneticOperator:
                 "is likely -- perturb q"
             )
 
-    def solve(self, f: np.ndarray) -> np.ndarray:
+    def solve(self, f: np.ndarray, rings=None) -> np.ndarray:
         """Dirichlet solves in one sweep: boundary samples of shape
         (n_boundary_rings, n_theta, ...), ordered as `grid.boundary_rings`
         (a disk also takes (n_theta,)), to values of shape (n_r, n_theta, ...).
+        Given ring indices `rings`, it returns only their values, shape
+        (len(rings), n_theta, ...): the back sweep stops at the lowest of
+        them and holds no ring below it (the DtN builders ask for
+        `grid.jet_rings`).  The full solve, which the condition probe runs,
+        reads every inverse of the stack `inv`, so all of them are kept.
         The forward elimination carries only the span of columns with
-        nonzero inner-circle data."""
+        nonzero inner-circle data, and passes every ring."""
         f = np.atleast_2d(np.asarray_chkfinite(f, dtype=complex))
         want = (len(self.grid.boundary_rings), self.n_theta)
         if f.shape[:2] != want:
             raise ValueError(f"boundary samples must have shape {want} + (batch...), got {f.shape}")
         batch = f.shape[2:]
         f = f.reshape(f.shape[:2] + (-1,))
-        u = np.zeros((self.grid.n_r,) + f.shape[1:], dtype=complex)
+        inner = self.kind == "annulus" and f[0].any()
+        if rings is not None:
+            rings = np.arange(self.grid.n_r)[list(rings)]
+        # u holds rings low.. n_r - 1, at least the last interior one
+        low = 0 if rings is None or inner else rings.min(initial=self.int_rings[-1])
+        u = np.zeros((self.grid.n_r - low,) + f.shape[1:], dtype=complex)
         u[-1] = f[-1]
-        x = u[self.int_rings[0] : self.int_rings[-1] + 1]  # a view: solved in place
+        x = u[max(self.int_rings[0] - low, 0) : -1]  # a view: solved in place
         x[-1] -= self.hi[-1][:, None] * f[-1]
-        if self.kind == "annulus":
+        if inner:
             u[0] = f[0]
             x[0] -= self.lo[0][:, None] * f[0]
-        J = len(x)
-        cols = np.flatnonzero(np.any(x[0] != 0, axis=0))
-        if cols.size:
-            y = x[:, :, cols[0] : cols[-1] + 1]  # a view; zero columns in it stay zero
-            for a in range(1, J):
-                y[a] -= self.lo[a][:, None] * (self.inv[a - 1] @ y[a - 1])
-        x[J - 1] = self.inv[J - 1] @ x[J - 1]
-        for a in range(J - 2, -1, -1):
-            x[a] = self.inv[a] @ (x[a] - self.hi[a][:, None] * x[a + 1])
+            cols = np.flatnonzero(np.any(x[0] != 0, axis=0))
+            if cols.size:
+                y = x[:, :, cols[0] : cols[-1] + 1]  # a view; zero columns in it stay zero
+                for a in range(1, len(x)):
+                    y[a] -= self.lo[a][:, None] * (self.inv[a - 1] @ y[a - 1])
+        off = len(self.int_rings) - len(x)  # x[i] is interior ring off + i
+        x[-1] = self.inv[-1] @ x[-1]
+        for i in range(len(x) - 2, -1, -1):
+            x[i] = self.inv[off + i] @ (x[i] - self.hi[off + i][:, None] * x[i + 1])
+        if rings is not None:
+            u = u[rings - low]
         return u.reshape(u.shape[:2] + batch)
 
     def residual(self, vals: np.ndarray) -> float:
@@ -327,25 +361,27 @@ class MagneticOperator:
         return math.sqrt(res) / max(math.sqrt(norm), 1e-300)
 
 
-def _inverse(D: np.ndarray) -> np.ndarray:
-    """Inverse of the square matrix D by 2x2 block recursion: invert the
-    leading half, then the Schur complement of the trailing half.  Blocks
-    of order at most `_LEAF` go to `np.linalg.inv`, whose LinAlgError on an
+def _inverse(D: np.ndarray, out: np.ndarray) -> None:
+    """Write the inverse of the square matrix D into out (same shape) by 2x2
+    block recursion: invert the leading half, then the Schur complement of
+    the trailing half, formed in place in D (D is overwritten).  Blocks of
+    order at most `_LEAF` go to `np.linalg.inv`, whose LinAlgError on an
     exactly singular leaf propagates."""
     n = len(D)
     if n <= _LEAF:
-        return np.linalg.inv(D)
+        out[...] = np.linalg.inv(D)
+        return
     h = n // 2
-    A_inv = _inverse(D[:h, :h])
+    A_inv, S_inv = out[:h, :h], out[h:, h:]
+    _inverse(D[:h, :h], A_inv)
     A_inv_B = A_inv @ D[:h, h:]
     C_A_inv = D[h:, :h] @ A_inv
-    S_inv = _inverse(D[h:, h:] - D[h:, :h] @ A_inv_B)
-    out = np.empty_like(D)
-    out[h:, h:] = S_inv
-    out[:h, h:] = -A_inv_B @ S_inv
-    out[h:, :h] = -S_inv @ C_A_inv
-    out[:h, :h] = A_inv - out[:h, h:] @ C_A_inv
-    return out
+    S = D[h:, h:]
+    S -= D[h:, :h] @ A_inv_B
+    _inverse(S, S_inv)
+    np.matmul(np.negative(A_inv_B, out=A_inv_B), S_inv, out=out[:h, h:])
+    A_inv -= out[:h, h:] @ C_A_inv
+    np.matmul(S_inv, np.negative(C_A_inv, out=C_A_inv), out=out[h:, :h])
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +422,7 @@ def _unit_fourier_response(pot: PotentialPair, order: int) -> tuple[np.ndarray, 
     waves = np.exp(1j * np.outer(g.theta, truncation_modes(order, g.n_theta)))
     n_c = len(g.boundary_rings)
     data = np.kron(np.eye(n_c), waves).reshape(n_c, g.n_theta, -1)
-    # the factored operator is freed before the jet copies the solutions
-    return g.boundary_jet(MagneticOperator(pot).solve(data))
+    return g.boundary_jet(MagneticOperator(pot).solve(data, g.jet_rings))
 
 
 def _dtn_matrix(g: PolarGrid, order: int, rows: np.ndarray) -> DtnMatrix:

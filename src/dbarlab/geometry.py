@@ -25,7 +25,8 @@ the radius, on values (n_r, n_theta, ...) with any trailing batch axes; on
 a disk the radial stencils reach through the center by re-using the
 diametrically opposite ray (`PolarGrid._ghost_extend`, the grid's one
 rule through the center), so no special center treatment is needed.
-`boundary_jet` is `diff_r`'s stencil path on the boundary rings only.
+`boundary_jet` is `diff_r`'s stencil path on the boundary rings only; it
+reads only `jet_rings`, and takes values on those rings alone.
 """
 
 from __future__ import annotations
@@ -248,6 +249,10 @@ class PolarGrid:
         rolled = np.roll(values[:4], self.n_theta // 2, axis=1)
         return np.concatenate([rolled[::-1], values], axis=0)
 
+    def _ghost_rows(self) -> int:
+        """Number of rings `_ghost_extend` prepends on this grid's kind."""
+        return 4 if self.domain.kind == "disk" else 0
+
     def _ghost_radii(self) -> np.ndarray:
         """Signed radii of the rings of `_ghost_extend`."""
         return np.concatenate([-self.r[3::-1], self.r])
@@ -282,13 +287,11 @@ class PolarGrid:
         self._stencils = lo, c[:, :, 1].copy(), c[:, :, 2].copy()
         return self._stencils
 
-    def _apply_radial(self, values: np.ndarray, rings, order: int) -> np.ndarray:
-        """Radial derivative (order 1 or 2) of values (n_r, n_theta, ...) on the given rings."""
-        lo, d1, d2 = self._radial_stencils()
-        first, w = lo[rings], (d1 if order == 1 else d2)[rings]
-        v = self._ghost_extend(values) if self.domain.kind == "disk" else values
-        rows = sliding_window_view(v.reshape(len(v), -1), w.shape[1], axis=0)
-        out = np.empty((len(w), rows.shape[1]), dtype=np.result_type(v, w))
+    def _apply_radial(self, values: np.ndarray, first: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """Radial stencils w (k, 6), the i-th applied to rows first[i] ..
+        first[i] + 5 of values (rows, n_theta, ...), to shape (k, n_theta, ...)."""
+        rows = sliding_window_view(values.reshape(len(values), -1), w.shape[1], axis=0)
+        out = np.empty((len(w), rows.shape[1]), dtype=np.result_type(values, w))
         # gather the (rings, columns, 6) stencil rows a block of rings at a
         # time, so the temporary stays small whatever the grid
         step = max(1, _DIFF_R_BLOCK // rows.shape[1])
@@ -298,14 +301,41 @@ class PolarGrid:
         return out.reshape((len(w),) + values.shape[1:])
 
     def diff_r(self, values: np.ndarray, order: int = 1) -> np.ndarray:
-        return self._apply_radial(values, np.arange(self.n_r), order)
+        lo, d1, d2 = self._radial_stencils()
+        v = self._ghost_extend(values) if self.domain.kind == "disk" else values
+        return self._apply_radial(v, lo, d1 if order == 1 else d2)
+
+    @property
+    def jet_rings(self) -> tuple[int, ...]:
+        """Rings whose values `boundary_jet` reads: the rows of the boundary
+        circles' radial stencils, a disk's ghost rows counted as the rings
+        they mirror (a disk's stencil reaches them only at 4 or 5 rings,
+        where the jet reads every ring)."""
+        lo, d1, _ = self._radial_stencils()
+        ghost = self._ghost_rows()
+        e = (lo[list(self.boundary_rings)][:, None] + np.arange(d1.shape[1])).ravel()
+        return tuple(sorted(set(np.where(e < ghost, ghost - 1 - e, e - ghost).tolist())))
 
     def boundary_jet(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Trace and radial derivative of values (n_r, n_theta, ...) on the
-        boundary circles, each of shape (n_boundary, n_theta, ...): the
-        boundary rows of `diff_r`."""
+        """Trace and radial derivative of values on the boundary circles,
+        each of shape (n_boundary, n_theta, ...): the boundary rows of
+        `diff_r`.  values holds every ring, (n_r, n_theta, ...), or only the
+        `jet_rings`, (len(jet_rings), n_theta, ...)."""
+        jet = list(self.jet_rings)
+        if len(values) not in (self.n_r, len(jet)):
+            raise ValueError(
+                f"values must hold the {self.n_r} rings or the {len(jet)} jet rings, got {len(values)}"
+            )
+        if len(values) != len(jet):
+            values = values[jet]
+        lo, d1, _ = self._radial_stencils()
         rings = list(self.boundary_rings)
-        return values[rings], self._apply_radial(values, rings, 1)
+        ghost = self._ghost_rows()
+        ext = np.array(jet) + ghost  # stencil row of each jet ring
+        if lo[rings].min() < ghost:  # through the centre: the jet is every ring
+            values, ext = self._ghost_extend(values), np.arange(len(jet) + ghost)
+        trace = values[np.searchsorted(ext, np.array(rings) + ghost)]
+        return trace, self._apply_radial(values, np.searchsorted(ext, lo[rings]), d1[rings])
 
     def diff_theta(self, values: np.ndarray, order: int = 1) -> np.ndarray:
         vhat = np.fft.fft(values, axis=1)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import hyp1f1, jv, jvp
@@ -589,31 +591,111 @@ def _dense_solve(op, f):
     return np.linalg.solve(A, b)[c:].reshape((J, n_t) + batch)
 
 
-@pytest.mark.parametrize("domain", [geo.disk(1.0), geo.annulus(0.5, 1.5)], ids=["disk", "annulus"])
-def test_batched_solve_columns_match_dense_system(domain):
-    """The forward elimination carries only the columns with inner-circle
-    data; every column of a mixed batch still matches its own dense solve.
-    The disk batch holds the condition probe's random column."""
-    pot = _small_pot(domain)
-    g = pot.grid
-    op = fw.MagneticOperator(pot)
+def _mixed_batch(g):
+    """Boundary samples (n_boundary_rings, n_theta, 3): the condition
+    probe's random column and two smooth data; on an annulus one column has
+    inner-circle data only and one outer-circle data only."""
     n_t = g.n_theta
     rng = np.random.default_rng(0)
     probe = np.stack([
         rng.standard_normal(n_t) + 1j * rng.standard_normal(n_t) for _ in g.boundary_rings
     ])
-    if domain.kind == "disk":
+    if g.domain.kind == "disk":
         cols = [probe, np.exp(2j * g.theta)[None], np.ones((1, n_t))]
     else:
         inner, outer = np.exp(-1j * g.theta), 1.0 + np.cos(3 * g.theta)
         zero = np.zeros(n_t)
         cols = [np.stack([inner, zero]), np.stack([zero, outer]), probe]
-    f = np.stack(cols, axis=-1).astype(complex)
+    return np.stack(cols, axis=-1).astype(complex)
+
+
+@pytest.mark.parametrize("domain", [geo.disk(1.0), geo.annulus(0.5, 1.5)], ids=["disk", "annulus"])
+def test_batched_solve_columns_match_dense_system(domain):
+    """The forward elimination carries only the columns with inner-circle
+    data; every column of a mixed batch, and each column solved alone,
+    still matches its own dense solve.  The batch holds the condition
+    probe's random column."""
+    pot = _small_pot(domain)
+    g = pot.grid
+    op = fw.MagneticOperator(pot)
+    f = _mixed_batch(g)
     got = op.solve(f)
     for k in range(f.shape[-1]):
         want = _dense_solve(op, f[:, :, k])
-        assert np.max(np.abs(got[op.int_rings, :, k] - want)) <= 1e-12 * np.max(np.abs(want))
-        assert np.array_equal(got[list(g.boundary_rings), :, k], f[:, :, k])
+        for u in (got[:, :, k], op.solve(f[:, :, k])):
+            assert np.max(np.abs(u[op.int_rings] - want)) <= 1e-12 * np.max(np.abs(want))
+            assert np.array_equal(u[list(g.boundary_rings)], f[:, :, k])
+
+
+@pytest.mark.parametrize("domain", [geo.disk(1.0), geo.annulus(0.5, 1.5)], ids=["disk", "annulus"])
+def test_solve_on_requested_rings_matches_full_solve(domain):
+    """`solve(f, rings)` stops the back sweep at the lowest requested ring
+    and returns only those rings, bit for bit the full solve's there.  On
+    an annulus the outer-only column also takes the shortened sweep, since
+    no inner-circle data has to be eliminated forward."""
+    pot = _small_pot(domain)
+    g = pot.grid
+    op = fw.MagneticOperator(pot)
+    f = _mixed_batch(g)
+    batches = [f, f[:, :, 0], f[:, :, 1:2]] if domain.kind == "annulus" else [f, f[:, :, 0]]
+    ring_sets = [g.jet_rings, (g.n_r - 1,), (3,), (7, 2, 7), (0, g.n_r - 1), range(g.n_r), ()]
+    for data in batches:
+        full = op.solve(data)
+        for rings in ring_sets:
+            got = op.solve(data, rings)
+            assert got.shape == (len(rings),) + full.shape[1:]
+            assert np.array_equal(got, full[list(rings)]), rings
+
+
+@pytest.mark.parametrize(
+    "domain", [geo.disk(1.0), geo.annulus(0.5, 1.5), geo.annulus(0.2, 1.0)],
+    ids=["disk", "annulus", "annulus-thin-hole"],
+)
+def test_dtn_builders_read_only_the_jet_rings(domain):
+    """The DtN builders solve for `grid.jet_rings` only; each matrix is
+    the one built from the boundary jet of a full solve, bit for bit."""
+    g = geo.PolarGrid(domain, 48, 64)
+    X, alpha = smooth_real_connection(g)
+    q = geo.ScalarField(g, 0.3 * np.exp(-2 * np.abs(g.nodes - 0.2) ** 2))
+    pot = fw.PotentialPair(X, q)
+    F = geo.ScalarField(g, np.exp(1j * alpha))
+    order = 8
+    waves = np.exp(1j * np.outer(g.theta, me.truncation_modes(order, g.n_theta)))
+    n_c = len(g.boundary_rings)
+    data = np.kron(np.eye(n_c), waves).reshape(n_c, g.n_theta, -1)
+    trace, d_r = g.boundary_jet(fw.MagneticOperator(pot).solve(data))
+    Fb = F.values[list(g.boundary_rings)][:, :, None]
+    lam = fw._dtn_matrix(g, order, fw._magnetic_normal(pot, trace, d_r)).matrix
+    om = fw._omega01_pullback(pot, trace, d_r)
+    sys_ = fw._dtn_matrix(g, order, om).matrix
+    G = fw._dtn_matrix(g, order, om / np.conj(Fb)).matrix
+    Fm = fw._dtn_matrix(g, order, Fb * trace).matrix
+    d, diag = fw.dtn_and_diagonalized_system_dtn(pot, F, order)
+    assert np.array_equal(fw.dtn(pot, order).matrix, lam)
+    assert np.array_equal(d.matrix, lam)
+    assert np.array_equal(fw.system_dtn(pot, order).matrix, sys_)
+    assert np.array_equal(diag.matrix, G @ np.linalg.inv(Fm))
+
+
+def test_factor_keeps_one_inverse_stack():
+    """The factor writes each ring's inverse into one C-contiguous
+    (J, n_theta, n_theta) stack and allocates nothing per ring: beyond the
+    stack, its peak is a few blocks (the assembled coefficients it keeps,
+    one block, the block recursion's quarters)."""
+    g = geo.PolarGrid(geo.disk(1.0), 48, 64)
+    X, _ = smooth_real_connection(g)
+    pot = fw.PotentialPair(X, geo.ScalarField(g, 0.3 * np.exp(-2 * np.abs(g.nodes) ** 2)))
+    fw.MagneticOperator(pot)  # caches (the grid's stencils) filled outside the count
+    tracemalloc.start()
+    try:
+        op = fw.MagneticOperator(pot)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n_t = g.n_theta
+    assert isinstance(op.inv, np.ndarray) and op.inv.flags.c_contiguous
+    assert op.inv.shape == (len(op.int_rings), n_t, n_t) and op.inv.dtype == complex
+    assert peak <= op.inv.nbytes + 8 * n_t**2 * 16
 
 
 @pytest.mark.parametrize(

@@ -122,6 +122,30 @@ def test_boundary_jet_matches_diff_r(r_inner, n_r, n_theta, batch, seed):
     want = np.stack([g.diff_r(f[:, :, k])[rings] for k in range(batch)], axis=-1)
     assert d_r.shape == want.shape == (len(rings), n_theta, batch)
     assert np.array_equal(d_r, want)
+    # the jet reads only `jet_rings`: given those alone, it is the same
+    jet_trace, jet_d_r = g.boundary_jet(f[list(g.jet_rings)])
+    assert np.array_equal(jet_trace, trace) and np.array_equal(jet_d_r, d_r)
+
+
+@pytest.mark.parametrize(
+    "domain, n_r, want",
+    [
+        (geo.disk(1.0), 96, tuple(range(90, 96))),
+        (geo.disk(1.0), 6, tuple(range(6))),
+        (geo.disk(1.0), 5, tuple(range(5))),
+        (geo.disk(1.0), 4, tuple(range(4))),
+        (geo.annulus(0.5, 1.0), 96, tuple(range(6)) + tuple(range(90, 96))),
+        (geo.annulus(0.5, 1.0), 8, tuple(range(8))),
+    ],
+)
+def test_jet_rings_are_the_boundary_stencils(domain, n_r, want):
+    """The rings of the boundary circles' 6-point stencils; a disk of 4 or 5
+    rings reaches through the centre, where the ghost rows mirror the first
+    rings.  Other ring counts are refused by the jet."""
+    g = geo.PolarGrid(domain, n_r, 16)
+    assert g.jet_rings == want
+    with pytest.raises(ValueError, match="jet rings"):
+        g.boundary_jet(np.ones((len(want) + 1, 16)))
 
 
 @pytest.mark.parametrize(
